@@ -42,7 +42,6 @@ from .harness import (
 )
 from .lowerbound import (
     AssouadConfig,
-    affinity_estimate,
     affinity_study,
     assouad_bound_value,
     calibrated_eps,
@@ -64,59 +63,3 @@ from .spectral_diag import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CosineBasis",
-    "FunctionRep",
-    "inner",
-    "norm_sq",
-    "uniform_grid",
-    "evaluate_on_grid",
-    "ExpFamilySpec",
-    "family_names",
-    "get_family",
-    "sample_response",
-    "hellinger_sq_exact",
-    "hellinger_sq_bound",
-    "verify_envelope",
-    "GroundTruth",
-    "Dataset",
-    "make_ground_truth",
-    "sample_dataset",
-    "rho_n",
-    "SpectralEstimate",
-    "spectral_estimate",
-    "TuningRule",
-    "NewtonConfig",
-    "FitResult",
-    "tuning",
-    "zeta_interval",
-    "fit_mle",
-    "estimate_slope",
-    "loss",
-    "PerturbationPair",
-    "check_eigenvalue_bound",
-    "check_eigenvector_bound",
-    "check_eigenvector_remainder",
-    "check_projection_bound",
-    "random_perturbation_suite",
-    "check_mle_linearization",
-    "expected_fisher",
-    "fisher_study",
-    "check_chisq_maximal",
-    "AssouadConfig",
-    "standard_config",
-    "hypercube_slope",
-    "affinity_estimate",
-    "affinity_study",
-    "calibrated_eps",
-    "assouad_bound_value",
-    "ExperimentConfig",
-    "RateStudyResult",
-    "parse_config",
-    "load_config",
-    "replication_seed",
-    "run_rate_study",
-    "fit_loglog_slope",
-    "theoretical_exponent",
-    "__version__",
-]

@@ -127,9 +127,8 @@ def _cmd_generate(args) -> int:
         mu_mode=args.mu_mode,
     )
     ds = sample_dataset(gt, args.n, args.seed)
-    x = ds.x_coeffs()
     header = ["y", "lambda"] + [f"x{k}" for k in range(1, ds.k_trunc + 1)]
-    rows = ((ds.y[i], ds.lambda_true[i], *x[i]) for i in range(ds.n))
+    rows = ((ds.y[i], ds.lambda_true[i], *ds.x[i]) for i in range(ds.n))
     write_csv(args.out, header, rows)
     print(f"wrote {args.out}: {ds.n} rows, {ds.k_trunc} coefficient columns")
     return 0
@@ -163,11 +162,23 @@ def _read_dataset_csv(path: str) -> Dataset:
             lam = np.zeros(len(body))
     except (ValueError, IndexError) as exc:
         raise ValueError(f"{path}: malformed numeric row: {exc}") from None
-    return Dataset(mean_coeffs=np.zeros(x.shape[1]), scores=x, y=y, lambda_true=lam)
+    for where, values in (("column y", y), ("column lambda", lam), ("columns x1..xK", x)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}: non-finite value in {where}")
+    return Dataset(x=x, y=y, lambda_true=lam)
+
+
+def _check_support(family: str, y: np.ndarray, path: str) -> None:
+    """Refuse responses outside the family's support."""
+    if family == "bernoulli" and not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError(f"{path}: bernoulli responses y must be 0 or 1")
+    if family == "poisson" and not np.all((y >= 0.0) & (y == np.floor(y))):
+        raise ValueError(f"{path}: poisson responses y must be non-negative integers")
 
 
 def _cmd_estimate(args) -> int:
     ds = _read_dataset_csv(args.data)
+    _check_support(args.family, ds.y, args.data)
     family = get_family(args.family)
     fit = estimate_slope(ds, family, args.alpha, args.beta)
     coef_path = os.path.join(args.out, "estimate_coefs.csv")

@@ -131,40 +131,33 @@ def make_ground_truth(
 
 @dataclass(frozen=True)
 class Dataset:
-    """One simulated sample: scores of X - mu, responses, true parameters."""
+    """One sample: predictor coefficients x (n x K), responses, true parameters.
 
-    mean_coeffs: np.ndarray
-    scores: np.ndarray
+    The arrays are read-only views of the ones passed in, not copies.
+    """
+
+    x: np.ndarray
     y: np.ndarray
     lambda_true: np.ndarray
 
     def __post_init__(self):
-        for name in ("mean_coeffs", "scores", "y", "lambda_true"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
+        for name in ("x", "y", "lambda_true"):
+            arr = np.asarray(getattr(self, name), dtype=float).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.scores.ndim != 2:
-            raise ValueError("scores must be an n x K matrix")
-        n = self.scores.shape[0]
+        if self.x.ndim != 2:
+            raise ValueError("x must be an n x K matrix")
+        n = self.x.shape[0]
         if self.y.shape != (n,) or self.lambda_true.shape != (n,):
-            raise ValueError("y and lambda_true must have one entry per row of scores")
-        if self.mean_coeffs.shape != (self.scores.shape[1],):
-            raise ValueError("mean_coeffs length must match the score dimension")
+            raise ValueError("y and lambda_true must have one entry per row of x")
 
     @property
     def n(self) -> int:
-        return self.scores.shape[0]
+        return self.x.shape[0]
 
     @property
     def k_trunc(self) -> int:
-        return self.scores.shape[1]
-
-    def x_coeffs(self) -> np.ndarray:
-        """Coefficient matrix of the predictors X_i, shape n x K."""
-        return self.mean_coeffs[None, :] + self.scores
-
-    def x_func(self, i: int) -> FunctionRep:
-        return FunctionRep(self.mean_coeffs + self.scores[i])
+        return self.x.shape[1]
 
 
 def sample_dataset(gt: GroundTruth, n: int, seed: int) -> Dataset:
@@ -172,10 +165,12 @@ def sample_dataset(gt: GroundTruth, n: int, seed: int) -> Dataset:
     if n < 2:
         raise ValueError("need at least 2 observations")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, gt.k_trunc)) * np.sqrt(gt.eigvals)
-    lam = gt.intercept + float(np.dot(gt.mean.coeffs, gt.slope_coeffs)) + z @ gt.slope_coeffs
+    x = rng.standard_normal((n, gt.k_trunc))
+    x *= np.sqrt(gt.eigvals)  # scores of X - mu
+    lam = gt.intercept + float(np.dot(gt.mean.coeffs, gt.slope_coeffs)) + x @ gt.slope_coeffs
+    x += gt.mean.coeffs
     y = sample_response(gt.family, lam, rng)
-    return Dataset(mean_coeffs=gt.mean.coeffs, scores=z, y=y, lambda_true=lam)
+    return Dataset(x=x, y=y, lambda_true=lam)
 
 
 def rho_n(n: int, alpha: float, beta_s: float) -> float:

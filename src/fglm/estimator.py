@@ -190,14 +190,12 @@ def fit_mle(
 
     tol = cfg.tol * n
     iterations = 0
-    converged = False
     separated = False
     grad = design.T @ (y - family.dpsi(eta))
     grad_norm = float(np.max(np.abs(grad)))
 
     for _ in range(cfg.max_iter):
         if grad_norm <= tol:
-            converged = True
             break
         weights = family.d2psi(eta)
         hess = (design * weights[:, None]).T @ design
@@ -217,7 +215,6 @@ def fit_mle(
         if not accepted:
             # no ascent direction survives damping: numerically stationary
             break
-        assert obj_try >= obj - flat  # concavity guard: no real decrease
         g, eta, obj = g_try, eta_try, obj_try
         iterations += 1
         grad = design.T @ (y - family.dpsi(eta))
@@ -225,11 +222,8 @@ def fit_mle(
         if np.max(np.abs(g)) > cfg.separation_threshold:
             separated = True
             break
-    else:
-        pass
 
-    if grad_norm <= tol and not separated:
-        converged = True
+    converged = grad_norm <= tol and not separated
     if not np.isfinite(obj):
         raise RuntimeError("log likelihood diverged")
     return MLEFit(

@@ -55,6 +55,9 @@ class ExpFamilySpec:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
 
+    def __reduce__(self):  # the callables do not pickle; the registry name does
+        return get_family, (self.name,)
+
 
 def _gaussian() -> ExpFamilySpec:
     return ExpFamilySpec(

@@ -7,6 +7,13 @@ sorted descending and clamped to be nonnegative.  Scores are inner
 products of centered curves with the estimated eigenfunctions, so each
 score column has exact zero mean and the score Gram matrix reproduces
 the estimated eigenvalues.
+
+Eigenvectors are returned in C order.  The column gather that sorts
+them leaves a Fortran-order array, and BLAS sums a matrix-vector
+product such as the slope rebuild phi_tilde[:, :m] @ coefs in an order
+that depends on the layout, so the last bits of the study losses do
+too; the stock-study CSVs are pinned to C order.  SpectralEstimate
+holds read-only views of its arrays, not copies.
 """
 from __future__ import annotations
 
@@ -39,25 +46,20 @@ class SpectralEstimate:
 
     def __post_init__(self):
         for name in ("cov", "theta_tilde", "phi_tilde", "scores"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
+            arr = np.asarray(getattr(self, name), dtype=float).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def component(self, k: int) -> FunctionRep:
-        """The k-th estimated eigenfunction (0-indexed)."""
-        return FunctionRep(self.phi_tilde[:, k])
-
 
 def sample_mean(ds: Dataset) -> FunctionRep:
-    return FunctionRep(ds.x_coeffs().mean(axis=0))
+    return FunctionRep(ds.x.mean(axis=0))
 
 
 def sample_cov(ds: Dataset) -> np.ndarray:
     """Sample covariance of the predictor coefficients, divisor n - 1."""
     if ds.n < 2:
         raise ValueError("covariance needs at least 2 observations")
-    centered = ds.x_coeffs()
-    centered = centered - centered.mean(axis=0)
+    centered = ds.x - ds.x.mean(axis=0)
     return centered.T @ centered / (ds.n - 1.0)
 
 
@@ -74,9 +76,8 @@ def eigendecompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("covariance is not symmetric within 1e-10")
     vals, vecs = np.linalg.eigh(cov)
     order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    return np.maximum(vals, 0.0), vecs
+    # the gather leaves Fortran order; see the module docstring for why C order
+    return np.maximum(vals[order], 0.0), np.ascontiguousarray(vecs[:, order])
 
 
 def compute_scores(
@@ -88,7 +89,7 @@ def compute_scores(
         raise ValueError("n_components must lie in [0, k_trunc]")
     if xbar.basis_size != k:
         raise ValueError("xbar must live in the same truncated basis")
-    centered = ds.x_coeffs() - xbar.coeffs
+    centered = ds.x - xbar.coeffs
     return centered @ phi_tilde[:, :n_components]
 
 

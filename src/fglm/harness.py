@@ -9,6 +9,7 @@ with 17 significant digits to survive a parse round trip.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -16,9 +17,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .datagen import make_ground_truth, sample_dataset
+from .datagen import GroundTruth, make_ground_truth, sample_dataset
 from .estimator import NewtonConfig, TuningRule, estimate_slope, loss, tuning
-from .expfam import family_names, get_family
+from .expfam import get_family
 
 __all__ = [
     "ExperimentConfig",
@@ -193,18 +194,17 @@ class RateStudyResult:
     theoretical: float
 
 
-def _replication_task(task: tuple) -> tuple[float, int, bool]:
-    (family_name, alpha, beta_s, a, mu_mode, k_trunc, c_m, c_n, zeta, tol, max_iter, n, seed) = task
-    family = get_family(family_name)
-    gt = make_ground_truth(alpha, beta_s, family, k_trunc=k_trunc, intercept=a, mu_mode=mu_mode)
+def _replication_task(
+    cfg: ExperimentConfig, gt: GroundTruth, n: int, seed: int
+) -> tuple[float, int, bool]:
     ds = sample_dataset(gt, n, seed)
     fit = estimate_slope(
         ds,
-        family,
-        alpha,
-        beta_s,
-        rule=TuningRule(c_m=c_m, c_N=c_n, zeta=zeta),
-        config=NewtonConfig(tol=tol, max_iter=max_iter),
+        gt.family,
+        cfg.alpha,
+        cfg.beta_s,
+        rule=TuningRule(c_m=cfg.c_m, c_N=cfg.c_N, zeta=cfg.zeta_override),
+        config=NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.newton_max_iter),
     )
     return loss(fit.slope, gt), fit.iterations, fit.converged
 
@@ -214,6 +214,7 @@ def run_rate_points(
 ) -> tuple[tuple[RatePoint, ...], tuple[ReplicationRecord, ...]]:
     """All replications of the study, aggregated per sample size.
 
+    The ground truth is built once and shared by every replication.
     Tasks run concurrently up to `jobs` workers but are collected in
     (n, rep) order, so the output is identical for every jobs setting.
     A replication that raises aborts the study with its coordinates.
@@ -222,39 +223,30 @@ def run_rate_points(
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     rule = TuningRule(c_m=cfg.c_m, c_N=cfg.c_N, zeta=cfg.zeta_override)
-    tasks = []
-    meta = []
-    for n_idx, n in enumerate(cfg.n_grid):
-        for rep in range(cfg.reps):
-            seed = replication_seed(cfg.seed, n_idx, rep)
-            meta.append((n, rep, seed))
-            tasks.append(
-                (
-                    cfg.family,
-                    cfg.alpha,
-                    cfg.beta_s,
-                    cfg.a,
-                    cfg.mu_mode,
-                    cfg.K_trunc,
-                    cfg.c_m,
-                    cfg.c_N,
-                    cfg.zeta_override,
-                    cfg.newton_tol,
-                    cfg.newton_max_iter,
-                    n,
-                    seed,
-                )
-            )
+    gt = make_ground_truth(
+        cfg.alpha,
+        cfg.beta_s,
+        get_family(cfg.family),
+        k_trunc=cfg.K_trunc,
+        intercept=cfg.a,
+        mu_mode=cfg.mu_mode,
+    )
+    task = functools.partial(_replication_task, cfg, gt)
+    meta = [
+        (n, rep, replication_seed(cfg.seed, n_idx, rep))
+        for n_idx, n in enumerate(cfg.n_grid)
+        for rep in range(cfg.reps)
+    ]
+    sizes = [n for n, _, _ in meta]
+    seeds = [seed for _, _, seed in meta]
 
-    outcomes = []
     if jobs == 1:
-        stream = map(_replication_task, tasks)
+        stream = map(task, sizes, seeds)
     else:
         pool = ProcessPoolExecutor(max_workers=jobs)
-        stream = pool.map(_replication_task, tasks, chunksize=max(1, len(tasks) // (8 * jobs)))
+        stream = pool.map(task, sizes, seeds, chunksize=max(1, len(meta) // (8 * jobs)))
     try:
-        for out in _reraise_with_context(stream, meta):
-            outcomes.append(out)
+        outcomes = list(_reraise_with_context(stream, meta))
     finally:
         if jobs > 1:
             pool.shutdown(wait=True)

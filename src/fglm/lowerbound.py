@@ -33,7 +33,6 @@ __all__ = [
     "flip",
     "AffinityEstimate",
     "affinity_detail",
-    "affinity_estimate",
     "calibrated_eps",
     "calibrated_config",
     "assouad_bound_value",
@@ -191,18 +190,6 @@ def affinity_detail(
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
     return AffinityEstimate(mean=mean, se=se, n_mc=n_mc)
-
-
-def affinity_estimate(
-    cfg: AssouadConfig,
-    n: int,
-    j: int,
-    gamma,
-    n_mc: int = 200,
-    seed: int = 0,
-    hellinger: str = "exact",
-) -> float:
-    return affinity_detail(cfg, n, j, gamma, n_mc=n_mc, seed=seed, hellinger=hellinger).mean
 
 
 def calibrated_eps(cfg: AssouadConfig, n: int) -> float:

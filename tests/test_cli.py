@@ -40,6 +40,13 @@ def test_bad_config_value(tmp_path, capsys):
     assert code == 1
 
 
+def test_config_outside_the_model_class_is_usage_error(tmp_path, capsys):
+    # refused when the ground truth is built, before any replication runs
+    cfg = _write_cfg(tmp_path, SMALL_CFG + "beta_s = 2.0\n")
+    assert main(["rate-study", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "beta_s must be" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -133,6 +140,35 @@ def test_estimate_handles_missing_lambda_column(tmp_path, capsys):
     )
     assert code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "family, column, value, message",
+    [
+        ("gaussian", "y", "nan", "non-finite value in column y"),
+        ("gaussian", "y", "inf", "non-finite value in column y"),
+        ("gaussian", "lambda", "-inf", "non-finite value in column lambda"),
+        ("gaussian", "x2", "nan", "non-finite value in columns x1..xK"),
+        ("bernoulli", "y", "2", "must be 0 or 1"),
+        ("bernoulli", "y", "0.5", "must be 0 or 1"),
+        ("poisson", "y", "-1", "must be non-negative integers"),
+        ("poisson", "y", "1.5", "must be non-negative integers"),
+    ],
+)
+def test_estimate_refuses_bad_input(tmp_path, capsys, family, column, value, message):
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--family", family, "--n", "40", "--seed", "2",
+                 "--k-trunc", "5", "--out", str(data)]) == 0
+    lines = data.read_text().splitlines()
+    col = lines[0].split(",").index(column)
+    row = lines[1].split(",")
+    row[col] = value
+    lines[1] = ",".join(row)
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["estimate", "--data", str(data), "--family", family, "--out", str(tmp_path)])
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 # --- rate study ---

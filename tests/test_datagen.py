@@ -11,7 +11,6 @@ from fglm.datagen import (
     sample_dataset,
 )
 from fglm.expfam import get_family
-from fglm.funcspace import FunctionRep
 
 GAUSS = get_family("gaussian")
 
@@ -96,18 +95,16 @@ def test_membership_rejects_oversized_slope():
 
 def test_dataset_validation_and_views():
     ds = Dataset(
-        mean_coeffs=[1.0, 0.0],
-        scores=[[0.5, -0.5], [0.0, 2.0]],
+        x=[[1.5, -0.5], [1.0, 2.0]],
         y=[1.0, 0.0],
         lambda_true=[0.2, 0.3],
     )
     assert ds.n == 2 and ds.k_trunc == 2
-    assert np.array_equal(ds.x_coeffs(), [[1.5, -0.5], [1.0, 2.0]])
-    assert isinstance(ds.x_func(1), FunctionRep)
+    assert np.array_equal(ds.x, [[1.5, -0.5], [1.0, 2.0]])
     with pytest.raises(ValueError):
-        Dataset(mean_coeffs=[0.0], scores=[[0.0, 1.0]], y=[1.0], lambda_true=[0.0])
+        Dataset(x=[0.0, 1.0], y=[1.0], lambda_true=[0.0])
     with pytest.raises(ValueError):
-        Dataset(mean_coeffs=[0.0, 0.0], scores=[[0.0, 1.0]], y=[1.0, 2.0], lambda_true=[0.0])
+        Dataset(x=[[0.0, 1.0]], y=[1.0, 2.0], lambda_true=[0.0])
 
 
 def test_dataset_arrays_frozen():
@@ -121,22 +118,22 @@ def test_sampling_deterministic_and_seed_sensitive():
     a = sample_dataset(gt, 16, seed=7)
     b = sample_dataset(gt, 16, seed=7)
     c = sample_dataset(gt, 16, seed=8)
-    assert np.array_equal(a.y, b.y) and np.array_equal(a.scores, b.scores)
+    assert np.array_equal(a.y, b.y) and np.array_equal(a.x, b.x)
     assert not np.array_equal(a.y, c.y)
 
 
 def test_sampled_scores_match_spectrum():
     gt = make_ground_truth(2.0, 3.0, GAUSS, k_trunc=6)
     ds = sample_dataset(gt, 100_000, seed=1)
-    emp = ds.scores.var(axis=0, ddof=1)
+    emp = ds.x.var(axis=0, ddof=1)
     assert np.allclose(emp, gt.eigvals, rtol=0.03)
-    assert np.allclose(ds.scores.mean(axis=0), 0.0, atol=0.02)
+    assert np.allclose(ds.x.mean(axis=0), 0.0, atol=0.02)
 
 
 def test_lambda_true_recomputes():
     gt = make_ground_truth(2.0, 3.0, GAUSS, k_trunc=30, mu_mode="bumps")
     ds = sample_dataset(gt, 50, seed=3)
-    lam = gt.intercept + ds.x_coeffs() @ gt.slope_coeffs
+    lam = gt.intercept + ds.x @ gt.slope_coeffs
     assert np.allclose(lam, ds.lambda_true, atol=1e-12)
 
 

@@ -100,6 +100,19 @@ def test_gaussian_converges_in_one_newton_step():
     assert fit.converged and fit.iterations == 1
 
 
+def test_convergence_is_judged_after_the_last_iteration():
+    # max_iter stops the loop right after the step; only the check that
+    # follows the loop can see that the gaussian step landed on the optimum
+    rng = np.random.default_rng(0)
+    scores = rng.standard_normal((40, 3))
+    y = 0.5 + scores @ [1.0, -0.5, 0.2] + rng.standard_normal(40)
+    fit = fit_mle(y, scores, GAUSS, NewtonConfig(max_iter=1))
+    assert fit.iterations == 1 and fit.converged is True
+    counts = rng.poisson(np.exp(0.3 + scores @ [0.8, -0.5, 0.2])).astype(float)
+    fit = fit_mle(counts, scores, POIS, NewtonConfig(max_iter=2))
+    assert fit.iterations == 2 and fit.converged is False
+
+
 def test_gaussian_fit_matches_least_squares():
     rng = np.random.default_rng(11)
     for _ in range(10):

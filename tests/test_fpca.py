@@ -19,18 +19,17 @@ def _dataset(n=40, k=12, seed=0):
 
 def test_sample_mean_is_coefficient_average():
     ds = _dataset()
-    assert np.allclose(sample_mean(ds).coeffs, ds.x_coeffs().mean(axis=0))
+    assert np.allclose(sample_mean(ds).coeffs, ds.x.mean(axis=0))
 
 
 def test_sample_cov_matches_numpy():
     ds = _dataset()
-    assert np.allclose(sample_cov(ds), np.cov(ds.x_coeffs(), rowvar=False), atol=1e-12)
+    assert np.allclose(sample_cov(ds), np.cov(ds.x, rowvar=False), atol=1e-12)
 
 
 def test_cov_requires_two_observations():
     ds = Dataset(
-        mean_coeffs=[0.0, 0.0],
-        scores=[[1.0, 0.0], [0.0, 1.0]],
+        x=[[1.0, 0.0], [0.0, 1.0]],
         y=[0.0, 1.0],
         lambda_true=[0.0, 0.0],
     )
@@ -49,6 +48,13 @@ def test_eigendecompose_known_matrix():
     assert np.allclose(vecs.T @ vecs, np.eye(2), atol=1e-14)
 
 
+def test_eigendecompose_returns_c_order_eigenvectors():
+    # the last bits of the score and slope products depend on this layout
+    _, vecs = eigendecompose(sample_cov(_dataset()))
+    assert vecs.flags.c_contiguous
+    assert spectral_estimate(_dataset()).phi_tilde.flags.c_contiguous
+
+
 def test_eigendecompose_small_offdiagonal():
     # closed form: 1.5 +- sqrt(0.26), so the top eigenvalue moves by ~0.0099
     vals, _ = eigendecompose([[2.0, 0.1], [0.1, 1.0]])
@@ -65,8 +71,7 @@ def test_eigendecompose_identity_is_degenerate():
 
 def test_cov_of_two_point_sample():
     ds = Dataset(
-        mean_coeffs=[0.0, 0.0],
-        scores=[[1.0, 0.0], [-1.0, 0.0]],
+        x=[[1.0, 0.0], [-1.0, 0.0]],
         y=[0.0, 0.0],
         lambda_true=[0.0, 0.0],
     )
@@ -126,9 +131,3 @@ def test_estimated_spectrum_near_truth_for_large_n():
     assert np.allclose(est.theta_tilde, gt.eigvals, rtol=0.06)
     # leading estimated component aligns with the first basis direction
     assert abs(est.phi_tilde[0, 0]) > 0.99
-
-
-def test_component_accessor_returns_function():
-    est = spectral_estimate(_dataset(k=6))
-    f = est.component(2)
-    assert np.allclose(f.coeffs, est.phi_tilde[:, 2])

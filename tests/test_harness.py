@@ -3,6 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from fglm import harness
+from fglm.datagen import make_ground_truth
+from fglm.estimator import NewtonConfig, TuningRule, fit_mle, loss, tuning
+from fglm.expfam import family_names, get_family, sample_response
+from fglm.funcspace import FunctionRep
 from fglm.harness import (
     ExperimentConfig,
     default_jobs,
@@ -189,6 +194,61 @@ def test_rate_points_deterministic_and_jobs_invariant():
     b = run_rate_points(TINY, jobs=1)
     c = run_rate_points(TINY, jobs=2)
     assert a == b == c
+
+
+def test_ground_truth_is_built_once_per_study(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make_ground_truth(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "make_ground_truth", counting)
+    run_rate_points(TINY, jobs=1)
+    assert len(calls) == 1
+
+
+def _reference_replication(cfg, n, seed):
+    """One replication computed the long way: the truth rebuilt, X = mu +
+    scores rebuilt for every stage, each stage centering on its own, and
+    the eigenvectors copied to C order before the slope is rebuilt."""
+    family = get_family(cfg.family)
+    gt = make_ground_truth(
+        cfg.alpha, cfg.beta_s, family, k_trunc=cfg.K_trunc, intercept=cfg.a, mu_mode=cfg.mu_mode
+    )
+    rng = np.random.default_rng(seed)
+    scores = rng.standard_normal((n, cfg.K_trunc)) * np.sqrt(gt.eigvals)
+    mu = gt.mean.coeffs
+    lam = gt.intercept + float(np.dot(mu, gt.slope_coeffs)) + scores @ gt.slope_coeffs
+    y = sample_response(family, lam, rng)
+    xbar = (mu[None, :] + scores).mean(axis=0)
+    centered = mu[None, :] + scores
+    centered = centered - centered.mean(axis=0)
+    cov = centered.T @ centered / (n - 1.0)
+    vals, vecs = np.linalg.eigh(cov)
+    vecs = vecs[:, np.argsort(vals)[::-1]]
+    est_scores = ((mu[None, :] + scores) - xbar) @ vecs[:, : cfg.K_trunc]
+    phi, est_scores = vecs.copy(), est_scores.copy()
+    m, n_comp = tuning(n, cfg.alpha, cfg.beta_s, TuningRule(c_m=cfg.c_m, c_N=cfg.c_N))
+    config = NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
+    fit = fit_mle(y, est_scores[:, :n_comp], family, config)
+    slope = FunctionRep(phi[:, :m] @ fit.coefs[1 : m + 1])
+    return loss(slope, gt), fit.iterations, fit.converged
+
+
+@pytest.mark.parametrize("mu_mode", ["zero", "bumps"])
+@pytest.mark.parametrize("family", family_names())
+def test_replication_matches_the_long_way_bit_for_bit(family, mu_mode):
+    cfg = ExperimentConfig(family=family, mu_mode=mu_mode, K_trunc=200, n_grid=(2000,), reps=8)
+    gt = make_ground_truth(
+        cfg.alpha, cfg.beta_s, get_family(family), k_trunc=200, intercept=cfg.a, mu_mode=mu_mode
+    )
+    for rep in range(cfg.reps):
+        seed = replication_seed(cfg.seed, 0, rep)
+        got = harness._replication_task(cfg, gt, 2000, seed)
+        want = _reference_replication(cfg, 2000, seed)
+        assert float.hex(got[0]) == float.hex(want[0])
+        assert got[1:] == want[1:]
 
 
 def test_single_rep_has_zero_se():

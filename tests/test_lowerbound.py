@@ -11,7 +11,6 @@ from fglm.funcspace import norm_sq
 from fglm.lowerbound import (
     AssouadConfig,
     affinity_detail,
-    affinity_estimate,
     affinity_study,
     assouad_bound_value,
     calibrated_config,
@@ -93,9 +92,9 @@ def test_zero_eps_gives_perfect_affinity():
 
 def test_affinity_decreases_with_eps():
     vals = [
-        affinity_estimate(
+        affinity_detail(
             standard_config(1, GAUSS, eps_scale=e), 100, 2, (1,), n_mc=80, seed=5
-        )
+        ).mean
         for e in (0.5, 2.0, 8.0)
     ]
     assert vals[0] > vals[1] > vals[2]
@@ -130,8 +129,8 @@ def test_affinity_matches_quadrature_oracle():
 
 def test_bound_route_never_beats_exact_route():
     cfg = standard_config(2, GAUSS, eps_scale=1.5)
-    exact = affinity_estimate(cfg, 40, 3, (1, 1), n_mc=100, seed=7, hellinger="exact")
-    loose = affinity_estimate(cfg, 40, 3, (1, 1), n_mc=100, seed=7, hellinger="bound")
+    exact = affinity_detail(cfg, 40, 3, (1, 1), n_mc=100, seed=7, hellinger="exact").mean
+    loose = affinity_detail(cfg, 40, 3, (1, 1), n_mc=100, seed=7, hellinger="bound").mean
     assert loose <= exact + 1e-12
 
 

@@ -20,6 +20,7 @@ import argparse
 import csv
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -128,40 +129,50 @@ def _cmd_generate(args) -> int:
     )
     ds = sample_dataset(gt, args.n, args.seed)
     header = ["y", "lambda"] + [f"x{k}" for k in range(1, ds.k_trunc + 1)]
-    rows = ((ds.y[i], ds.lambda_true[i], *ds.x[i]) for i in range(ds.n))
-    write_csv(args.out, header, rows)
+    write_csv(args.out, header, np.column_stack([ds.y, ds.lambda_true, ds.x]))
     print(f"wrote {args.out}: {ds.n} rows, {ds.k_trunc} coefficient columns")
     return 0
 
 
 def _read_dataset_csv(path: str) -> Dataset:
+    """Parse a `generate`-style CSV: a header row, then one numeric row per sample.
+
+    Only the y, lambda and x1..xK columns are parsed; fields may be quoted
+    and lines may end in CRLF.  loadtxt converts through the same routine
+    as `float`, so every value keeps its bits.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"{path}: empty file")
+        header = next(csv.reader([first]))
+        cols = {name: i for i, name in enumerate(header)}
+        if "y" not in cols:
+            raise ValueError(f"{path}: missing 'y' column")
+        x_names = sorted(
+            (name for name in cols if name.startswith("x") and name[1:].isdigit()),
+            key=lambda s: int(s[1:]),
+        )
+        if not x_names:
+            raise ValueError(f"{path}: no coefficient columns x1..xK")
+        if [int(s[1:]) for s in x_names] != list(range(1, len(x_names) + 1)):
+            raise ValueError(f"{path}: coefficient columns must be consecutive x1..xK")
+        lead = ["y", "lambda"] if "lambda" in cols else ["y"]
+        usecols = [cols[name] for name in lead + x_names]
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        body = [row for row in reader if row]
-    cols = {name: i for i, name in enumerate(header)}
-    if "y" not in cols:
-        raise ValueError(f"{path}: missing 'y' column")
-    x_names = sorted(
-        (name for name in cols if name.startswith("x") and name[1:].isdigit()),
-        key=lambda s: int(s[1:]),
-    )
-    if not x_names:
-        raise ValueError(f"{path}: no coefficient columns x1..xK")
-    if [int(s[1:]) for s in x_names] != list(range(1, len(x_names) + 1)):
-        raise ValueError(f"{path}: coefficient columns must be consecutive x1..xK")
-    try:
-        y = np.array([float(row[cols["y"]]) for row in body])
-        x = np.array([[float(row[cols[name]]) for name in x_names] for row in body])
-        if "lambda" in cols:
-            lam = np.array([float(row[cols["lambda"]]) for row in body])
-        else:
-            lam = np.zeros(len(body))
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"{path}: malformed numeric row: {exc}") from None
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                body = np.loadtxt(
+                    fh, delimiter=",", quotechar='"', comments=None, usecols=usecols, ndmin=2
+                )
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed numeric row: {exc}") from None
+    if body.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
+    y = np.ascontiguousarray(body[:, 0])
+    lam = np.ascontiguousarray(body[:, 1]) if len(lead) == 2 else np.zeros(body.shape[0])
+    # C order, as `sample_dataset` makes it: BLAS results depend on the layout
+    x = np.ascontiguousarray(body[:, len(lead) :])
     for where, values in (("column y", y), ("column lambda", lam), ("columns x1..xK", x)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{path}: non-finite value in {where}")
@@ -177,6 +188,7 @@ def _check_support(family: str, y: np.ndarray, path: str) -> None:
 
 
 def _cmd_estimate(args) -> int:
+    t = uniform_grid(args.grid_points)  # refuse a bad --grid-points before any output
     ds = _read_dataset_csv(args.data)
     _check_support(args.family, ds.y, args.data)
     family = get_family(args.family)
@@ -185,7 +197,6 @@ def _cmd_estimate(args) -> int:
     grid_path = os.path.join(args.out, "estimate_grid.csv")
     coeffs = fit.slope.coeffs
     write_csv(coef_path, ["k", "coef"], ((k + 1, coeffs[k]) for k in range(coeffs.shape[0])))
-    t = uniform_grid(args.grid_points)
     vals = evaluate_on_grid(fit.slope, args.grid_points)
     write_csv(grid_path, ["t", "value"], zip(t, vals))
     status = "converged" if fit.converged else "NOT converged"

@@ -1,10 +1,15 @@
+import csv
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from fglm.cli import main
+from fglm.cli import _read_dataset_csv, main
+from fglm.datagen import make_ground_truth, sample_dataset
+from fglm.estimator import estimate_slope
+from fglm.expfam import get_family
 
 SMALL_CFG = "K_trunc = 30\nn_grid = 40, 80, 160\nreps = 2\nseed = 0\n"
 
@@ -169,6 +174,141 @@ def test_estimate_refuses_bad_input(tmp_path, capsys, family, column, value, mes
     code = main(["estimate", "--data", str(data), "--family", family, "--out", str(tmp_path)])
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+def test_estimate_refuses_header_only_file(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("y,lambda,x1,x2\n\n")
+    with warnings.catch_warnings():
+        # loadtxt's "no data" warning must neither escape nor turn into a failure
+        warnings.simplefilter("error")
+        code = main(["estimate", "--data", str(data), "--family", "gaussian",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    assert f"{data}: no data rows" in capsys.readouterr().err
+
+
+def test_estimate_checks_grid_points_before_writing(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--family", "gaussian", "--n", "40", "--seed", "2",
+                 "--k-trunc", "5", "--out", str(data)]) == 0
+    out = tmp_path / "out"
+    code = main(["estimate", "--data", str(data), "--family", "gaussian",
+                 "--grid-points", "1", "--out", str(out)])
+    assert code == 1
+    assert "grid needs at least 2 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# --- data-file reader ---
+
+
+def _read_with_csv_reader(path):
+    """The reader's former row-by-row parse: [y, lambda, x1..xK] per row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        body = [row for row in reader if row]
+    cols = {name: i for i, name in enumerate(header)}
+    names = ["y", "lambda"] + sorted(
+        (name for name in cols if name.startswith("x") and name[1:].isdigit()),
+        key=lambda s: int(s[1:]),
+    )
+    return np.array([[float(row[cols[name]]) for name in names] for row in body])
+
+
+def _quote_fields(text):
+    head, *body = text.split("\n")
+    quoted = [",".join(f'"{v}"' for v in line.split(",")) if line else line for line in body]
+    return "\n".join([head] + quoted)
+
+
+def _drop_last_field(text):
+    lines = text.split("\n")
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    return "\n".join(lines)
+
+
+def _bad_token(text):
+    lines = text.split("\n")
+    fields = lines[2].split(",")
+    fields[3] = "abc"
+    lines[2] = ",".join(fields)
+    return "\n".join(lines)
+
+
+def _crlf(text):
+    return text.replace("\n", "\r\n")
+
+
+def _trailing_blank_lines(text):
+    return text + "\n\n\r\n"
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [_quote_fields, _crlf, _trailing_blank_lines],
+    ids=["quoted-fields", "crlf", "trailing-blank-lines"],
+)
+def test_reader_accepts_what_csv_reader_accepted(tmp_path, variant):
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--family", "poisson", "--n", "30", "--seed", "4",
+                 "--k-trunc", "6", "--out", str(data)]) == 0
+    plain = _read_dataset_csv(str(data))
+    data.write_bytes(variant(data.read_text()).encode())
+    ds = _read_dataset_csv(str(data))
+    got = np.column_stack([ds.y, ds.lambda_true, ds.x])
+    want = np.column_stack([plain.y, plain.lambda_true, plain.x])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), _read_with_csv_reader(data).view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "variant", [_drop_last_field, _bad_token], ids=["ragged-row", "non-numeric-token"]
+)
+def test_reader_refuses_what_csv_reader_refused(tmp_path, capsys, variant):
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--family", "gaussian", "--n", "30", "--seed", "4",
+                 "--k-trunc", "6", "--out", str(data)]) == 0
+    data.write_text(variant(data.read_text()))
+    with pytest.raises((ValueError, IndexError)):
+        _read_with_csv_reader(data)
+    capsys.readouterr()
+    code = main(["estimate", "--data", str(data), "--family", "gaussian",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert f"{data}: malformed numeric row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["gaussian", "poisson", "bernoulli"])
+def test_generated_file_reads_back_bit_for_bit(tmp_path, family):
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--family", family, "--n", "60", "--seed", "8",
+                 "--k-trunc", "12", "--mu-mode", "bumps", "--out", str(data)]) == 0
+    gt = make_ground_truth(2.0, 3.0, get_family(family), k_trunc=12, intercept=0.5,
+                           mu_mode="bumps")
+    want = sample_dataset(gt, 60, 8)
+    got = _read_dataset_csv(str(data))
+    for name in ("y", "lambda_true", "x"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+    assert got.x.flags["C_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+def test_estimate_from_file_matches_in_memory_fit(tmp_path, capsys, family):
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--family", family, "--n", "400", "--seed", "11",
+                 "--k-trunc", "40", "--out", str(data)]) == 0
+    assert main(["estimate", "--data", str(data), "--family", family,
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    gt = make_ground_truth(2.0, 3.0, get_family(family), k_trunc=40, intercept=0.5)
+    fit = estimate_slope(sample_dataset(gt, 400, 11), get_family(family), 2.0, 3.0)
+    rows = (tmp_path / "estimate_coefs.csv").read_text().splitlines()[1:]
+    got = [float(row.split(",")[1]).hex() for row in rows]
+    assert got == [float(v).hex() for v in fit.slope.coeffs]
 
 
 # --- rate study ---

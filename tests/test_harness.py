@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fglm import harness
 from fglm.datagen import make_ground_truth
@@ -282,6 +285,40 @@ def test_write_csv_formatting(tmp_path):
     assert lines[2] == "2,0.33333333333333331,0"
     # 17 significant digits are enough to round-trip doubles exactly
     assert float(lines[2].split(",")[1]) == 1 / 3
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308]
+
+
+def _per_value_bytes(path, matrix):
+    """Bytes of the row-tuple path (`_fmt` on each numpy scalar)."""
+    write_csv(str(path), ["c"] * matrix.shape[1], (tuple(row) for row in matrix))
+    return path.read_bytes()
+
+
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(0, 6), st.integers(0, 5)),
+        elements=st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)),
+    )
+)
+def test_write_csv_matrix_path_matches_per_value_path(tmp_path_factory, matrix):
+    d = tmp_path_factory.mktemp("csv")
+    write_csv(str(d / "matrix.csv"), ["c"] * matrix.shape[1], matrix)
+    assert (d / "matrix.csv").read_bytes() == _per_value_bytes(d / "values.csv", matrix)
+
+
+def test_write_csv_matrix_path_spans_row_blocks(tmp_path):
+    rng = np.random.default_rng(5)
+    shape = (2 * harness._BLOCK_ROWS + 7, 4)  # two full blocks and a partial one
+    matrix = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    matrix[::97, 1] = -0.0
+    matrix[-1] = [math.nan, math.inf, -math.inf, 5e-324]
+    write_csv(str(tmp_path / "matrix.csv"), ["c"] * 4, matrix)
+    text = (tmp_path / "matrix.csv").read_bytes()
+    assert text == _per_value_bytes(tmp_path / "values.csv", matrix)
+    assert text.count(b"\n") == matrix.shape[0] + 1
 
 
 def test_study_csv_headers_and_determinism(tmp_path):

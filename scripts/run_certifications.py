@@ -1,98 +1,59 @@
 #!/usr/bin/env python3
 """Numerically certify the supporting bounds behind the rate analysis.
 
-Four independent checks, each printed as PASS/FAIL:
+Runs three `fglm` commands, each printing its own checks with PASS/FAIL
+verdicts and exiting 2 when a bound fails:
 
-1. randomized eigen-perturbation suite (eigenvalue, eigenvector, and
-   remainder bounds plus the projection-error identity),
-2. calibrated hypercube affinity floor for the two-point risk bound,
-3. information-matrix concentration across sample sizes,
-4. weighted chi-square maximal-inequality tail bound.
+1. ``perturb-check``: randomized eigen-perturbation suite (eigenvalue,
+   eigenvector, and remainder bounds plus the projection-error identity);
+2. ``lower-bound --config configs/gaussian_beta3.cfg``: calibrated
+   hypercube affinity floor for the two-point risk bound;
+3. ``diagnostics --config configs/poisson_beta3.cfg``: response-family
+   envelopes, information-matrix concentration across sample sizes, and
+   the weighted chi-square maximal-inequality tail bound.
 
-Exits 0 only if every check passes.  Reps are sized for a laptop run;
-raise them for tighter Monte Carlo error.
+Their CSVs go to a temporary directory that is removed afterwards.
+Exits 0 only if every command exits 0, else 1.  Reps are sized for a
+laptop run; raise them for tighter Monte Carlo error.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 import time
 
-import numpy as np
+from fglm import cli
 
-from fglm.expfam import get_family
-from fglm.lowerbound import affinity_study, standard_config
-from fglm.spectral_diag import (
-    check_chisq_maximal,
-    fisher_study,
-    random_perturbation_suite,
-)
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "configs")
 
 
-def check_perturbation(reps, seed):
-    s = random_perturbation_suite(reps=reps, max_dim=12, seed=seed)
-    bad = (
-        s.eigenvalue_violations
-        + s.eigenvector_violations
-        + s.remainder_violations
-        + s.projection_identity_failures
-    )
-    print(
-        f"[perturb] {s.instances} instances, {s.eigenvector_checked} eigenvector and "
-        f"{s.remainder_checked} remainder checks, max projection ratio "
-        f"{s.max_projection_ratio:.3g}: {'PASS' if bad == 0 else 'FAIL'}"
-    )
-    return bad == 0
-
-
-def check_affinity(n_mc, seed):
-    cfg = standard_config(2, get_family("gaussian"))
-    rows = affinity_study(cfg, (100, 1000, 10000), n_mc=n_mc, seed=seed)
-    worst = min(r["affinity"] for r in rows)
-    ok = worst >= 0.1
-    print(f"[affinity] min calibrated affinity {worst:.4f} over {len(rows)} cells: "
-          f"{'PASS' if ok else 'FAIL'}")
-    return ok
-
-
-def check_information(reps, seed):
-    reports = fisher_study(get_family("poisson"), reps=reps, seed=seed)
-    worst = max(r.max_abs_z for r in reports)
-    shrink = reports[-1].mean_sq_dev < reports[0].mean_sq_dev
-    ok = worst <= 4.0 and shrink
-    print(f"[information] max |z| {worst:.2f} across n grid, deviation "
-          f"{'shrinks' if shrink else 'does not shrink'}: {'PASS' if ok else 'FAIL'}")
-    return ok
-
-
-def check_maximal(reps, seed):
-    tau = np.arange(1, 51, dtype=float) ** -2.0
-    ok = True
-    for n in (10, 100):
-        for p in check_chisq_maximal(n, tau, (1.0, 2.0, 4.0), reps=reps, seed=seed):
-            ok = ok and p.passed
-    print(f"[maximal] 6 tail points vs 2e^-x bound: {'PASS' if ok else 'FAIL'}")
-    return ok
-
-
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description="Certify the supporting bounds")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--perturb-reps", type=int, default=500)
     ap.add_argument("--affinity-mc", type=int, default=200)
     ap.add_argument("--fisher-reps", type=int, default=200)
     ap.add_argument("--chisq-reps", type=int, default=100_000)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     t0 = time.time()
-    results = [
-        check_perturbation(args.perturb_reps, args.seed),
-        check_affinity(args.affinity_mc, args.seed),
-        check_information(args.fisher_reps, args.seed),
-        check_maximal(args.chisq_reps, args.seed),
-    ]
-    print(f"{sum(results)}/4 checks passed in {time.time() - t0:.1f}s")
-    return 0 if all(results) else 1
+    with tempfile.TemporaryDirectory() as out:
+        commands = [
+            ["perturb-check", "--reps", str(args.perturb_reps)],
+            ["lower-bound", "--config", os.path.join(CONFIG_DIR, "gaussian_beta3.cfg"),
+             "--n-mc", str(args.affinity_mc)],
+            ["diagnostics", "--config", os.path.join(CONFIG_DIR, "poisson_beta3.cfg"),
+             "--fisher-reps", str(args.fisher_reps), "--chisq-reps", str(args.chisq_reps)],
+        ]
+        codes = []
+        for command in commands:
+            print(f"[{command[0]}]")
+            codes.append(cli.main(command + ["--seed", str(args.seed), "--out", out]))
+    passed = codes.count(0)
+    print(f"{passed}/{len(codes)} commands passed in {time.time() - t0:.1f}s")
+    return 0 if passed == len(codes) else 1
 
 
 if __name__ == "__main__":

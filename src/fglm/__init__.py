@@ -8,7 +8,7 @@ truncation plus maximum likelihood, reproduces the risk-decay exponent
 of that estimator by Monte Carlo, and numerically certifies the
 perturbation and likelihood bounds the analysis rests on.
 """
-from .datagen import Dataset, GroundTruth, make_ground_truth, rho_n, sample_dataset
+from .datagen import Dataset, GroundTruth, make_ground_truth, sample_dataset
 from .estimator import (
     FitResult,
     NewtonConfig,

@@ -7,8 +7,14 @@ Subcommands:
 * ``rate-study``    replicate (simulate -> fit -> loss) over an n-grid,
                     write rate_study.csv / slope.csv
 * ``perturb-check`` randomized eigen-perturbation certification suite
-* ``lower-bound``   calibrated hypercube affinity study
+* ``lower-bound``   calibrated hypercube affinity study, gated on an
+                    affinity floor
 * ``diagnostics``   envelope, information-matrix, and maximal-inequality checks
+
+The three certification commands own their verdicts: each prints a
+``FAIL:`` line to stderr and exits 2 when a bound it checks is broken
+(``lower-bound`` when the smallest calibrated affinity at any n falls
+below 0.1).  ``scripts/run_certifications.py`` only drives them.
 
 Exit codes: 0 success, 1 bad arguments/config/input, 2 runtime or
 certification failure.  ``--jobs`` defaults to the FGLM_JOBS environment
@@ -24,12 +30,11 @@ import warnings
 
 import numpy as np
 
-from .datagen import Dataset, make_ground_truth, sample_dataset
+from .datagen import MU_MODES, Dataset, make_ground_truth, sample_dataset
 from .estimator import estimate_slope
 from .expfam import family_names, get_family, verify_envelope
 from .funcspace import evaluate_on_grid, uniform_grid
 from .harness import (
-    default_jobs,
     load_config,
     run_rate_study,
     with_overrides,
@@ -42,6 +47,10 @@ from .lowerbound import affinity_study, standard_config
 from .spectral_diag import check_chisq_maximal, fisher_study, random_perturbation_suite
 
 __all__ = ["main"]
+
+# Smallest calibrated affinity `lower-bound` accepts: the two-point risk
+# bound needs the affinity bounded away from zero at every n.
+_AFFINITY_FLOOR = 0.1
 
 
 class _UsageError(Exception):
@@ -64,7 +73,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--intercept", type=float, default=0.5)
-    gen.add_argument("--mu-mode", choices=("zero", "bumps"), default="zero")
+    gen.add_argument("--mu-mode", choices=MU_MODES, default="zero")
     gen.add_argument("--k-trunc", type=int, default=200)
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.set_defaults(handler=_cmd_generate)
@@ -210,8 +219,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_rate_study(args) -> int:
     cfg = with_overrides(load_config(args.config), seed=args.seed, out_dir=args.out)
-    jobs = default_jobs() if args.jobs is None else args.jobs
-    result = run_rate_study(cfg, jobs=jobs)
+    result = run_rate_study(cfg, jobs=args.jobs)
     rate_path = os.path.join(cfg.out_dir, "rate_study.csv")
     slope_path = os.path.join(cfg.out_dir, "slope.csv")
     write_rate_study_csv(cfg, result, rate_path)
@@ -269,6 +277,8 @@ def _cmd_perturb_check(args) -> int:
 def _cmd_lower_bound(args) -> int:
     cfg = with_overrides(load_config(args.config), seed=args.seed, out_dir=args.out)
     n_grid = [int(v) for v in str(args.n_grid).split(",") if v.strip()]
+    if not n_grid:
+        raise ValueError("--n-grid must list at least one sample size")
     base = standard_config(
         args.m,
         get_family(cfg.family),
@@ -291,6 +301,13 @@ def _cmd_lower_bound(args) -> int:
             f"(j={worst['j']}), bound value {worst['bound_value']:.6g}"
         )
     print(f"wrote {path}")
+    lowest = min(r["affinity"] for r in rows)
+    if not lowest >= _AFFINITY_FLOOR:  # a NaN affinity fails too
+        print(
+            f"FAIL: min calibrated affinity {lowest:.4f} below the floor {_AFFINITY_FLOOR}",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 

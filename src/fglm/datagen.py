@@ -23,10 +23,10 @@ __all__ = [
     "Dataset",
     "make_ground_truth",
     "sample_dataset",
-    "rho_n",
+    "MU_MODES",
 ]
 
-_MU_MODES = ("zero", "bumps")
+MU_MODES = ("zero", "bumps")  # the mean functions `make_ground_truth` can build
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,8 @@ def make_ground_truth(
         raise ValueError("beta_s must be finite and > (alpha + 3) / 2")
     if k_trunc < 4:
         raise ValueError("k_trunc must be at least 4")
-    if mu_mode not in _MU_MODES:
-        raise ValueError(f"mu_mode must be one of {_MU_MODES}")
+    if mu_mode not in MU_MODES:
+        raise ValueError(f"mu_mode must be one of {MU_MODES}")
     if not np.isfinite(intercept):
         raise ValueError("intercept must be finite")
 
@@ -172,9 +172,3 @@ def sample_dataset(gt: GroundTruth, n: int, seed: int) -> Dataset:
     y = sample_response(gt.family, lam, rng)
     return Dataset(x=x, y=y, lambda_true=lam)
 
-
-def rho_n(n: int, alpha: float, beta_s: float) -> float:
-    """Benchmark squared-error rate n^((1 - 2 beta_s) / (alpha + 2 beta_s))."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return float(n) ** ((1.0 - 2.0 * beta_s) / (alpha + 2.0 * beta_s))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .datagen import GroundTruth, make_ground_truth, sample_dataset
+from .datagen import MU_MODES, GroundTruth, make_ground_truth, sample_dataset
 from .estimator import NewtonConfig, TuningRule, estimate_slope, loss, tuning
 from .expfam import get_family
 
@@ -67,7 +67,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         get_family(self.family)  # raises on unknown names
-        if self.mu_mode not in ("zero", "bumps"):
+        if self.mu_mode not in MU_MODES:
             raise ValueError("mu_mode must be 'zero' or 'bumps'")
         grid = tuple(int(v) for v in self.n_grid)
         if len(grid) == 0 or any(v < 1 for v in grid):
@@ -79,23 +79,28 @@ class ExperimentConfig:
             raise ValueError("reps must be at least 1")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must fit in 64 bits")
-        for name in ("alpha", "beta_s", "a", "c_m", "c_N", "newton_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.zeta_override is not None and not math.isfinite(self.zeta_override):
             raise ValueError("zeta_override must be finite")
         if self.K_trunc < 4 or self.newton_max_iter < 1:
             raise ValueError("K_trunc must be >= 4 and newton_max_iter >= 1")
 
 
-_INT_KEYS = {"K_trunc", "reps", "seed", "newton_max_iter"}
-_FLOAT_KEYS = {"alpha", "beta_s", "a", "c_m", "c_N", "newton_tol"}
-_STR_KEYS = {"family", "mu_mode", "out_dir"}
+# value parser per field annotation (annotations are strings in this module)
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": lambda val: tuple(int(v.strip()) for v in val.split(",") if v.strip()),
+    "float | None": lambda val: None if val.lower() in ("", "none") else float(val),
+}
+_KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key = value format; unknown keys are errors."""
-    known = {f.name for f in fields(ExperimentConfig)}
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,21 +110,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in known:
+        if key not in _KEY_PARSERS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _STR_KEYS:
-                values[key] = val
-            elif key == "n_grid":
-                values[key] = tuple(int(v.strip()) for v in val.split(",") if v.strip())
-            elif key == "zeta_override":
-                values[key] = None if val.lower() in ("", "none") else float(val)
+            values[key] = _KEY_PARSERS[key](val)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad value for {key!r}: {val!r}") from exc
     return ExperimentConfig(**values)

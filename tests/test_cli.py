@@ -1,7 +1,10 @@
 import csv
+import importlib.util
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,6 +396,33 @@ def test_lower_bound_writes_affinity_csv(tmp_path, capsys):
     assert len(rows) == 5  # 2 sample sizes x 2 flip coordinates
 
 
+def _affinity_below_floor(cfg, n_grid, **kwargs):
+    return [
+        {"n": n, "j": j, "eps": 1.0, "affinity": 0.05, "se": 0.01, "bound_value": 0.0}
+        for n in n_grid
+        for j in (3, 4)
+    ]
+
+
+def test_lower_bound_fails_below_the_affinity_floor(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("fglm.cli.affinity_study", _affinity_below_floor)
+    code = main(
+        ["lower-bound", "--config", _write_cfg(tmp_path), "--out", str(tmp_path), "--n-grid", "50,500"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "min affinity 0.0500" in captured.out
+    assert "FAIL" in captured.err
+    assert (tmp_path / "affinity.csv").exists()
+
+
+def test_lower_bound_refuses_an_empty_n_grid(tmp_path, capsys):
+    code = main(["lower-bound", "--config", _write_cfg(tmp_path), "--out", str(tmp_path), "--n-grid", ","])
+    assert code == 1
+    assert "--n-grid must list at least one sample size" in capsys.readouterr().err
+    assert not (tmp_path / "affinity.csv").exists()
+
+
 def test_diagnostics_small_run_passes(tmp_path, capsys):
     code = main(
         [
@@ -421,3 +451,41 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "rate-study" in proc.stdout
+
+
+# --- certification script ---
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_certifications.py"
+# small sizes; at fewer than 200 Fisher reps the Poisson z-gate sits near its edge
+SCRIPT_SMOKE_ARGS = [
+    "--perturb-reps", "20", "--affinity-mc", "20", "--fisher-reps", "200", "--chisq-reps", "2000"
+]
+
+
+def test_certification_script_passes_at_small_sizes(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), *SCRIPT_SMOKE_ARGS],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "all bounds hold" in proc.stdout
+    assert "all diagnostics pass" in proc.stdout
+    assert "3/3 commands passed" in proc.stdout
+    assert list(tmp_path.iterdir()) == []  # outputs went to a temporary directory
+
+
+def test_certification_script_fails_when_a_command_fails(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("run_certifications", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr("fglm.cli.affinity_study", _affinity_below_floor)
+    assert script.main(SCRIPT_SMOKE_ARGS) == 1
+    captured = capsys.readouterr()
+    assert "2/3 commands passed" in captured.out
+    assert "FAIL: min calibrated affinity" in captured.err

@@ -7,7 +7,6 @@ from fglm.datagen import (
     Dataset,
     GroundTruth,
     make_ground_truth,
-    rho_n,
     sample_dataset,
 )
 from fglm.expfam import get_family
@@ -135,15 +134,3 @@ def test_lambda_true_recomputes():
     ds = sample_dataset(gt, 50, seed=3)
     lam = gt.intercept + ds.x @ gt.slope_coeffs
     assert np.allclose(lam, ds.lambda_true, atol=1e-12)
-
-
-def test_rho_n_values():
-    assert rho_n(256, 2.0, 3.0) == pytest.approx(2.0**-5, abs=1e-15)
-    assert rho_n(1, 2.0, 3.0) == 1.0
-    with pytest.raises(ValueError):
-        rho_n(0, 2.0, 3.0)
-
-
-def test_rho_n_is_decreasing_in_n():
-    vals = [rho_n(n, 1.5, 4.0) for n in (10, 100, 1000)]
-    assert vals[0] > vals[1] > vals[2]

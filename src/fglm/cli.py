@@ -9,7 +9,8 @@ Subcommands:
 * ``perturb-check`` randomized eigen-perturbation certification suite
 * ``lower-bound``   calibrated hypercube affinity study, gated on an
                     affinity floor
-* ``diagnostics``   envelope, information-matrix, and maximal-inequality checks
+* ``diagnostics``   envelope, information-matrix, and maximal-inequality checks,
+                    write diagnostics.csv
 
 The three certification commands own their verdicts: each prints a
 ``FAIL:`` line to stderr and exits 2 when a bound it checks is broken
@@ -51,6 +52,8 @@ __all__ = ["main"]
 # Smallest calibrated affinity `lower-bound` accepts: the two-point risk
 # bound needs the affinity bounded away from zero at every n.
 _AFFINITY_FLOOR = 0.1
+# Largest third-derivative envelope ratio `diagnostics` accepts.
+_ENVELOPE_BOUND = 1.0 + 1e-9
 
 
 class _UsageError(Exception):
@@ -313,17 +316,12 @@ def _cmd_lower_bound(args) -> int:
 
 def _cmd_diagnostics(args) -> int:
     cfg = with_overrides(load_config(args.config), seed=args.seed, out_dir=args.out)
-    failures = 0
-
+    # every check runs before any verdict is printed, so a refused count prints none
     lam_grid = np.arange(-3.0, 3.0 + 1e-9, 0.5)
     h_grid = np.arange(-1.0, 1.0 + 1e-9, 0.1)
-    for name in family_names():
-        ratio = verify_envelope(get_family(name), lam_grid, h_grid)
-        ok = ratio <= 1.0 + 1e-9
-        failures += 0 if ok else 1
-        print(f"envelope {name}: max third-derivative ratio {ratio:.6f} "
-              f"{'PASS' if ok else 'FAIL'}")
-
+    envelopes = [
+        (name, verify_envelope(get_family(name), lam_grid, h_grid)) for name in family_names()
+    ]
     reports = fisher_study(
         get_family(cfg.family),
         alpha=cfg.alpha,
@@ -331,27 +329,42 @@ def _cmd_diagnostics(args) -> int:
         reps=args.fisher_reps,
         seed=cfg.seed,
     )
+    tau = np.arange(1, 51, dtype=float) ** -2.0
+    maximal = [
+        (n, check_chisq_maximal(n, tau, (1.0, 2.0, 4.0), reps=args.chisq_reps, seed=cfg.seed))
+        for n in (10, 100)
+    ]
+
+    rows = []  # check, n, x, statistic, bound, passed
+    for name, ratio in envelopes:
+        ok = ratio <= _ENVELOPE_BOUND
+        rows.append((f"envelope_{name}", "", "", ratio, _ENVELOPE_BOUND, ok))
+        print(f"envelope {name}: max third-derivative ratio {ratio:.6f} "
+              f"{'PASS' if ok else 'FAIL'}")
     for rep in reports:
         ok = rep.max_abs_z <= 4.0
-        failures += 0 if ok else 1
+        rows.append(("information_z", rep.n, "", rep.max_abs_z, 4.0, ok))
         print(
             f"information n={rep.n} N={rep.n_components}: max |z| {rep.max_abs_z:.2f}, "
             f"mean sq deviation {rep.mean_sq_dev:.3e} {'PASS' if ok else 'FAIL'}"
         )
     shrinking = reports[-1].mean_sq_dev < reports[0].mean_sq_dev
-    failures += 0 if shrinking else 1
+    rows.append(("information_shrinks", reports[-1].n, "", reports[-1].mean_sq_dev,
+                 reports[0].mean_sq_dev, shrinking))
     print(f"information deviation shrinks with n: {'PASS' if shrinking else 'FAIL'}")
-
-    tau = np.arange(1, 51, dtype=float) ** -2.0
-    for n in (10, 100):
-        for point in check_chisq_maximal(n, tau, (1.0, 2.0, 4.0), reps=args.chisq_reps,
-                                         seed=cfg.seed):
-            failures += 0 if point.passed else 1
+    for n, points in maximal:
+        for point in points:
+            rows.append(("maximal", n, point.x, point.estimate, point.bound + 4.0 * point.se,
+                         point.passed))
             print(
                 f"maximal n={n} x={point.x:.0f}: estimate {point.estimate:.2e} "
                 f"<= bound {point.bound:.2e} + 4se {'PASS' if point.passed else 'FAIL'}"
             )
 
+    path = os.path.join(cfg.out_dir, "diagnostics.csv")
+    write_csv(path, ["check", "n", "x", "statistic", "bound", "passed"], rows)
+    print(f"wrote {path}", file=sys.stderr)  # stdout stays the verdicts alone
+    failures = sum(1 for row in rows if not row[-1])
     if failures:
         print(f"FAIL: {failures} diagnostic checks failed", file=sys.stderr)
         return 2

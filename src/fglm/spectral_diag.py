@@ -363,6 +363,8 @@ def random_perturbation_suite(
     adjacent gap}, capped so the perturbed matrix stays PSD.  Indices
     failing the gap hypothesis are skipped and counted.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     if max_dim < 4:
         raise ValueError("max_dim must be at least 4")
     rng = np.random.default_rng(seed)
@@ -629,7 +631,12 @@ def check_fisher_expectation(
     reps: int = 200,
     seed: int = 0,
 ) -> FisherReport:
-    """Monte Carlo average of A_n against its analytic expectation."""
+    """Monte Carlo average of A_n against its analytic expectation.
+
+    The z-scores need a sample standard error, so `reps` must be at least 2.
+    """
+    if reps < 2:
+        raise ValueError(f"information-matrix reps must be at least 2, got {reps}")
     gamma = np.asarray(gamma, dtype=float)
     diag_scale = np.asarray(diag_scale, dtype=float)
     expect = expected_fisher(family, gamma, diag_scale)
@@ -649,7 +656,7 @@ def check_fisher_expectation(
         total_sq += a_n * a_n
         dev_sq += float(np.max(np.abs(np.linalg.eigvalsh(a_n - expect)))) ** 2
     mean = total / reps
-    var = np.maximum(total_sq / reps - mean * mean, 0.0) * reps / max(reps - 1, 1)
+    var = np.maximum(total_sq / reps - mean * mean, 0.0) * reps / (reps - 1)
     se = np.sqrt(var / reps)
     z_scores = np.abs(mean - expect) / np.where(se > 0, se, np.inf)
     inv_norm = float(np.max(np.abs(np.linalg.eigvalsh(np.linalg.inv(expect)))))
@@ -697,9 +704,14 @@ def fisher_study(
     return reports
 
 
-# Replications drawn per block.  The block size fixes how the random
-# stream is split across draws, so changing it changes the estimates.
+# Replications per chunk.  The chunk size splits the random stream: each
+# weight column's (chunk, n) block is drawn in turn, so changing it changes
+# the estimates.  Memory is about one chunk x n float64 array.
 _CHISQ_CHUNK_REPS = 20_000
+# Bytes per slab: a column's block is drawn and accumulated a few rows at a
+# time.  Consecutive C-order fills continue the same stream, so the slab
+# size never changes a result; it only keeps the scratch buffers in cache.
+_CHISQ_SLAB_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -725,7 +737,14 @@ def check_chisq_maximal(
     matrix; T is the largest row sum.  The exceedance probability at
     threshold 4 T (log n + x) is estimated over `reps` replications and
     compared with the bound plus four binomial standard errors.
+
+    Replications run in chunks of `_CHISQ_CHUNK_REPS`; within a chunk,
+    each weight column's normals are drawn and accumulated one slab of
+    rows at a time into two reused buffers, so the working memory is one
+    chunk x n array of weighted sums plus two slabs.
     """
+    if reps < 1:
+        raise ValueError(f"maximal-inequality reps must be at least 1, got {reps}")
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise ValueError("weights must be nonnegative")
@@ -742,19 +761,30 @@ def check_chisq_maximal(
     thresholds = 4.0 * big_t * (math.log(n) + x_arr)
     rng = np.random.default_rng(seed)
     exceed = np.zeros(x_arr.shape[0], dtype=np.int64)
+    slab = max(1, _CHISQ_SLAB_BYTES // (8 * n))
+    all_sums = np.empty((min(_CHISQ_CHUNK_REPS, reps), n))
+    draw_buf = np.empty(slab * n)
+    prod_buf = np.empty(slab * n)
     done = 0
     while done < reps:
         size = min(_CHISQ_CHUNK_REPS, reps - done)
-        w_sum = np.zeros((size, n))
-        for k in range(weights.shape[1]):
-            draws = rng.standard_normal((size, n))
-            w_sum += weights[None, :, k] * draws * draws
+        w_sum = all_sums[:size]
+        w_sum.fill(0.0)
+        for w_k in weights.T:
+            for lo in range(0, size, slab):
+                rows = min(slab, size - lo)
+                draws = draw_buf[: rows * n].reshape(rows, n)
+                prod = prod_buf[: rows * n].reshape(rows, n)
+                rng.standard_normal(out=draws)
+                np.multiply(w_k, draws, out=prod)
+                np.multiply(prod, draws, out=prod)
+                w_sum[lo : lo + rows] += prod
         max_w = w_sum.max(axis=1)
         exceed += (max_w[:, None] > thresholds[None, :]).sum(axis=0)
         done += size
     points = []
     for xi, thresh, count in zip(x_arr, thresholds, exceed):
-        est = count / reps
+        est = int(count) / reps
         se = math.sqrt(est * (1.0 - est) / reps)
         bound = 2.0 * math.exp(-xi)
         points.append(

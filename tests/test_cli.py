@@ -424,6 +424,7 @@ def test_lower_bound_refuses_an_empty_n_grid(tmp_path, capsys):
 
 
 def test_diagnostics_small_run_passes(tmp_path, capsys):
+    out_dir = tmp_path / "diag"
     code = main(
         [
             "diagnostics",
@@ -433,12 +434,58 @@ def test_diagnostics_small_run_passes(tmp_path, capsys):
             "40",
             "--chisq-reps",
             "20000",
+            "--out",
+            str(out_dir),
         ]
     )
     assert code == 0
-    out = capsys.readouterr().out
-    assert "all diagnostics pass" in out
-    assert "FAIL" not in out
+    captured = capsys.readouterr()
+    assert "all diagnostics pass" in captured.out
+    assert "FAIL" not in captured.out
+    assert "wrote" not in captured.out  # stdout carries the verdicts alone
+    path = out_dir / "diagnostics.csv"
+    assert f"wrote {path}" in captured.err
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["check", "n", "x", "statistic", "bound", "passed"]
+    checks = [r[0] for r in rows[1:]]
+    assert checks == (
+        ["envelope_bernoulli", "envelope_gaussian", "envelope_poisson"]
+        + ["information_z"] * 3
+        + ["information_shrinks"]
+        + ["maximal"] * 6
+    )
+    assert [(r[1], r[2]) for r in rows[-6:]] == [
+        (n, x) for n in ("10", "100") for x in ("1", "2", "4")
+    ]
+    for r in rows[1:]:
+        assert r[5] == "1"
+        assert float(r[3]) <= float(r[4])
+    # the verdict lines and the CSV rows are the same checks in the same order
+    verdicts = [line for line in captured.out.splitlines() if line.endswith(("PASS", "FAIL"))]
+    assert len(verdicts) == len(rows) - 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["perturb-check", "--reps", "0"], "reps must be at least 1, got 0"),
+        (["perturb-check", "--reps", "-3"], "reps must be at least 1, got -3"),
+        (["diagnostics", "--chisq-reps", "0"], "maximal-inequality reps must be at least 1, got 0"),
+        (["diagnostics", "--chisq-reps", "-5"], "maximal-inequality reps must be at least 1, got -5"),
+        (["diagnostics", "--fisher-reps", "0"], "information-matrix reps must be at least 2, got 0"),
+        (["diagnostics", "--fisher-reps", "1"], "information-matrix reps must be at least 2, got 1"),
+    ],
+)
+def test_certification_refuses_counts_that_certify_nothing(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "out"
+    if argv[0] == "diagnostics":
+        argv = argv + ["--config", _write_cfg(tmp_path, "family = gaussian\nseed = 0\n")]
+    assert main(argv + ["--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""  # no verdict line
+    assert not out_dir.exists()  # no CSV
 
 
 def test_console_entry_point(tmp_path):

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from fglm import spectral_diag
 from fglm.expfam import get_family
 from fglm.spectral_diag import (
+    ChisqTailPoint,
     PerturbationPair,
     aligned_eigen_data,
     check_chisq_maximal,
@@ -193,6 +196,12 @@ def test_random_suite_has_no_violations():
     assert summary.max_projection_ratio < 10.0
 
 
+@pytest.mark.parametrize("reps", [0, -3])
+def test_random_suite_refuses_an_empty_run(reps):
+    with pytest.raises(ValueError, match="at least 1"):
+        random_perturbation_suite(reps=reps)
+
+
 # --- Fisher-matrix expectation ---
 
 
@@ -232,6 +241,14 @@ def test_fisher_montecarlo_matches_expectation():
     assert rep.max_abs_z <= 4.0
     assert rep.bn.shape == (4, 4)
     assert rep.mean_sq_dev > 0
+
+
+@pytest.mark.parametrize("reps", [1, 0, -4])
+def test_fisher_needs_two_reps_for_a_standard_error(reps):
+    with pytest.raises(ValueError, match="at least 2"):
+        check_fisher_expectation(50, 1, GAUSS, [0.3, 0.5], [1.0, 1.0], reps=reps)
+    with pytest.raises(ValueError, match="at least 2"):
+        fisher_study(GAUSS, n_grid=(50,), reps=reps)
 
 
 def test_fisher_study_concentrates():
@@ -289,6 +306,84 @@ def test_chisq_input_validation():
         check_chisq_maximal(3, np.ones((2, 2)), (1.0,), reps=10)
     with pytest.raises(ValueError):
         check_chisq_maximal(2, (0.0, 0.0), (1.0,), reps=10)
+    for reps in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            check_chisq_maximal(2, (0.5, 0.5), (1.0,), reps=reps)
+
+
+def _chisq_all_at_once(n, tau, x_grid, reps, seed):
+    """The maximal-inequality Monte Carlo as first written: every weight
+    column's whole (chunk, n) block drawn in one call, temporaries and all."""
+    tau = np.asarray(tau, dtype=float)
+    weights = np.broadcast_to(tau, (n, tau.shape[0])) if tau.ndim == 1 else tau
+    big_t = float(np.max(weights.sum(axis=1)))
+    x_arr = np.asarray(x_grid, dtype=float)
+    thresholds = 4.0 * big_t * (math.log(n) + x_arr)
+    rng = np.random.default_rng(seed)
+    exceed = np.zeros(x_arr.shape[0], dtype=np.int64)
+    done = 0
+    while done < reps:
+        size = min(spectral_diag._CHISQ_CHUNK_REPS, reps - done)
+        w_sum = np.zeros((size, n))
+        for k in range(weights.shape[1]):
+            draws = rng.standard_normal((size, n))
+            w_sum += weights[None, :, k] * draws * draws
+        exceed += (w_sum.max(axis=1)[:, None] > thresholds[None, :]).sum(axis=0)
+        done += size
+    points = []
+    for xi, thresh, count in zip(x_arr, thresholds, exceed):
+        est = count / reps
+        se = math.sqrt(est * (1.0 - est) / reps)
+        bound = 2.0 * math.exp(-xi)
+        points.append(ChisqTailPoint(float(xi), float(thresh), bound, est, se,
+                                     est <= bound + 4.0 * se))
+    return points
+
+
+_TAU_MATRIX = np.random.default_rng(11).uniform(0.0, 0.5, size=(6, 4))
+
+
+@pytest.mark.parametrize(
+    "n, tau, x_grid",
+    [
+        (10, np.arange(1, 7, dtype=float) ** -2.0, (-1.5, 0.0, 1.0)),
+        (6, _TAU_MATRIX, (-1.0, 0.5)),
+    ],
+    ids=["vector-tau", "matrix-tau"],
+)
+@pytest.mark.parametrize("slab_rows", [None, 64])
+def test_chisq_slabs_match_the_all_at_once_loop(monkeypatch, n, tau, x_grid, slab_rows):
+    # 937 reps in chunks of 400: two full chunks and a remainder; 64-row
+    # slabs leave a remainder in every chunk, the default slab holds a chunk
+    monkeypatch.setattr(spectral_diag, "_CHISQ_CHUNK_REPS", 400)
+    if slab_rows is not None:
+        monkeypatch.setattr(spectral_diag, "_CHISQ_SLAB_BYTES", slab_rows * 8 * n)
+    for seed in (0, 5):
+        got = check_chisq_maximal(n, tau, x_grid, reps=937, seed=seed)
+        assert got == _chisq_all_at_once(n, tau, x_grid, reps=937, seed=seed)
+        assert got[0].estimate > 0  # exceedances occur, so the counts are compared
+
+
+@pytest.mark.parametrize("slab_rows", [1, 7, 300])
+def test_chisq_slab_size_does_not_change_results(monkeypatch, slab_rows):
+    n, tau, x_grid = 10, np.arange(1, 9, dtype=float) ** -1.5, (-1.0, 0.0, 2.0)
+    monkeypatch.setattr(spectral_diag, "_CHISQ_CHUNK_REPS", 300)  # 700 reps: 300 + 300 + 100
+    default = check_chisq_maximal(n, tau, x_grid, reps=700, seed=4)
+    monkeypatch.setattr(spectral_diag, "_CHISQ_SLAB_BYTES", slab_rows * 8 * n)
+    assert check_chisq_maximal(n, tau, x_grid, reps=700, seed=4) == default
+
+
+def test_chisq_memory_is_about_one_chunk_of_sums():
+    # the weighted sums of one chunk are 10000 x 100 float64; drawing each
+    # column's block whole, with its product temporaries, peaks near 3x that
+    tau = np.arange(1, 51, dtype=float) ** -2.0
+    tracemalloc.start()
+    try:
+        check_chisq_maximal(100, tau, (1.0, 2.0, 4.0), reps=10_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.15 * 10_000 * 100 * 8
 
 
 # --- one-step linearization of the GLM fit ---

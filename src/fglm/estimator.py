@@ -52,14 +52,16 @@ class TuningRule:
             raise ValueError("tuning constants must be positive")
 
 
+_SEPARATION_THRESHOLD = 1e3  # see fit_mle
+
+
 @dataclass(frozen=True)
 class NewtonConfig:
     tol: float = 1e-10
     max_iter: int = 100
-    separation_threshold: float = 1e3
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1 or self.separation_threshold <= 0:
+        if self.tol <= 0 or self.max_iter < 1:
             raise ValueError("invalid Newton configuration")
 
 
@@ -157,7 +159,7 @@ def fit_mle(
     nondecreasing along accepted iterates up to float evaluation noise
     (near the maximum the predicted gain is far below one ulp of the
     objective, so exact monotone acceptance would stall the quadratic
-    phase).  A coefficient escaping beyond the separation threshold
+    phase).  A coefficient escaping beyond `_SEPARATION_THRESHOLD` (1e3)
     stops the solver with converged=False (relevant for separable
     Bernoulli samples); a non-finite objective is a hard error.
     """
@@ -219,7 +221,7 @@ def fit_mle(
         iterations += 1
         grad = design.T @ (y - family.dpsi(eta))
         grad_norm = float(np.max(np.abs(grad)))
-        if np.max(np.abs(g)) > cfg.separation_threshold:
+        if np.max(np.abs(g)) > _SEPARATION_THRESHOLD:
             separated = True
             break
 

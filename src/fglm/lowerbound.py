@@ -61,8 +61,8 @@ class AssouadConfig:
             raise ValueError("m must be a positive integer")
         if not (self.eps_scale >= 0.0 and math.isfinite(self.eps_scale)):
             raise ValueError("eps_scale must be finite and nonnegative")
-        if self.radius <= 0 or self.beta_s <= 0:
-            raise ValueError("radius and beta_s must be positive")
+        if not (0.0 < self.radius < math.inf and 0.0 < self.beta_s < math.inf):
+            raise ValueError("radius and beta_s must be finite and positive")
         theta = np.asarray(self.theta, dtype=float)
         if theta.ndim != 1 or theta.shape[0] < 2 * self.m:
             raise ValueError("theta must cover coordinates 1 .. 2m")
@@ -225,21 +225,18 @@ def affinity_study(
     n_grid,
     n_mc: int = 200,
     seed: int = 0,
-    gamma=None,
-    hellinger: str = "exact",
 ) -> list[dict]:
     """Calibrated affinity across sample sizes, one row per (n, j).
 
     For each n the config is re-calibrated via `calibrated_eps` and the
-    affinity estimated at every flip coordinate from the given corner
-    (default all-ones).  Rows carry enough to check that the minimum
+    exact-Hellinger affinity estimated at every flip coordinate from the
+    all-ones corner.  Rows carry enough to check that the minimum
     affinity stays bounded away from zero as n grows.
     """
     n_grid = [int(v) for v in n_grid]
     if any(v < 1 for v in n_grid):
         raise ValueError("sample sizes must be positive")
-    if gamma is None:
-        gamma = (1,) * cfg.m
+    gamma = (1,) * cfg.m
     rows = []
     for n_idx, n in enumerate(n_grid):
         scaled = calibrated_config(cfg, n)
@@ -251,7 +248,6 @@ def affinity_study(
                 gamma,
                 n_mc=n_mc,
                 seed=seed + 1000 * n_idx + j_idx,
-                hellinger=hellinger,
             )
             rows.append(
                 {

@@ -475,11 +475,16 @@ def test_diagnostics_small_run_passes(tmp_path, capsys):
         (["diagnostics", "--chisq-reps", "-5"], "maximal-inequality reps must be at least 1, got -5"),
         (["diagnostics", "--fisher-reps", "0"], "information-matrix reps must be at least 2, got 0"),
         (["diagnostics", "--fisher-reps", "1"], "information-matrix reps must be at least 2, got 1"),
+        (["perturb-check", "--alpha", "0"], "alpha must be finite and positive, got 0.0"),
+        (["perturb-check", "--alpha", "inf"], "alpha must be finite and positive, got inf"),
+        (["perturb-check", "--alpha", "nan"], "alpha must be finite and positive, got nan"),
+        (["lower-bound", "--radius", "inf"], "radius and beta_s must be finite and positive"),
+        (["lower-bound", "--radius", "nan"], "radius and beta_s must be finite and positive"),
     ],
 )
 def test_certification_refuses_counts_that_certify_nothing(tmp_path, capsys, argv, message):
     out_dir = tmp_path / "out"
-    if argv[0] == "diagnostics":
+    if argv[0] in ("diagnostics", "lower-bound"):
         argv = argv + ["--config", _write_cfg(tmp_path, "family = gaussian\nseed = 0\n")]
     assert main(argv + ["--out", str(out_dir)]) == 1
     captured = capsys.readouterr()

@@ -77,16 +77,16 @@ def test_small_offdiagonal_worked_example():
     assert rep.max_abs_err == pytest.approx(math.sqrt(0.26) - 0.5, abs=1e-14)
 
     data = aligned_eigen_data(pair)
-    vec = check_eigenvector_bound(pair, 0, data)
-    assert vec.admissible  # gap 1 > 5 * 0.1
-    assert vec.passed
-    assert vec.lead_norm == pytest.approx(0.1, abs=1e-14)
+    vec = check_eigenvector_bound(pair, data)
+    assert data.admissible[0]  # gap 1 > 5 * 0.1
+    assert vec.passed[0]
+    assert vec.lead_norm[0] == pytest.approx(0.1, abs=1e-14)
     phi = 0.5 * math.atan(0.2)
-    assert vec.err_norm == pytest.approx(2.0 * math.sin(0.5 * phi), abs=1e-12)
+    assert vec.err_norm[0] == pytest.approx(2.0 * math.sin(0.5 * phi), abs=1e-12)
 
-    rem = check_eigenvector_remainder(pair, 0, data)
-    assert rem.passed
-    assert data.rem[0, 0] == pytest.approx(-0.5 * vec.err_norm**2, abs=1e-15)
+    rem = check_eigenvector_remainder(pair, data)
+    assert rem.passed[0]
+    assert data.rem[0, 0] == pytest.approx(-0.5 * vec.err_norm[0] ** 2, abs=1e-15)
     assert data.rem[0, 0] == pytest.approx(-0.0049, abs=2e-4)
 
     proj = check_projection_bound(pair, [0], [0.0, 1.0], data)
@@ -104,13 +104,92 @@ def test_identical_matrices_give_zero_errors():
     assert np.all(data.err == 0.0)
     assert np.all(data.lead == 0.0)
     assert check_eigenvalue_bound(pair).max_abs_err == 0.0
-    for k in range(3):
-        rep = check_eigenvector_bound(pair, k, data)
-        assert rep.admissible and rep.passed and rep.err_norm == 0.0
+    rep = check_eigenvector_bound(pair, data)
+    assert np.all(data.admissible) and np.all(rep.passed) and np.all(rep.err_norm == 0.0)
     proj = check_projection_bound(pair, [0, 2], [1.0, -1.0, 2.0], data)
     assert proj.identity_passed
     assert proj.rho_sq == 0.0
     assert proj.ratio == 0.0
+
+
+def _per_index_checks(pair, data, k):
+    """The eigenvector and remainder checks as first written, one index k
+    per call: (err_norm, lead_norm, passed, diag_abs_err, max_off_excess,
+    passed)."""
+    admissible = bool(data.admissible[k])
+    err_norm = float(np.linalg.norm(data.err[:, k]))
+    lead_norm = float(np.linalg.norm(data.lead[:, k]))
+    vec_passed = (not admissible) or err_norm <= 3.0 * lead_norm + 1e-10
+    fk_sq = float(np.dot(data.err[:, k], data.err[:, k]))
+    diag_abs_err = abs(float(data.rem[k, k]) + 0.5 * fk_sq)
+    with np.errstate(divide="ignore"):
+        budget = 5.0 * pair.delta_op * lead_norm / data.gap_table[:, k]
+    excess = np.abs(data.rem[:, k]) - budget
+    excess[k] = -np.inf
+    max_off_excess = float(np.max(excess))
+    rem_passed = (not admissible) or (diag_abs_err <= 1e-10 and max_off_excess <= 1e-10)
+    return err_norm, lead_norm, vec_passed, diag_abs_err, max_off_excess, rem_passed
+
+
+def _equivalence_pairs():
+    """About 300 pairs: rotated decaying, flat and rank-one spectra at
+    perturbation sizes from zero to far past the gap hypothesis, plus a
+    tied spectrum, a zero perturbation and the 2 x 2 worked example."""
+    rng = np.random.default_rng(20)
+    pairs = []
+    for idx in range(294):
+        dim = int(rng.integers(2, 13))
+        kind = idx % 6
+        if kind == 4:
+            spectrum = np.ones(dim)  # every gap is rounding noise
+        elif kind == 5:
+            spectrum = (np.arange(dim) == 0).astype(float)  # tiny gaps, unperturbed
+        else:
+            spectrum = np.arange(1, dim + 1, dtype=float) ** -2.0
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+        rot = q * np.sign(np.diag(r))
+        base = (rot * spectrum) @ rot.T
+        base = 0.5 * (base + base.T)
+        raw = rng.standard_normal((dim, dim))
+        sym = 0.5 * (raw + raw.T)
+        eps = 0.0 if kind == 5 else (0.0, 1e-3, 1e-2, 0.2, 1e-2)[kind]
+        pairs.append(PerturbationPair.from_matrices(base, base + eps * sym))
+    tied = np.diag([3.0, 2.0, 2.0, 1.0])
+    bump = np.zeros((4, 4))
+    bump[0, 3] = bump[3, 0] = 0.05
+    pairs += [
+        PerturbationPair.from_matrices(tied, tied),
+        PerturbationPair.from_matrices(tied, tied + bump),
+        PerturbationPair.from_matrices(np.diag([3.0, 2.0, 1.0]), np.diag([3.0, 2.0, 1.0])),
+        PerturbationPair.from_matrices([[2.0, 0.0], [0.0, 1.0]], [[2.0, 0.1], [0.1, 1.0]]),
+        PerturbationPair.from_matrices([[2.0, 0.0], [0.0, 1.0]], [[2.0, 0.4], [0.4, 1.0]]),
+    ]
+    return pairs
+
+
+def test_array_checks_match_the_per_index_checks():
+    seen = np.zeros((2, 2), dtype=int)  # [admissible?, remainder passed?]
+    for pair in _equivalence_pairs():
+        data = aligned_eigen_data(pair)
+        # a tie puts 0/0 and inf - inf into the budget of inadmissible columns
+        with np.errstate(invalid="ignore"):
+            vec = check_eigenvector_bound(pair, data)
+            rem = check_eigenvector_remainder(pair, data)
+            want = np.array([_per_index_checks(pair, data, k) for k in range(pair.dim)]).T
+        # diag_abs_err is a cancellation residual of ||f_k||^2 <= 4, so the
+        # norms' summation order moves it by up to an ulp of 4, not relatively
+        for got, expected, atol in zip(
+            (vec.err_norm, vec.lead_norm, rem.diag_abs_err, rem.max_off_excess),
+            want[[0, 1, 3, 4]],
+            (0.0, 0.0, 1e-15, 0.0),
+        ):
+            assert got.shape == (pair.dim,)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=atol)
+        assert vec.passed.tolist() == want[2].astype(bool).tolist()
+        assert rem.passed.tolist() == want[5].astype(bool).tolist()
+        np.add.at(seen, (data.admissible.astype(int), rem.passed.astype(int)), 1)
+    # both verdicts occur on admissible indices, and inadmissible ones pass
+    assert seen[1, 0] > 0 and seen[1, 1] > 0 and seen[0, 1] > 0 and seen[0, 0] == 0
 
 
 def test_eigenvalue_bound_on_random_pairs():
@@ -141,24 +220,24 @@ def test_remainder_diagonal_identity_is_exact():
     # eps small enough that every index clears the 5 delta gap hypothesis
     pair = _pair(eps=0.002, seed=1)
     data = aligned_eigen_data(pair)
-    for k in range(pair.dim):
-        rep = check_eigenvector_remainder(pair, k, data)
-        assert rep.admissible
-        assert rep.diag_abs_err <= 1e-13
-        assert rep.passed
+    rep = check_eigenvector_remainder(pair, data)
+    assert np.all(data.admissible)
+    assert rep.diag_abs_err.shape == (pair.dim,)
+    assert np.all(rep.diag_abs_err <= 1e-13)
+    assert np.all(rep.passed)
 
 
 def test_eigenvector_bound_and_admissibility():
     pair = _pair(eps=0.001, seed=2)
-    for k in range(pair.dim):
-        rep = check_eigenvector_bound(pair, k)
-        assert rep.admissible and rep.passed
-        assert rep.err_norm <= 3.0 * rep.lead_norm + 1e-10
+    rep = check_eigenvector_bound(pair)
+    assert np.all(aligned_eigen_data(pair).admissible) and np.all(rep.passed)
+    assert np.all(rep.err_norm <= 3.0 * rep.lead_norm + 1e-10)
     # a perturbation larger than a fifth of the smallest gap voids the
-    # hypothesis for the crowded bottom eigenvalues
+    # hypothesis for the crowded bottom eigenvalues, which pass by convention
     big = _pair(eps=0.05, dim=10, seed=2)
-    reps = [check_eigenvector_bound(big, k) for k in range(big.dim)]
-    assert not all(r.admissible for r in reps)
+    admissible = aligned_eigen_data(big).admissible
+    assert not np.all(admissible)
+    assert np.all(check_eigenvector_bound(big).passed[~admissible])
 
 
 def test_projection_identity_and_envelope():

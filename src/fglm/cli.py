@@ -28,6 +28,8 @@ import csv
 import os
 import sys
 import warnings
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from functools import partial
 
 import numpy as np
 
@@ -45,7 +47,13 @@ from .harness import (
     write_slope_csv,
 )
 from .lowerbound import affinity_study, standard_config
-from .spectral_diag import check_chisq_maximal, fisher_study, random_perturbation_suite
+from .spectral_diag import (
+    check_chisq_maximal,
+    fisher_study,
+    random_perturbation_suite,
+    require_chisq_reps,
+    require_fisher_reps,
+)
 
 __all__ = ["main"]
 
@@ -314,26 +322,56 @@ def _cmd_lower_bound(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_concurrently(tasks: list) -> list:
+    """Call each zero-argument task on a thread pool; return the results in order.
+
+    At most one thread per task and per usable CPU.  The first exception a
+    task raises is raised here once the tasks not yet started are cancelled.
+    """
+    with ThreadPoolExecutor(max_workers=min(len(tasks), _usable_cpus())) as pool:
+        futures = [pool.submit(task) for task in tasks]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:  # also on an interrupt, so the pool's exit waits only for running tasks
+            for future in futures:
+                future.cancel()  # cancels only a task that has not started
+        # tasks start in submission order, so a failed task precedes any cancelled one
+        return [future.result() for future in futures]
+
+
 def _cmd_diagnostics(args) -> int:
     cfg = with_overrides(load_config(args.config), seed=args.seed, out_dir=args.out)
-    # every check runs before any verdict is printed, so a refused count prints none
+    # a refused count exits before any Monte Carlo starts or any verdict is printed
+    require_fisher_reps(args.fisher_reps)
+    require_chisq_reps(args.chisq_reps)
     lam_grid = np.arange(-3.0, 3.0 + 1e-9, 0.5)
     h_grid = np.arange(-1.0, 1.0 + 1e-9, 0.1)
-    envelopes = [
-        (name, verify_envelope(get_family(name), lam_grid, h_grid)) for name in family_names()
-    ]
-    reports = fisher_study(
-        get_family(cfg.family),
-        alpha=cfg.alpha,
-        beta_s=cfg.beta_s,
-        reps=args.fisher_reps,
-        seed=cfg.seed,
-    )
     tau = np.arange(1, 51, dtype=float) ** -2.0
-    maximal = [
-        (n, check_chisq_maximal(n, tau, (1.0, 2.0, 4.0), reps=args.chisq_reps, seed=cfg.seed))
-        for n in (10, 100)
-    ]
+    x_grid = (1.0, 2.0, 4.0)
+    # The checks are independent (each seeds its own generator) and spend
+    # their time in numpy fills, ufuncs and BLAS, which release the GIL, so
+    # threads overlap them; every result keeps its bits at any thread count.
+    # A thread does not inherit the caller's np.errstate: set any inside the task.
+    maximal_100, reports, maximal_10, *ratios = _run_concurrently(
+        [
+            # the longest check first, so the others fill the remaining threads
+            partial(check_chisq_maximal, 100, tau, x_grid, reps=args.chisq_reps, seed=cfg.seed),
+            partial(fisher_study, get_family(cfg.family), alpha=cfg.alpha, beta_s=cfg.beta_s,
+                    reps=args.fisher_reps, seed=cfg.seed),
+            partial(check_chisq_maximal, 10, tau, x_grid, reps=args.chisq_reps, seed=cfg.seed),
+            *(partial(verify_envelope, get_family(name), lam_grid, h_grid)
+              for name in family_names()),
+        ]
+    )
+    envelopes = zip(family_names(), ratios)
+    maximal = [(10, maximal_10), (100, maximal_100)]
 
     rows = []  # check, n, x, statistic, bound, passed
     for name, ratio in envelopes:

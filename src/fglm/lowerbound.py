@@ -197,12 +197,21 @@ def calibrated_eps(cfg: AssouadConfig, n: int) -> float:
 
     Solves n * eps^2 * max_j beta_j^2 theta_j = 1; with decaying beta
     and theta the maximum sits at j = m+1.  Keeps the per-flip Hellinger
-    sum of order one for every n, so the affinity floor is n-free.
+    sum of order one for every n, so the affinity floor is n-free.  A
+    radius so large or small that eps is not finite and positive in
+    float64 is refused.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    top = float(np.max(cfg.beta_weights**2 * cfg.theta_j))
-    return 1.0 / math.sqrt(n * top)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        top = float(np.max(cfg.beta_weights**2 * cfg.theta_j))
+    eps = 1.0 / math.sqrt(n * top) if top > 0.0 else math.inf
+    if not 0.0 < eps < math.inf:
+        raise ValueError(
+            f"radius {cfg.radius:g} is out of range: the calibrated eps at n={n} "
+            "is not finite and positive"
+        )
+    return eps
 
 
 def calibrated_config(cfg: AssouadConfig, n: int) -> AssouadConfig:
@@ -217,7 +226,11 @@ def assouad_bound_value(cfg: AssouadConfig, affinity_floor: float) -> float:
     """
     if not 0.0 <= affinity_floor <= 1.0:
         raise ValueError("affinity_floor must lie in [0, 1]")
-    return affinity_floor / 8.0 * cfg.eps_scale**2 * float(np.sum(cfg.beta_weights**2))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        value = affinity_floor / 8.0 * cfg.eps_scale**2 * float(np.sum(cfg.beta_weights**2))
+    if not math.isfinite(value):
+        raise ValueError(f"radius {cfg.radius:g} is out of range: the bound value is not finite")
+    return value
 
 
 def affinity_study(

@@ -19,9 +19,11 @@ closed-form bound it is supposed to satisfy:
 All quantities use the eigenbasis of the base matrix, eigenvalues sorted
 descending.  Ties in the base spectrum make first-order terms undefined,
 so checks gate on a minimum gap relative to the perturbation size
-(`gap > 5 * delta`).  The eigenvector and remainder checks judge every
-index k of an instance at once and return arrays over k; an index that
-fails the gap hypothesis passes by convention and is counted as skipped.
+(`gap > 5 * delta`) and on a floor below which the eigensolver's own
+rounding swamps the eigenvectors (`eigensolver_gap_floor`).  The
+eigenvector and remainder checks judge every index k of an instance at
+once and return arrays over k; an index that fails the gap hypothesis
+passes by convention and is counted as skipped.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from .expfam import ExpFamilySpec
 __all__ = [
     "PerturbationPair",
     "AlignedEigenData",
+    "eigensolver_gap_floor",
     "aligned_eigen_data",
     "EigenvalueReport",
     "check_eigenvalue_bound",
@@ -51,9 +54,11 @@ __all__ = [
     "check_mle_linearization",
     "fisher_weight_moments",
     "expected_fisher",
+    "require_fisher_reps",
     "FisherReport",
     "check_fisher_expectation",
     "fisher_study",
+    "require_chisq_reps",
     "ChisqTailPoint",
     "check_chisq_maximal",
 ]
@@ -115,7 +120,7 @@ class AlignedEigenData:
     `gap_table[j, k]` is |theta_k - theta_j|, infinite on the diagonal;
     `gaps[k]`, its column minimum, is the distance from theta_k to the rest
     of the base spectrum, and `admissible[k]` is the gap hypothesis
-    gap_k > 5 delta.
+    gap_k > 5 delta together with gap_k > `eigensolver_gap_floor(pair)`.
     """
 
     aligned: np.ndarray
@@ -125,6 +130,25 @@ class AlignedEigenData:
     gap_table: np.ndarray
     gaps: np.ndarray
     admissible: np.ndarray
+
+
+def eigensolver_gap_floor(pair: PerturbationPair) -> float:
+    """Smallest gap at which rounding in the eigenvectors fits in `_SLACK`.
+
+    LAPACK's symmetric eigensolver is backward stable: the eigenpairs it
+    returns for T are exact for some T + E with ||E|| of order
+    dim * eps * ||T||, where ||T|| = theta_max, and that is also its
+    absolute eigenvalue error.  Such an E turns the computed e_k by an
+    angle of up to ||E|| / gap_k, so every coordinate of `err`, `lead` and
+    `rem` in column k carries rounding of that size whatever the true
+    perturbation.  The bounds are checked with an absolute slack of
+    `_SLACK`, so column k says something about the perturbation only when
+    dim * eps * theta_max / gap_k <= _SLACK, that is, when gap_k exceeds
+    dim * eps * theta_max / _SLACK.  For dim <= 12 and theta_max = 1 the
+    floor is under 3e-5, below every gap of the spectrum k^-2.
+    """
+    theta_max = float(np.max(np.abs(pair.theta), initial=0.0))
+    return pair.dim * np.finfo(float).eps * theta_max / _SLACK
 
 
 def aligned_eigen_data(pair: PerturbationPair) -> AlignedEigenData:
@@ -148,7 +172,7 @@ def aligned_eigen_data(pair: PerturbationPair) -> AlignedEigenData:
         rem=err - lead,
         gap_table=gap_table,
         gaps=gaps,
-        admissible=gaps > 5.0 * pair.delta_op,
+        admissible=(gaps > 5.0 * pair.delta_op) & (gaps > eigensolver_gap_floor(pair)),
     )
 
 
@@ -182,8 +206,8 @@ def check_eigenvector_bound(
     """Aligned eigenvector error within 3x its first-order size.
 
     Every index k is judged at once and each report field is an array
-    over k.  An index without the gap hypothesis gap_k > 5 delta passes
-    by convention.
+    over k.  An index without the gap hypothesis (`admissible`) passes by
+    convention.
     """
     data = data or aligned_eigen_data(pair)
     err_norm = np.linalg.norm(data.err, axis=0)
@@ -557,6 +581,18 @@ def expected_fisher(family: ExpFamilySpec, gamma, diag_scale) -> np.ndarray:
     return out
 
 
+def require_fisher_reps(reps: int) -> None:
+    """Refuse an information-matrix replication count below 2."""
+    if reps < 2:
+        raise ValueError(f"information-matrix reps must be at least 2, got {reps}")
+
+
+def require_chisq_reps(reps: int) -> None:
+    """Refuse a maximal-inequality replication count below 1."""
+    if reps < 1:
+        raise ValueError(f"maximal-inequality reps must be at least 1, got {reps}")
+
+
 @dataclass(frozen=True)
 class FisherReport:
     n: int
@@ -579,8 +615,7 @@ def check_fisher_expectation(
 
     The z-scores need a sample standard error, so `reps` must be at least 2.
     """
-    if reps < 2:
-        raise ValueError(f"information-matrix reps must be at least 2, got {reps}")
+    require_fisher_reps(reps)
     gamma = np.asarray(gamma, dtype=float)
     diag_scale = np.asarray(diag_scale, dtype=float)
     expect = expected_fisher(family, gamma, diag_scale)
@@ -682,8 +717,7 @@ def check_chisq_maximal(
     rows at a time into two reused buffers, so the working memory is one
     chunk x n array of weighted sums plus two slabs.
     """
-    if reps < 1:
-        raise ValueError(f"maximal-inequality reps must be at least 1, got {reps}")
+    require_chisq_reps(reps)
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise ValueError("weights must be nonnegative")

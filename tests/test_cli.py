@@ -3,12 +3,14 @@ import importlib.util
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fglm import cli
 from fglm.cli import _read_dataset_csv, main
 from fglm.datagen import make_ground_truth, sample_dataset
 from fglm.estimator import estimate_slope
@@ -371,6 +373,17 @@ def test_perturb_check_passes_and_writes_rows(tmp_path, capsys):
     assert rows[0].startswith("instance,dim,eps,delta_op")
 
 
+@pytest.mark.parametrize("alpha, reps", [("10", "500"), ("20", "100"), ("40", "100")])
+def test_perturb_check_reports_no_rounding_violations_on_steep_spectra(tmp_path, capsys, alpha, reps):
+    # tail eigenvalues of k^-alpha sink below the eigensolver's accuracy;
+    # their indices are skipped, not reported as violations
+    code = main(["perturb-check", "--alpha", alpha, "--reps", reps, "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "eigenvalue violations 0, eigenvector 0/" in out
+    assert "all bounds hold" in out
+
+
 def test_lower_bound_writes_affinity_csv(tmp_path, capsys):
     out = tmp_path / "lb"
     code = main(
@@ -466,6 +479,65 @@ def test_diagnostics_small_run_passes(tmp_path, capsys):
     assert len(verdicts) == len(rows) - 1
 
 
+def _diagnostics_argv(tmp_path, out_dir, *extra):
+    cfg = _write_cfg(tmp_path, "family = gaussian\nseed = 0\n")
+    return ["diagnostics", "--config", cfg, "--fisher-reps", "40", "--chisq-reps", "5000",
+            "--out", str(out_dir), *extra]
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_diagnostics_output_does_not_depend_on_the_thread_count(tmp_path, capsys, monkeypatch, seed):
+    workers = []
+
+    class RecordingPool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    usable = cli._usable_cpus()
+    runs = []
+    for label in ("default", "one cpu"):
+        if label == "one cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        out_dir = tmp_path / label
+        code = main(_diagnostics_argv(tmp_path, out_dir, "--seed", seed))
+        runs.append((code, capsys.readouterr().out, (out_dir / "diagnostics.csv").read_bytes()))
+    assert workers == [min(6, usable), 1]  # six checks, one thread per usable CPU
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
+@pytest.mark.parametrize(
+    "target, error, code, prefix",
+    [
+        ("check_chisq_maximal", RuntimeError("chisq broke"), 2, "failure"),
+        ("fisher_study", RuntimeError("fisher broke"), 2, "failure"),
+        ("verify_envelope", ValueError("envelope broke"), 1, "error"),
+    ],
+)
+def test_diagnostics_task_failure_is_the_command_error(
+    tmp_path, capsys, monkeypatch, target, error, code, prefix
+):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, fail)
+    out_dir = tmp_path / "out"
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(main(_diagnostics_argv(tmp_path, out_dir))), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()  # the failure did not hang the command
+    assert result == [code]
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no partial verdict
+    assert captured.err == f"{prefix}: {error}\n"
+    assert not (out_dir / "diagnostics.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -480,9 +552,22 @@ def test_diagnostics_small_run_passes(tmp_path, capsys):
         (["perturb-check", "--alpha", "nan"], "alpha must be finite and positive, got nan"),
         (["lower-bound", "--radius", "inf"], "radius and beta_s must be finite and positive"),
         (["lower-bound", "--radius", "nan"], "radius and beta_s must be finite and positive"),
+        (
+            ["lower-bound", "--radius", "1e200"],
+            "radius 1e+200 is out of range: the calibrated eps at n=100 is not finite and positive",
+        ),
     ],
 )
-def test_certification_refuses_counts_that_certify_nothing(tmp_path, capsys, argv, message):
+def test_certification_refuses_counts_that_certify_nothing(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    monte_carlo_calls = []
+    for name in ("check_chisq_maximal", "fisher_study"):
+        def record(*args, _name=name, _real=getattr(cli, name), **kwargs):
+            monte_carlo_calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, record)
     out_dir = tmp_path / "out"
     if argv[0] in ("diagnostics", "lower-bound"):
         argv = argv + ["--config", _write_cfg(tmp_path, "family = gaussian\nseed = 0\n")]
@@ -491,6 +576,7 @@ def test_certification_refuses_counts_that_certify_nothing(tmp_path, capsys, arg
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""  # no verdict line
     assert not out_dir.exists()  # no CSV
+    assert monte_carlo_calls == []  # refused before any Monte Carlo started
 
 
 def test_console_entry_point(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,26 @@ def test_calibrated_eps_shrinks_like_root_n():
     assert calibrated_eps(cfg, 400) == pytest.approx(calibrated_eps(cfg, 100) / 2.0)
     with pytest.raises(ValueError):
         calibrated_eps(cfg, 0)
+
+
+@pytest.mark.parametrize(
+    "radius, n, message",
+    [
+        # beta_j^2 overflows, and eps came out as 0 with a NaN bound value
+        (1e200, 100, "the calibrated eps at n=100 is not finite and positive"),
+        # beta_j^2 underflows to 0, and eps came out as 1/0
+        (1e-200, 100, "the calibrated eps at n=100 is not finite and positive"),
+        # eps is finite, but the sum of beta_j^2 overflows to an infinite bound value
+        (3.57e155, 1, "the bound value is not finite"),
+    ],
+)
+def test_a_radius_out_of_float_range_is_refused(radius, n, message):
+    cfg = standard_config(2, GAUSS, radius=radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused, not warned about
+        with pytest.raises(ValueError) as refused:
+            affinity_study(cfg, [n], n_mc=2)
+    assert str(refused.value) == f"radius {radius:g} is out of range: {message}"
 
 
 def test_bound_value_closed_form():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from fglm.spectral_diag import (
     check_fisher_expectation,
     check_mle_linearization,
     check_projection_bound,
+    eigensolver_gap_floor,
     expected_fisher,
     fisher_study,
     fisher_weight_moments,
@@ -131,10 +133,26 @@ def _per_index_checks(pair, data, k):
     return err_norm, lead_norm, vec_passed, diag_abs_err, max_off_excess, rem_passed
 
 
+def _misrotated_pair():
+    """diag(3, 2, 1) against a perturbation of size 1e-3 whose reported
+    eigenvectors are turned by 0.1 rad in the plane of e_1 and e_2: far
+    more than a perturbation of that size can move them, as an eigensolver
+    fault would, so the eigenvector and remainder bounds break at indices
+    0 and 1."""
+    base = np.diag([3.0, 2.0, 1.0])
+    bump = np.zeros((3, 3))
+    bump[0, 1] = bump[1, 0] = 1e-3
+    honest = PerturbationPair.from_matrices(base, base + bump)
+    turn = np.eye(3)
+    turn[:2, :2] = [[math.cos(0.1), -math.sin(0.1)], [math.sin(0.1), math.cos(0.1)]]
+    return dataclasses.replace(honest, vecs_tilde=turn @ honest.vecs_tilde)
+
+
 def _equivalence_pairs():
     """About 300 pairs: rotated decaying, flat and rank-one spectra at
     perturbation sizes from zero to far past the gap hypothesis, plus a
-    tied spectrum, a zero perturbation and the 2 x 2 worked example."""
+    tied spectrum, a zero perturbation, the 2 x 2 worked example and a
+    pair with misrotated eigenvectors."""
     rng = np.random.default_rng(20)
     pairs = []
     for idx in range(294):
@@ -163,6 +181,7 @@ def _equivalence_pairs():
         PerturbationPair.from_matrices(np.diag([3.0, 2.0, 1.0]), np.diag([3.0, 2.0, 1.0])),
         PerturbationPair.from_matrices([[2.0, 0.0], [0.0, 1.0]], [[2.0, 0.1], [0.1, 1.0]]),
         PerturbationPair.from_matrices([[2.0, 0.0], [0.0, 1.0]], [[2.0, 0.4], [0.4, 1.0]]),
+        _misrotated_pair(),
     ]
     return pairs
 
@@ -190,6 +209,32 @@ def test_array_checks_match_the_per_index_checks():
         np.add.at(seen, (data.admissible.astype(int), rem.passed.astype(int)), 1)
     # both verdicts occur on admissible indices, and inadmissible ones pass
     assert seen[1, 0] > 0 and seen[1, 1] > 0 and seen[0, 1] > 0 and seen[0, 0] == 0
+
+
+def test_a_real_violation_clears_the_eigensolver_floor():
+    pair = _misrotated_pair()
+    data = aligned_eigen_data(pair)
+    floor = eigensolver_gap_floor(pair)
+    assert data.gaps.min() == pytest.approx(1.0) and data.admissible.all()
+    vec = check_eigenvector_bound(pair, data)
+    rem = check_eigenvector_remainder(pair, data)
+    assert vec.passed.tolist() == [False, False, True]
+    assert rem.passed.tolist() == [False, False, True]
+    # each broken bound is overshot by far more than the floor
+    assert np.all((vec.err_norm - 3.0 * vec.lead_norm)[:2] > 1e3 * floor)
+    assert np.all(rem.max_off_excess[:2] > 1e3 * floor)
+
+
+def test_eigensolver_floor_skips_only_gaps_rounding_can_swamp():
+    # dim * eps * theta_max / 1e-10 at dim 12 and theta_max 1
+    pair = _pair(dim=12)
+    assert eigensolver_gap_floor(pair) == pytest.approx(12 * 2.220446049250313e-16 / 1e-10)
+    # the spectrum k^-2 keeps every gap above it, so the stock suite skips no extra index
+    spectrum = np.arange(1, 13, dtype=float) ** -2.0
+    assert np.min(spectrum[:-1] - spectrum[1:]) > 40.0 * eigensolver_gap_floor(pair)
+    # under k^-20 every gap but the first, 1 - 2^-20, is below 1e-6: those indices are skipped
+    steep = _pair(eps=1e-25, dim=6, alpha=20.0)
+    assert aligned_eigen_data(steep).admissible.tolist() == [True] + [False] * 5
 
 
 def test_eigenvalue_bound_on_random_pairs():

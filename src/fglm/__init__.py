@@ -29,7 +29,7 @@ from .expfam import (
     verify_envelope,
 )
 from .fpca import SpectralEstimate, spectral_estimate
-from .funcspace import CosineBasis, FunctionRep, evaluate_on_grid, inner, norm_sq, uniform_grid
+from .funcspace import FunctionRep, evaluate_on_grid, norm_sq, uniform_grid
 from .harness import (
     ExperimentConfig,
     RateStudyResult,

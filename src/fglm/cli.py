@@ -268,8 +268,8 @@ def _cmd_perturb_check(args) -> int:
     )
     print(
         f"{summary.instances} instances: eigenvalue violations {summary.eigenvalue_violations}, "
-        f"eigenvector {summary.eigenvector_violations}/{summary.eigenvector_checked} checked, "
-        f"remainder {summary.remainder_violations}/{summary.remainder_checked} checked, "
+        f"eigenvector {summary.eigenvector_violations}/{summary.checked} checked, "
+        f"remainder {summary.remainder_violations}/{summary.checked} checked, "
         f"skipped pairs {summary.skipped_pairs}"
     )
     print(

@@ -52,9 +52,6 @@ class ExpFamilySpec:
     sample: Callable[[np.ndarray, np.random.Generator], np.ndarray] = field(repr=False)
     init_natural: Callable[[float, int], float] = field(repr=False)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
-
     def __reduce__(self):  # the callables do not pickle; the registry name does
         return get_family, (self.name,)
 

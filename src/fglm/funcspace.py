@@ -1,10 +1,10 @@
 """Coefficient-space representation of functions on [0, 1].
 
 Every function is stored by its coefficients in one fixed orthonormal
-basis, phi_k(t) = sqrt(2) * cos(k * pi * t) for k = 1, 2, ...  Inner
-products and norms are Parseval sums over coefficients; evaluation on a
-grid is derived output.  Representations of different length are
-compatible: the shorter one is treated as zero-padded.
+basis, phi_k(t) = sqrt(2) * cos(k * pi * t) for k = 1, 2, ...  Norms
+are Parseval sums over coefficients; evaluation on a grid is derived
+output.  Representations of different length are compatible: the
+shorter one is treated as zero-padded.
 """
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ import numpy as np
 
 __all__ = [
     "FunctionRep",
-    "CosineBasis",
-    "inner",
     "norm_sq",
     "evaluate_on_grid",
     "uniform_grid",
@@ -59,39 +57,9 @@ class FunctionRep:
         out[: self.basis_size] = self.coeffs
         return out
 
-    def __add__(self, other: "FunctionRep") -> "FunctionRep":
-        size = max(self.basis_size, other.basis_size)
-        return FunctionRep(self.padded(size) + other.padded(size))
-
     def __sub__(self, other: "FunctionRep") -> "FunctionRep":
         size = max(self.basis_size, other.basis_size)
         return FunctionRep(self.padded(size) - other.padded(size))
-
-    def __neg__(self) -> "FunctionRep":
-        return FunctionRep(-self.coeffs)
-
-
-@dataclass(frozen=True)
-class CosineBasis:
-    """The first `size` elements of the orthonormal cosine system."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("basis size must be at least 1")
-
-    def matrix(self, points) -> np.ndarray:
-        """Matrix of basis values, shape (len(points), size)."""
-        t = np.atleast_1d(np.asarray(points, dtype=float))
-        k = np.arange(1, self.size + 1)
-        return np.sqrt(2.0) * np.cos(np.outer(t, k) * np.pi)
-
-
-def inner(f: FunctionRep, g: FunctionRep) -> float:
-    """L2 inner product <f, g>, a Parseval sum over shared coefficients."""
-    k = min(f.basis_size, g.basis_size)
-    return float(np.dot(f.coeffs[:k], g.coeffs[:k]))
 
 
 def norm_sq(f: FunctionRep) -> float:
@@ -108,7 +76,5 @@ def uniform_grid(num_points: int) -> np.ndarray:
 
 def evaluate_on_grid(f: FunctionRep, num_points: int) -> np.ndarray:
     """Values of f on the uniform grid with `num_points` points."""
-    grid = uniform_grid(num_points)
-    if f.basis_size == 0:
-        return np.zeros(num_points)
-    return CosineBasis(f.basis_size).matrix(grid) @ f.coeffs
+    k = np.arange(1, f.basis_size + 1)
+    return np.sqrt(2.0) * np.cos(np.outer(uniform_grid(num_points), k) * np.pi) @ f.coeffs

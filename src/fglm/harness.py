@@ -84,8 +84,8 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be finite")
         if self.zeta_override is not None and not math.isfinite(self.zeta_override):
             raise ValueError("zeta_override must be finite")
-        if self.K_trunc < 4 or self.newton_max_iter < 1:
-            raise ValueError("K_trunc must be >= 4 and newton_max_iter >= 1")
+        if self.K_trunc < 4 or self.newton_max_iter < 1 or self.newton_tol <= 0:
+            raise ValueError("K_trunc must be >= 4, newton_max_iter >= 1 and newton_tol > 0")
 
 
 # value parser per field annotation (annotations are strings in this module)
@@ -213,7 +213,8 @@ def run_rate_points(
     The ground truth is built once and shared by every replication.
     Tasks run concurrently up to `jobs` workers but are collected in
     (n, rep) order, so the output is identical for every jobs setting.
-    A replication that raises aborts the study with its coordinates.
+    A replication that raises aborts the study with its coordinates; a
+    tuning rule that refuses some n does so before the first draw.
     """
     jobs = default_jobs() if jobs is None else jobs
     if jobs < 1:
@@ -227,6 +228,7 @@ def run_rate_points(
         intercept=cfg.a,
         mu_mode=cfg.mu_mode,
     )
+    levels = [tuning(n, cfg.alpha, cfg.beta_s, rule) for n in cfg.n_grid]
     task = functools.partial(_replication_task, cfg, gt)
     meta = [
         (n, rep, replication_seed(cfg.seed, n_idx, rep))
@@ -241,8 +243,13 @@ def run_rate_points(
     else:
         pool = ProcessPoolExecutor(max_workers=jobs)
         stream = pool.map(task, sizes, seeds, chunksize=max(1, len(meta) // (8 * jobs)))
+    outcomes = []
     try:
-        outcomes = list(_reraise_with_context(stream, meta))
+        for outcome in stream:
+            outcomes.append(outcome)
+    except Exception as exc:
+        n, rep, seed = meta[len(outcomes)]  # outcomes arrive in meta order
+        raise RuntimeError(f"replication failed at n={n}, rep={rep}, seed={seed}: {exc}") from exc
     finally:
         if jobs > 1:
             pool.shutdown(wait=True)
@@ -252,11 +259,10 @@ def run_rate_points(
         for (n, rep, seed), o in zip(meta, outcomes)
     )
     points = []
-    for n_idx, n in enumerate(cfg.n_grid):
+    for n_idx, (n, (m, n_comp)) in enumerate(zip(cfg.n_grid, levels)):
         chunk = records[n_idx * cfg.reps : (n_idx + 1) * cfg.reps]
         losses = np.array([r.loss for r in chunk])
         mise_se = float(np.std(losses, ddof=1) / math.sqrt(cfg.reps)) if cfg.reps > 1 else 0.0
-        m, n_comp = tuning(n, cfg.alpha, cfg.beta_s, rule)
         points.append(
             RatePoint(
                 n=n,
@@ -269,17 +275,6 @@ def run_rate_points(
             )
         )
     return tuple(points), records
-
-
-def _reraise_with_context(stream, meta):
-    it = iter(stream)
-    for n, rep, seed in meta:
-        try:
-            yield next(it)
-        except StopIteration:  # pragma: no cover - lengths always match
-            return
-        except Exception as exc:
-            raise RuntimeError(f"replication failed at n={n}, rep={rep}, seed={seed}: {exc}") from exc
 
 
 def run_rate_study(cfg: ExperimentConfig, jobs: int | None = None) -> RateStudyResult:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expfam import ExpFamilySpec, hellinger_sq_bound, hellinger_sq_exact
+from .expfam import ExpFamilySpec, hellinger_sq_exact
 from .funcspace import FunctionRep
 
 __all__ = [
@@ -153,27 +153,21 @@ def affinity_detail(
     gamma,
     n_mc: int = 200,
     seed: int = 0,
-    hellinger: str = "exact",
 ) -> AffinityEstimate:
     """Monte Carlo lower bound on the overlap of one-bit neighbors.
 
     Each draw samples a fresh n-row design with independent scores
     z_ik ~ N(0, theta_k) on the hypercube coordinates, computes the
-    per-observation squared Hellinger distance between the responses
-    under gamma and under gamma with bit j flipped, and evaluates
-    1 - sqrt(min(2, sum_i h_i^2)).  `hellinger` selects the exact
-    distance or its quadratic envelope (the envelope being larger, it
-    yields a smaller — still valid — affinity estimate).
+    exact per-observation squared Hellinger distance between the
+    responses under gamma and under gamma with bit j flipped, and
+    evaluates 1 - sqrt(min(2, sum_i h_i^2)).
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
-    if hellinger not in ("exact", "bound"):
-        raise ValueError("hellinger must be 'exact' or 'bound'")
     gamma = _check_gamma(cfg, gamma)
     pos = _flip_offset(cfg, j)
-    h_sq = hellinger_sq_exact if hellinger == "exact" else hellinger_sq_bound
 
     weights = cfg.eps_scale * cfg.beta_weights * gamma
     # flipping bit j adds or removes eps*beta_j from the j-th coordinate
@@ -185,7 +179,7 @@ def affinity_detail(
         z = rng.standard_normal((n, cfg.m)) * scale
         lam = z @ weights
         delta = delta_sign * cfg.eps_scale * cfg.beta_weights[pos] * z[:, pos]
-        s = min(2.0, float(np.sum(h_sq(cfg.family, lam, delta))))
+        s = min(2.0, float(np.sum(hellinger_sq_exact(cfg.family, lam, delta))))
         vals[d] = 1.0 - math.sqrt(s)
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0

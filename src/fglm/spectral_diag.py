@@ -343,9 +343,8 @@ class SuiteSummary:
     rows: list
     instances: int
     eigenvalue_violations: int
-    eigenvector_checked: int
+    checked: int  # admissible indices, each judged by the eigenvector and remainder checks
     eigenvector_violations: int
-    remainder_checked: int
     remainder_violations: int
     skipped_pairs: int
     projection_checked: int
@@ -428,9 +427,8 @@ def random_perturbation_suite(
         rows=rows,
         instances=reps,
         eigenvalue_violations=reps - total("eval_passed"),
-        eigenvector_checked=checked,
+        checked=checked,
         eigenvector_violations=total("evec_violations"),
-        remainder_checked=checked,
         remainder_violations=total("rem_violations"),
         skipped_pairs=total("dim") - checked,
         projection_checked=total("proj_admissible"),
@@ -450,6 +448,12 @@ class LinearizationReport:
     max_residual_all: float
 
 
+# Tolerances of the linearization check: the residual bound eps1 and the
+# probability budget eps2.
+_EPS1 = 0.5
+_EPS2 = 0.1
+
+
 def check_mle_linearization(
     n: int,
     n_components: int,
@@ -457,8 +461,6 @@ def check_mle_linearization(
     gamma,
     seed: int = 0,
     reps: int = 300,
-    eps1: float = 0.5,
-    eps2: float = 0.1,
     score_scale: float = 1.0,
     score_dist: str = "gaussian",
 ) -> LinearizationReport:
@@ -472,8 +474,9 @@ def check_mle_linearization(
     score-norm event |W| <= sqrt((N+1)/eps2) both hold, the distance
     between J^{1/2}(g_hat - gamma) and the score W must not exceed eps1;
     the rate of violations is compared with the probability allowance
-    2 * eps2 plus binomial slack.  If no replication satisfies the
-    hypotheses (small samples), the report is informational.
+    2 * eps2 plus binomial slack.  eps1 and eps2 are `_EPS1` and `_EPS2`.
+    If no replication satisfies the hypotheses (small samples), the
+    report is informational.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (n_components + 1,):
@@ -482,8 +485,8 @@ def check_mle_linearization(
         raise ValueError("score_dist must be 'gaussian' or 'rademacher'")
     rng = np.random.default_rng(seed)
     g_one = float(family.envelope(1.0))
-    w_budget = eps1 * eps2 / (2.0 * g_one * (n_components + 1))
-    score_budget = math.sqrt((n_components + 1) / eps2)
+    w_budget = _EPS1 * _EPS2 / (2.0 * g_one * (n_components + 1))
+    score_budget = math.sqrt((n_components + 1) / _EPS2)
 
     design_ok = satisfied = violations = 0
     max_res_all = 0.0
@@ -513,15 +516,15 @@ def check_mle_linearization(
         design_ok += int(hyp_design)
         if hyp_design and hyp_score:
             satisfied += 1
-            if residual > eps1:
+            if residual > _EPS1:
                 violations += 1
 
     if satisfied:
         rate = violations / satisfied
-        allowance = 2.0 * eps2 + 4.0 * math.sqrt(2.0 * eps2 * (1.0 - 2.0 * eps2) / satisfied)
+        allowance = 2.0 * _EPS2 + 4.0 * math.sqrt(2.0 * _EPS2 * (1.0 - 2.0 * _EPS2) / satisfied)
     else:
         rate = 0.0
-        allowance = 2.0 * eps2
+        allowance = 2.0 * _EPS2
     return LinearizationReport(
         reps=reps,
         design_ok=design_ok,
@@ -533,15 +536,18 @@ def check_mle_linearization(
     )
 
 
+_HERMITE_NODES = 64
+
+
 def fisher_weight_moments(
-    family: ExpFamilySpec, abar: float, kappa: float, num_nodes: int = 64
+    family: ExpFamilySpec, abar: float, kappa: float
 ) -> tuple[float, float, float]:
     """Moments r_j = E[nu^j d2psi(abar + kappa nu)], nu standard normal.
 
     Gauss-Hermite quadrature; 64 nodes are far below 1e-10 error for
     the smooth integrands of all supported families.
     """
-    nodes, weights = np.polynomial.hermite.hermgauss(num_nodes)
+    nodes, weights = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
     x = math.sqrt(2.0) * nodes
     w = weights / math.sqrt(math.pi)
     vals = family.d2psi(abar + kappa * x)
@@ -647,11 +653,13 @@ def check_fisher_expectation(
     )
 
 
+_FISHER_INTERCEPT = 0.3  # gamma_0 of every fisher_study instance
+
+
 def fisher_study(
     family: ExpFamilySpec,
     alpha: float = 2.0,
     beta_s: float = 3.0,
-    intercept: float = 0.3,
     n_grid=(500, 2000, 8000),
     reps: int = 200,
     seed: int = 0,
@@ -667,7 +675,7 @@ def fisher_study(
         n_comp = int(math.floor(n**0.2))
         k = np.arange(1, n_comp + 1, dtype=float)
         gamma = np.concatenate(
-            [[intercept], np.where(np.arange(n_comp) % 2 == 0, 1.0, -1.0) * k**-beta_s]
+            [[_FISHER_INTERCEPT], np.where(np.arange(n_comp) % 2 == 0, 1.0, -1.0) * k**-beta_s]
         )
         diag_scale = np.concatenate([[1.0], k ** (-alpha / 2.0)])
         reports.append(

@@ -114,7 +114,7 @@ def test_criterion_04_perturbation_suites(perturb_suite):
     assert s.remainder_violations == 0
     print(
         "criterion 4: PASS — 500 instances, 0 violations "
-        f"(eigenvector checks {s.eigenvector_checked}, remainder {s.remainder_checked}, "
+        f"(eigenvector checks {s.checked}, remainder {s.checked}, "
         f"skipped by gap hypothesis {s.skipped_pairs})"
     )
 

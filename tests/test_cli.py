@@ -57,6 +57,29 @@ def test_config_outside_the_model_class_is_usage_error(tmp_path, capsys):
     assert "beta_s must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("n_grid = 40, 80, 160\nzeta_override = 0.5\n", "zeta must lie strictly inside"),
+        ("n_grid = 40, 80, 160\nnewton_tol = 0\n", "newton_tol > 0"),
+        ("n_grid = 5, 100, 200\n", "tuning needs n >= 8"),
+    ],
+    ids=["zeta_override", "newton_tol", "small_n"],
+)
+def test_bad_study_config_is_refused_before_the_first_draw(tmp_path, monkeypatch, capsys, lines,
+                                                           message):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a replication was started")
+
+    monkeypatch.setattr("fglm.harness.sample_dataset", no_draws)
+    cfg = _write_cfg(tmp_path, "K_trunc = 20\nreps = 2\nseed = 0\n" + lines)
+    out = tmp_path / "out"
+    assert main(["rate-study", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (out / "rate_study.csv").exists()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -600,16 +623,20 @@ SCRIPT_SMOKE_ARGS = [
 ]
 
 
-def test_certification_script_passes_at_small_sizes(tmp_path):
+def _script_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_certification_script_passes_at_small_sizes(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), *SCRIPT_SMOKE_ARGS],
         capture_output=True,
         text=True,
         timeout=300,
         cwd=tmp_path,
-        env=env,
+        env=_script_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "all bounds hold" in proc.stdout
@@ -627,3 +654,31 @@ def test_certification_script_fails_when_a_command_fails(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "2/3 commands passed" in captured.out
     assert "FAIL: min calibrated affinity" in captured.err
+
+
+# --- rate-study script ---
+
+RATE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_rate_studies.py"
+
+
+def test_rate_study_script_verdict_follows_its_csvs(tmp_path):
+    # at 3 reps a study may miss its band, so the exit code is recomputed, not assumed
+    proc = subprocess.run(
+        [sys.executable, str(RATE_SCRIPT), "--reps", "3", "--seed", "1", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=_script_env(),
+    )
+    slopes, failed = {}, False
+    for name in ("gaussian_beta3", "poisson_beta3", "gaussian_beta4"):
+        assert (tmp_path / name / "rate_study.csv").exists()
+        with open(tmp_path / name / "slope.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        slope, theoretical = float(row["slope"]), float(row["theoretical"])
+        assert f"[{name}] slope {slope:+.4f} (se {float(row['se']):.4f}) " in proc.stdout
+        slopes[name] = slope
+        if name.endswith("beta3"):
+            failed |= abs(slope - theoretical) > 0.15
+    failed |= slopes["gaussian_beta3"] - slopes["gaussian_beta4"] < 0.03
+    assert proc.returncode == (1 if failed else 0), proc.stdout + proc.stderr

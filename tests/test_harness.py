@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fglm import harness
-from fglm.datagen import make_ground_truth
+from fglm.datagen import make_ground_truth, sample_dataset
 from fglm.estimator import NewtonConfig, TuningRule, fit_mle, loss, tuning
 from fglm.expfam import family_names, get_family, sample_response
 from fglm.funcspace import FunctionRep
@@ -252,6 +252,22 @@ def test_replication_matches_the_long_way_bit_for_bit(family, mu_mode):
         want = _reference_replication(cfg, 2000, seed)
         assert float.hex(got[0]) == float.hex(want[0])
         assert got[1:] == want[1:]
+
+
+def test_replication_failure_names_its_coordinates(monkeypatch):
+    failing = replication_seed(TINY.seed, 1, 2)  # n = 80, rep 2
+    cause = FloatingPointError("simulated")
+
+    def sample(gt, n, seed):
+        if seed == failing:
+            raise cause
+        return sample_dataset(gt, n, seed)
+
+    monkeypatch.setattr(harness, "sample_dataset", sample)
+    with pytest.raises(RuntimeError) as info:
+        run_rate_points(TINY, jobs=1)
+    assert str(info.value) == f"replication failed at n=80, rep=2, seed={failing}: simulated"
+    assert info.value.__cause__ is cause
 
 
 def test_single_rep_has_zero_se():

@@ -315,7 +315,7 @@ def test_random_suite_has_no_violations():
     assert summary.eigenvector_violations == 0
     assert summary.remainder_violations == 0
     assert summary.projection_identity_failures == 0
-    assert summary.eigenvector_checked > 0
+    assert summary.checked > 0
     assert summary.projection_checked > 0
     assert summary.max_projection_ratio < 10.0
 

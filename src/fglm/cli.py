@@ -18,8 +18,9 @@ The three certification commands own their verdicts: each prints a
 below 0.1).  ``scripts/run_certifications.py`` only drives them.
 
 Exit codes: 0 success, 1 bad arguments/config/input, 2 runtime or
-certification failure.  ``--jobs`` defaults to the FGLM_JOBS environment
-variable when set.
+certification failure.  ``rate-study --jobs`` caps the replication
+threads (the usable CPUs cap them too) and defaults to the FGLM_JOBS
+environment variable when set; the output is the same at any value.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from .funcspace import evaluate_on_grid, uniform_grid
 from .harness import (
     load_config,
     run_rate_study,
+    usable_cpus,
     with_overrides,
     write_csv,
     write_perreplication_csv,
@@ -322,20 +324,13 @@ def _cmd_lower_bound(args) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _run_concurrently(tasks: list) -> list:
     """Call each zero-argument task on a thread pool; return the results in order.
 
     At most one thread per task and per usable CPU.  The first exception a
     task raises is raised here once the tasks not yet started are cancelled.
     """
-    with ThreadPoolExecutor(max_workers=min(len(tasks), _usable_cpus())) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(tasks), usable_cpus())) as pool:
         futures = [pool.submit(task) for task in tasks]
         try:
             wait(futures, return_when=FIRST_EXCEPTION)

@@ -4,15 +4,17 @@ A study is a flat text config (key = value, `#` comments, keys named
 exactly after ExperimentConfig fields) plus a master seed.  Every
 replication derives its own 64-bit seed from (master, index of n, rep)
 through a splitmix64 mix, so results are independent of execution
-order and identical across --jobs settings; CSV floats are written
-with 17 significant digits to survive a parse round trip.
+order and identical across --jobs settings.  Replications run on at most
+--jobs threads (no more than replications or usable CPUs) that share one
+ground truth.  CSV floats are written with 17 significant digits to
+survive a parse round trip.
 """
 from __future__ import annotations
 
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -39,6 +41,7 @@ __all__ = [
     "write_perreplication_csv",
     "write_csv",
     "default_jobs",
+    "usable_cpus",
     "with_overrides",
 ]
 
@@ -211,10 +214,10 @@ def run_rate_points(
     """All replications of the study, aggregated per sample size.
 
     The ground truth is built once and shared by every replication.
-    Tasks run concurrently up to `jobs` workers but are collected in
-    (n, rep) order, so the output is identical for every jobs setting.
-    A replication that raises aborts the study with its coordinates; a
-    tuning rule that refuses some n does so before the first draw.
+    Tasks run on up to `jobs` threads but are collected in (n, rep)
+    order, so the output is identical for every jobs setting.  A failed
+    replication aborts the study with its coordinates; a tuning rule that
+    refuses some n or asks for N > K_trunc does so before the first draw.
     """
     jobs = default_jobs() if jobs is None else jobs
     if jobs < 1:
@@ -229,6 +232,9 @@ def run_rate_points(
         mu_mode=cfg.mu_mode,
     )
     levels = [tuning(n, cfg.alpha, cfg.beta_s, rule) for n in cfg.n_grid]
+    for n, (_, n_comp) in zip(cfg.n_grid, levels):
+        if n_comp > cfg.K_trunc:  # estimate_slope would clamp N to K_trunc, unreported
+            raise ValueError(f"N={n_comp} components at n={n} exceed K_trunc={cfg.K_trunc}")
     task = functools.partial(_replication_task, cfg, gt)
     meta = [
         (n, rep, replication_seed(cfg.seed, n_idx, rep))
@@ -238,21 +244,14 @@ def run_rate_points(
     sizes = [n for n, _, _ in meta]
     seeds = [seed for _, _, seed in meta]
 
-    if jobs == 1:
-        stream = map(task, sizes, seeds)
-    else:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        stream = pool.map(task, sizes, seeds, chunksize=max(1, len(meta) // (8 * jobs)))
     outcomes = []
     try:
-        for outcome in stream:
-            outcomes.append(outcome)
+        with ThreadPoolExecutor(max_workers=min(jobs, len(meta), usable_cpus())) as pool:
+            for outcome in pool.map(task, sizes, seeds):  # cancels the rest once one raises
+                outcomes.append(outcome)
     except Exception as exc:
         n, rep, seed = meta[len(outcomes)]  # outcomes arrive in meta order
         raise RuntimeError(f"replication failed at n={n}, rep={rep}, seed={seed}: {exc}") from exc
-    finally:
-        if jobs > 1:
-            pool.shutdown(wait=True)
 
     records = tuple(
         ReplicationRecord(n=n, rep=rep, seed=seed, loss=o[0], iterations=o[1], converged=o[2])
@@ -395,6 +394,14 @@ def default_jobs() -> int:
     if jobs < 1:
         raise ValueError("FGLM_JOBS must be at least 1")
     return jobs
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the cap of every thread pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def with_overrides(cfg: ExperimentConfig, seed=None, out_dir=None) -> ExperimentConfig:

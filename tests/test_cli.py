@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fglm import cli
+from fglm import cli, harness
 from fglm.cli import _read_dataset_csv, main
 from fglm.datagen import make_ground_truth, sample_dataset
 from fglm.estimator import estimate_slope
@@ -60,11 +60,13 @@ def test_config_outside_the_model_class_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "lines, message",
     [
-        ("n_grid = 40, 80, 160\nzeta_override = 0.5\n", "zeta must lie strictly inside"),
-        ("n_grid = 40, 80, 160\nnewton_tol = 0\n", "newton_tol > 0"),
-        ("n_grid = 5, 100, 200\n", "tuning needs n >= 8"),
+        ("K_trunc = 20\nn_grid = 40, 80, 160\nzeta_override = 0.5\n",
+         "zeta must lie strictly inside"),
+        ("K_trunc = 20\nn_grid = 40, 80, 160\nnewton_tol = 0\n", "newton_tol > 0"),
+        ("K_trunc = 20\nn_grid = 5, 100, 200\n", "tuning needs n >= 8"),
+        ("K_trunc = 4\nn_grid = 500, 1000, 4000\n", "N=5 components at n=500 exceed K_trunc=4"),
     ],
-    ids=["zeta_override", "newton_tol", "small_n"],
+    ids=["zeta_override", "newton_tol", "small_n", "n_comp_beyond_k_trunc"],
 )
 def test_bad_study_config_is_refused_before_the_first_draw(tmp_path, monkeypatch, capsys, lines,
                                                            message):
@@ -72,7 +74,7 @@ def test_bad_study_config_is_refused_before_the_first_draw(tmp_path, monkeypatch
         raise AssertionError("a replication was started")
 
     monkeypatch.setattr("fglm.harness.sample_dataset", no_draws)
-    cfg = _write_cfg(tmp_path, "K_trunc = 20\nreps = 2\nseed = 0\n" + lines)
+    cfg = _write_cfg(tmp_path, "reps = 2\nseed = 0\n" + lines)
     out = tmp_path / "out"
     assert main(["rate-study", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 1
     err = capsys.readouterr().err
@@ -518,7 +520,7 @@ def test_diagnostics_output_does_not_depend_on_the_thread_count(tmp_path, capsys
             super().__init__(max_workers)
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-    usable = cli._usable_cpus()
+    usable = harness.usable_cpus()
     runs = []
     for label in ("default", "one cpu"):
         if label == "one cpu":

@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -24,12 +23,6 @@ def test_family_registry():
     assert family_names() == ("bernoulli", "gaussian", "poisson")
     with pytest.raises(ValueError):
         get_family("gamma")
-
-
-@pytest.mark.parametrize("name", family_names())
-def test_family_pickles_to_the_registry_instance(name):
-    fam = get_family(name)
-    assert pickle.loads(pickle.dumps(fam)) is fam
 
 
 @pytest.mark.parametrize("name", family_names())

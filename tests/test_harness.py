@@ -254,8 +254,10 @@ def test_replication_matches_the_long_way_bit_for_bit(family, mu_mode):
         assert got[1:] == want[1:]
 
 
-def test_replication_failure_names_its_coordinates(monkeypatch):
-    failing = replication_seed(TINY.seed, 1, 2)  # n = 80, rep 2
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_replication_failure_names_its_coordinates(monkeypatch, jobs):
+    cfg = ExperimentConfig(K_trunc=30, n_grid=(40, 80, 160), reps=12, seed=0, newton_max_iter=50)
+    failing = replication_seed(cfg.seed, 1, 5)  # n = 80, rep 5, after five that succeed
     cause = FloatingPointError("simulated")
 
     def sample(gt, n, seed):
@@ -265,9 +267,38 @@ def test_replication_failure_names_its_coordinates(monkeypatch):
 
     monkeypatch.setattr(harness, "sample_dataset", sample)
     with pytest.raises(RuntimeError) as info:
-        run_rate_points(TINY, jobs=1)
-    assert str(info.value) == f"replication failed at n=80, rep=2, seed={failing}: simulated"
+        run_rate_points(cfg, jobs=jobs)
+    assert str(info.value) == f"replication failed at n=80, rep=5, seed={failing}: simulated"
     assert info.value.__cause__ is cause
+
+
+def test_components_beyond_k_trunc_are_refused_before_the_first_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a replication was started")
+
+    monkeypatch.setattr(harness, "sample_dataset", no_draws)
+    cfg = ExperimentConfig(K_trunc=4, n_grid=(500, 1000, 4000), reps=2, seed=0)
+    with pytest.raises(ValueError, match="N=5 components at n=500 exceed K_trunc=4"):
+        run_rate_points(cfg, jobs=1)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, threads",
+    [(1, 8, 1), (2, 8, 2), (2, 1, 1), (10**6, 8, 8), (10**6, 64, 9)],
+    ids=["one_job", "jobs", "cpus", "huge_jobs_cpus", "huge_jobs_replications"],
+)
+def test_replication_threads_are_capped(monkeypatch, jobs, cpus, threads):
+    workers = []
+
+    class RecordingPool(harness.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=1)  # records the cap without starting that many
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+    assert run_rate_points(TINY, jobs=jobs) == run_rate_points(TINY, jobs=1)
+    assert workers == [threads, 1]  # TINY has 9 replications
 
 
 def test_single_rep_has_zero_se():

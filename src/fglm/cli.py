@@ -18,9 +18,9 @@ The three certification commands own their verdicts: each prints a
 below 0.1).  ``scripts/run_certifications.py`` only drives them.
 
 Exit codes: 0 success, 1 bad arguments/config/input, 2 runtime or
-certification failure.  ``rate-study --jobs`` caps the replication
-threads (the usable CPUs cap them too) and defaults to the FGLM_JOBS
-environment variable when set; the output is the same at any value.
+certification failure; an output directory that names a file is refused
+before any work.  ``rate-study --jobs`` (default 1) and ``diagnostics``
+share the thread pool ``harness.map_in_order``; output never depends on it.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ import csv
 import os
 import sys
 import warnings
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from functools import partial
 
 import numpy as np
@@ -40,8 +39,8 @@ from .expfam import family_names, get_family, verify_envelope
 from .funcspace import evaluate_on_grid, uniform_grid
 from .harness import (
     load_config,
+    map_in_order,
     run_rate_study,
-    usable_cpus,
     with_overrides,
     write_csv,
     write_perreplication_csv,
@@ -104,7 +103,7 @@ def _build_parser() -> _Parser:
     rate.add_argument("--config", required=True)
     rate.add_argument("--seed", type=int, default=None, help="override config seed")
     rate.add_argument("--out", default=None, help="override config out_dir")
-    rate.add_argument("--jobs", type=int, default=None)
+    rate.add_argument("--jobs", type=int, default=1)
     rate.add_argument(
         "--per-replication", action="store_true", help="also write perreplication.csv"
     )
@@ -137,6 +136,12 @@ def _build_parser() -> _Parser:
     diag.set_defaults(handler=_cmd_diagnostics)
 
     return parser
+
+
+def _require_out_dir(path: str) -> None:
+    """Refuse an output directory that names an existing file, before any work."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ValueError(f"output directory {path} is an existing file")
 
 
 def _cmd_generate(args) -> int:
@@ -210,6 +215,7 @@ def _check_support(family: str, y: np.ndarray, path: str) -> None:
 
 
 def _cmd_estimate(args) -> int:
+    _require_out_dir(args.out)
     t = uniform_grid(args.grid_points)  # refuse a bad --grid-points before any output
     ds = _read_dataset_csv(args.data)
     _check_support(args.family, ds.y, args.data)
@@ -232,6 +238,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_rate_study(args) -> int:
     cfg = with_overrides(load_config(args.config), seed=args.seed, out_dir=args.out)
+    _require_out_dir(cfg.out_dir)
     result = run_rate_study(cfg, jobs=args.jobs)
     rate_path = os.path.join(cfg.out_dir, "rate_study.csv")
     slope_path = os.path.join(cfg.out_dir, "slope.csv")
@@ -256,11 +263,12 @@ def _cmd_rate_study(args) -> int:
 
 
 def _cmd_perturb_check(args) -> int:
+    _require_out_dir(args.out)
     summary = random_perturbation_suite(
         reps=args.reps, max_dim=args.dim, seed=args.seed, alpha=args.alpha
     )
     path = os.path.join(args.out, "perturb_check.csv")
-    header = list(summary.rows[0].keys()) if summary.rows else []
+    header = list(summary.rows[0].keys())
     write_csv(path, header, (tuple(row.values()) for row in summary.rows))
     violations = (
         summary.eigenvalue_violations
@@ -289,6 +297,7 @@ def _cmd_perturb_check(args) -> int:
 
 def _cmd_lower_bound(args) -> int:
     cfg = with_overrides(load_config(args.config), seed=args.seed, out_dir=args.out)
+    _require_out_dir(cfg.out_dir)
     n_grid = [int(v) for v in str(args.n_grid).split(",") if v.strip()]
     if not n_grid:
         raise ValueError("--n-grid must list at least one sample size")
@@ -324,25 +333,9 @@ def _cmd_lower_bound(args) -> int:
     return 0
 
 
-def _run_concurrently(tasks: list) -> list:
-    """Call each zero-argument task on a thread pool; return the results in order.
-
-    At most one thread per task and per usable CPU.  The first exception a
-    task raises is raised here once the tasks not yet started are cancelled.
-    """
-    with ThreadPoolExecutor(max_workers=min(len(tasks), usable_cpus())) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        try:
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:  # also on an interrupt, so the pool's exit waits only for running tasks
-            for future in futures:
-                future.cancel()  # cancels only a task that has not started
-        # tasks start in submission order, so a failed task precedes any cancelled one
-        return [future.result() for future in futures]
-
-
 def _cmd_diagnostics(args) -> int:
     cfg = with_overrides(load_config(args.config), seed=args.seed, out_dir=args.out)
+    _require_out_dir(cfg.out_dir)
     # a refused count exits before any Monte Carlo starts or any verdict is printed
     require_fisher_reps(args.fisher_reps)
     require_chisq_reps(args.chisq_reps)
@@ -354,16 +347,16 @@ def _cmd_diagnostics(args) -> int:
     # their time in numpy fills, ufuncs and BLAS, which release the GIL, so
     # threads overlap them; every result keeps its bits at any thread count.
     # A thread does not inherit the caller's np.errstate: set any inside the task.
-    maximal_100, reports, maximal_10, *ratios = _run_concurrently(
-        [
-            # the longest check first, so the others fill the remaining threads
-            partial(check_chisq_maximal, 100, tau, x_grid, reps=args.chisq_reps, seed=cfg.seed),
-            partial(fisher_study, get_family(cfg.family), alpha=cfg.alpha, beta_s=cfg.beta_s,
-                    reps=args.fisher_reps, seed=cfg.seed),
-            partial(check_chisq_maximal, 10, tau, x_grid, reps=args.chisq_reps, seed=cfg.seed),
-            *(partial(verify_envelope, get_family(name), lam_grid, h_grid)
-              for name in family_names()),
-        ]
+    tasks = [
+        # the longest check first, so the others fill the remaining threads
+        partial(check_chisq_maximal, 100, tau, x_grid, reps=args.chisq_reps, seed=cfg.seed),
+        partial(fisher_study, get_family(cfg.family), alpha=cfg.alpha, beta_s=cfg.beta_s,
+                reps=args.fisher_reps, seed=cfg.seed),
+        partial(check_chisq_maximal, 10, tau, x_grid, reps=args.chisq_reps, seed=cfg.seed),
+        *(partial(verify_envelope, get_family(name), lam_grid, h_grid) for name in family_names()),
+    ]
+    maximal_100, reports, maximal_10, *ratios = map_in_order(
+        lambda task: task(), tasks, jobs=len(tasks)
     )
     envelopes = zip(family_names(), ratios)
     maximal = [(10, maximal_10), (100, maximal_100)]

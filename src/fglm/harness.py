@@ -4,14 +4,13 @@ A study is a flat text config (key = value, `#` comments, keys named
 exactly after ExperimentConfig fields) plus a master seed.  Every
 replication derives its own 64-bit seed from (master, index of n, rep)
 through a splitmix64 mix, so results are independent of execution
-order and identical across --jobs settings.  Replications run on at most
---jobs threads (no more than replications or usable CPUs) that share one
-ground truth.  CSV floats are written with 17 significant digits to
-survive a parse round trip.
+order and identical across --jobs settings.  Replications share one
+ground truth and run through `map_in_order`, the package's one thread
+pool, on at most --jobs threads (default 1).  CSV floats are written
+with 17 significant digits to survive a parse round trip.
 """
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +39,7 @@ __all__ = [
     "write_slope_csv",
     "write_perreplication_csv",
     "write_csv",
-    "default_jobs",
+    "map_in_order",
     "usable_cpus",
     "with_overrides",
 ]
@@ -209,7 +208,7 @@ def _replication_task(
 
 
 def run_rate_points(
-    cfg: ExperimentConfig, jobs: int | None = None
+    cfg: ExperimentConfig, jobs: int = 1
 ) -> tuple[tuple[RatePoint, ...], tuple[ReplicationRecord, ...]]:
     """All replications of the study, aggregated per sample size.
 
@@ -219,7 +218,6 @@ def run_rate_points(
     replication aborts the study with its coordinates; a tuning rule that
     refuses some n or asks for N > K_trunc does so before the first draw.
     """
-    jobs = default_jobs() if jobs is None else jobs
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     rule = TuningRule(c_m=cfg.c_m, c_N=cfg.c_N, zeta=cfg.zeta_override)
@@ -235,20 +233,15 @@ def run_rate_points(
     for n, (_, n_comp) in zip(cfg.n_grid, levels):
         if n_comp > cfg.K_trunc:  # estimate_slope would clamp N to K_trunc, unreported
             raise ValueError(f"N={n_comp} components at n={n} exceed K_trunc={cfg.K_trunc}")
-    task = functools.partial(_replication_task, cfg, gt)
     meta = [
         (n, rep, replication_seed(cfg.seed, n_idx, rep))
         for n_idx, n in enumerate(cfg.n_grid)
         for rep in range(cfg.reps)
     ]
-    sizes = [n for n, _, _ in meta]
-    seeds = [seed for _, _, seed in meta]
-
     outcomes = []
     try:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(meta), usable_cpus())) as pool:
-            for outcome in pool.map(task, sizes, seeds):  # cancels the rest once one raises
-                outcomes.append(outcome)
+        for outcome in map_in_order(lambda m: _replication_task(cfg, gt, m[0], m[2]), meta, jobs):
+            outcomes.append(outcome)
     except Exception as exc:
         n, rep, seed = meta[len(outcomes)]  # outcomes arrive in meta order
         raise RuntimeError(f"replication failed at n={n}, rep={rep}, seed={seed}: {exc}") from exc
@@ -276,7 +269,7 @@ def run_rate_points(
     return tuple(points), records
 
 
-def run_rate_study(cfg: ExperimentConfig, jobs: int | None = None) -> RateStudyResult:
+def run_rate_study(cfg: ExperimentConfig, jobs: int = 1) -> RateStudyResult:
     """Rate study plus the log-log slope fit (needs >= 3 sample sizes)."""
     if len(cfg.n_grid) < 3:
         raise ValueError("slope regression needs at least 3 sample sizes in n_grid")
@@ -382,18 +375,28 @@ def write_perreplication_csv(result: RateStudyResult, path: str) -> None:
     )
 
 
-def default_jobs() -> int:
-    """--jobs default: the FGLM_JOBS environment variable, else 1."""
-    raw = os.environ.get("FGLM_JOBS", "").strip()
-    if not raw:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"FGLM_JOBS must be an integer, got {raw!r}") from exc
-    if jobs < 1:
-        raise ValueError("FGLM_JOBS must be at least 1")
-    return jobs
+def map_in_order(fn, items, jobs: int):
+    """Yield `fn(item)` for every item of a sequence, in order, from a thread pool.
+
+    At most `jobs` threads, and no more than there are items or usable CPUs.
+    Calls start in item order; once one raises, the items after it not yet
+    started are skipped, and the first exception in item order is raised here.
+    """
+    # pool.map cancels unstarted calls only when the caller sees a failure, after a
+    # free worker took the next item.  Only appended to: failed[0] is a failed index.
+    failed = []
+
+    def call(index):
+        if failed and index > failed[0]:
+            return None  # never yielded: the failure before it is raised first
+        try:
+            return fn(items[index])
+        except BaseException:
+            failed.append(index)
+            raise
+
+    with ThreadPoolExecutor(max_workers=min(jobs, len(items), usable_cpus())) as pool:
+        yield from pool.map(call, range(len(items)))
 
 
 def usable_cpus() -> int:

@@ -243,6 +243,8 @@ def affinity_study(
     n_grid = [int(v) for v in n_grid]
     if any(v < 1 for v in n_grid):
         raise ValueError("sample sizes must be positive")
+    if len(set(n_grid)) < len(n_grid):
+        raise ValueError(f"sample sizes must not repeat, got {n_grid}")
     gamma = (1,) * cfg.m
     rows = []
     for n_idx, n in enumerate(n_grid):

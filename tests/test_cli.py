@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fglm import cli, harness
+from fglm import cli, harness, lowerbound
 from fglm.cli import _read_dataset_csv, main
 from fglm.datagen import make_ground_truth, sample_dataset
 from fglm.estimator import estimate_slope
@@ -514,12 +514,12 @@ def _diagnostics_argv(tmp_path, out_dir, *extra):
 def test_diagnostics_output_does_not_depend_on_the_thread_count(tmp_path, capsys, monkeypatch, seed):
     workers = []
 
-    class RecordingPool(cli.ThreadPoolExecutor):
+    class RecordingPool(harness.ThreadPoolExecutor):
         def __init__(self, max_workers):
             workers.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
     usable = harness.usable_cpus()
     runs = []
     for label in ("default", "one cpu"):
@@ -581,18 +581,20 @@ def test_diagnostics_task_failure_is_the_command_error(
             ["lower-bound", "--radius", "1e200"],
             "radius 1e+200 is out of range: the calibrated eps at n=100 is not finite and positive",
         ),
+        (["lower-bound", "--n-grid", "100,100"], "sample sizes must not repeat, got [100, 100]"),
     ],
 )
 def test_certification_refuses_counts_that_certify_nothing(
     tmp_path, capsys, monkeypatch, argv, message
 ):
     monte_carlo_calls = []
-    for name in ("check_chisq_maximal", "fisher_study"):
-        def record(*args, _name=name, _real=getattr(cli, name), **kwargs):
+    for module, name in ((cli, "check_chisq_maximal"), (cli, "fisher_study"),
+                         (lowerbound, "affinity_detail")):
+        def record(*args, _name=name, _real=getattr(module, name), **kwargs):
             monte_carlo_calls.append(_name)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, record)
+        monkeypatch.setattr(module, name, record)
     out_dir = tmp_path / "out"
     if argv[0] in ("diagnostics", "lower-bound"):
         argv = argv + ["--config", _write_cfg(tmp_path, "family = gaussian\nseed = 0\n")]
@@ -602,6 +604,37 @@ def test_certification_refuses_counts_that_certify_nothing(
     assert captured.out == ""  # no verdict line
     assert not out_dir.exists()  # no CSV
     assert monte_carlo_calls == []  # refused before any Monte Carlo started
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate-study", "--config", "CFG"],
+        ["lower-bound", "--config", "CFG"],
+        ["diagnostics", "--config", "CFG"],
+        ["perturb-check"],
+        ["estimate", "--data", "data.csv", "--family", "gaussian"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_out_that_names_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for target in ("fglm.harness.sample_dataset", "fglm.cli.affinity_study",
+                   "fglm.cli.check_chisq_maximal", "fglm.cli.fisher_study",
+                   "fglm.cli.verify_envelope", "fglm.cli.random_perturbation_suite",
+                   "fglm.cli._read_dataset_csv"):
+        monkeypatch.setattr(target, no_work)
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "taken"
+    out.write_bytes(b"keep these bytes\n")
+    argv = [cfg if arg == "CFG" else arg for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output directory {out} is an existing file\n"
+    assert out.read_bytes() == b"keep these bytes\n"
 
 
 def test_console_entry_point(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,10 +15,10 @@ from fglm.expfam import family_names, get_family, sample_response
 from fglm.funcspace import FunctionRep
 from fglm.harness import (
     ExperimentConfig,
-    default_jobs,
     fit_loglog_slope,
     format_config,
     load_config,
+    map_in_order,
     parse_config,
     replication_seed,
     run_rate_points,
@@ -301,6 +303,106 @@ def test_replication_threads_are_capped(monkeypatch, jobs, cpus, threads):
     assert workers == [threads, 1]  # TINY has 9 replications
 
 
+# --- the thread pool ---
+
+
+def test_map_in_order_yields_in_item_order_when_later_items_finish_first(monkeypatch):
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+    second_done = threading.Event()
+    finished = []
+
+    def fn(item):
+        if item == 0:
+            assert second_done.wait(timeout=60)  # item 1 runs on the other thread
+        finished.append(item)
+        if item == 1:
+            second_done.set()
+        return item * 10
+
+    assert list(map_in_order(fn, [0, 1], jobs=2)) == [0, 10]
+    assert finished == [1, 0]
+
+
+def test_map_in_order_raises_the_first_failure_in_item_order(monkeypatch):
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+    errors = {1: ValueError("first"), 2: ValueError("second")}
+    second_failed = threading.Event()
+
+    def fn(item):
+        if item == 1:
+            assert second_failed.wait(timeout=60)  # item 2 fails before item 1 does
+        if item == 2:
+            second_failed.set()
+        if item in errors:
+            raise errors[item]
+        return item
+
+    results = []
+    with pytest.raises(ValueError) as info:
+        for value in map_in_order(fn, [0, 1, 2, 3], jobs=2):
+            results.append(value)
+    assert info.value is errors[1]
+    assert results == [0]
+
+
+def test_map_in_order_cancels_the_items_after_a_failure():
+    called = []
+
+    def fn(item):
+        called.append(item)
+        if item == 1:
+            raise RuntimeError("stop")
+        return item
+
+    with pytest.raises(RuntimeError, match="stop"):
+        list(map_in_order(fn, range(5), jobs=1))
+    assert called == [0, 1]  # one worker: items 2-4 were never started
+
+
+def test_map_in_order_under_thread_switches_yields_nothing_past_the_first_failure(monkeypatch):
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 4)  # more threads than cores
+    rng = np.random.default_rng(0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            failing = set(rng.choice(200, size=5, replace=False).tolist())
+            errors = {i: ValueError(i) for i in failing}
+
+            def fn(item):
+                if item in errors:
+                    raise errors[item]
+                return item
+
+            results = []
+            with pytest.raises(ValueError) as info:
+                for value in map_in_order(fn, range(200), jobs=4):
+                    results.append(value)
+            assert info.value is errors[min(failing)]
+            assert results == list(range(min(failing)))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "jobs, items, cpus, threads",
+    [(1, 5, 8, 1), (3, 5, 8, 3), (3, 2, 8, 2), (3, 5, 2, 2), (10**6, 4, 10**6, 4)],
+    ids=["one_job", "jobs", "items", "cpus", "huge_jobs"],
+)
+def test_map_in_order_caps_the_threads(monkeypatch, jobs, items, cpus, threads):
+    workers = []
+
+    class RecordingPool(harness.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=1)  # records the cap without starting that many
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+    assert list(map_in_order(str, range(items), jobs)) == [str(i) for i in range(items)]
+    assert workers == [threads]
+
+
 def test_single_rep_has_zero_se():
     cfg = ExperimentConfig(K_trunc=20, n_grid=(40, 80, 160), reps=1, seed=0)
     points, _ = run_rate_points(cfg)
@@ -385,16 +487,3 @@ def test_study_csv_headers_and_determinism(tmp_path):
         "n,rep,seed,loss,iterations,converged"
     )
     assert len((d1 / "perreplication.csv").read_text().splitlines()) == 10
-
-
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.delenv("FGLM_JOBS", raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv("FGLM_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("FGLM_JOBS", "zero")
-    with pytest.raises(ValueError):
-        default_jobs()
-    monkeypatch.setenv("FGLM_JOBS", "0")
-    with pytest.raises(ValueError):
-        default_jobs()

@@ -18,8 +18,9 @@ The three certification commands own their verdicts: each prints a
 below 0.1).  ``scripts/run_certifications.py`` only drives them.
 
 Exit codes: 0 success, 1 bad arguments/config/input, 2 runtime or
-certification failure; an output directory that names a file is refused
-before any work.  ``rate-study --jobs`` (default 1) and ``diagnostics``
+certification failure; an output directory that is or lies below a file,
+and a ``generate`` CSV that is a directory or lies below a file, are
+refused before any work.  ``rate-study --jobs`` (default 1) and ``diagnostics``
 share the thread pool ``harness.map_in_order``; output never depends on it.
 """
 from __future__ import annotations
@@ -139,12 +140,30 @@ def _build_parser() -> _Parser:
 
 
 def _require_out_dir(path: str) -> None:
-    """Refuse an output directory that names an existing file, before any work."""
+    """Refuse an output directory that is or lies below an existing file, before any work."""
     if os.path.exists(path) and not os.path.isdir(path):
         raise ValueError(f"output directory {path} is an existing file")
+    _refuse_below_file(path, "directory")
+
+
+def _require_out_file(path: str) -> None:
+    """Refuse an output file that is an existing directory or lies below an existing file."""
+    if os.path.isdir(path):
+        raise ValueError(f"output file {path} is an existing directory")
+    _refuse_below_file(path, "file")
+
+
+def _refuse_below_file(path: str, what: str) -> None:
+    # the nearest existing ancestor must be a directory, or nothing can be made below it
+    ancestor = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise ValueError(f"output {what} {path} lies below the existing file {ancestor}")
 
 
 def _cmd_generate(args) -> int:
+    _require_out_file(args.out)
     family = get_family(args.family)
     gt = make_ground_truth(
         args.alpha,

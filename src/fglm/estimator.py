@@ -249,12 +249,12 @@ def estimate_slope(
     """Full pipeline: spectral estimate, tuning, GLM fit, slope rebuild."""
     if ds.n < MIN_OBSERVATIONS:
         raise ValueError(f"estimation needs at least {MIN_OBSERVATIONS} observations")
-    est = spectral_estimate(ds)
     m, n_comp = tuning(ds.n, alpha, beta_s, rule)
     # the truncated basis cannot supply more components than it has
     m = min(m, ds.k_trunc)
     n_comp = min(n_comp, ds.k_trunc)
-    fit = fit_mle(ds.y, est.scores[:, :n_comp], family, config)
+    est = spectral_estimate(ds, n_comp)
+    fit = fit_mle(ds.y, est.scores, family, config)
     slope_coeffs = est.phi_tilde[:, :m] @ fit.coefs[1 : m + 1]
     return FitResult(
         coefs=fit.coefs,

@@ -4,9 +4,11 @@ Everything happens in coefficient space: the sample mean is the
 coefficient average, the sample covariance uses the (n - 1) divisor,
 and eigenpairs come from a symmetric eigensolver with eigenvalues
 sorted descending and clamped to be nonnegative.  Scores are inner
-products of centered curves with the estimated eigenfunctions, so each
-score column has exact zero mean and the score Gram matrix reproduces
-the estimated eigenvalues.
+products of centered curves with the requested leading estimated
+eigenfunctions, so each score column has exact zero mean and the score
+Gram matrix reproduces the estimated eigenvalues.  The full summary
+scores all k_trunc components; the slope estimator asks only for the N
+it fits.
 
 Eigenvectors are returned in C order.  The column gather that sorts
 them leaves a Fortran-order array, and BLAS sums a matrix-vector
@@ -36,13 +38,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Mean, covariance, eigenpairs, and centered scores of one sample."""
+    """Mean, covariance, all eigenpairs, and the centered scores of the
+    requested leading components of one sample."""
 
     xbar: FunctionRep
     cov: np.ndarray
     theta_tilde: np.ndarray
     phi_tilde: np.ndarray  # columns are eigenvectors in the fixed basis
-    scores: np.ndarray
+    scores: np.ndarray  # n x (requested components)
 
     def __post_init__(self):
         for name in ("cov", "theta_tilde", "phi_tilde", "scores"):
@@ -93,12 +96,14 @@ def compute_scores(
     return centered @ phi_tilde[:, :n_components]
 
 
-def spectral_estimate(ds: Dataset) -> SpectralEstimate:
-    """Full spectral summary of a dataset (all k_trunc components)."""
+def spectral_estimate(ds: Dataset, n_components: int | None = None) -> SpectralEstimate:
+    """Spectral summary of a dataset; its scores cover the first
+    n_components components (None: all k_trunc)."""
     xbar = sample_mean(ds)
     cov = sample_cov(ds)
     theta_tilde, phi_tilde = eigendecompose(cov)
-    scores = compute_scores(ds, xbar, phi_tilde, ds.k_trunc)
+    k = ds.k_trunc if n_components is None else n_components
+    scores = compute_scores(ds, xbar, phi_tilde, k)
     return SpectralEstimate(
         xbar=xbar, cov=cov, theta_tilde=theta_tilde, phi_tilde=phi_tilde, scores=scores
     )

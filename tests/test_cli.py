@@ -627,14 +627,43 @@ def test_an_out_that_names_a_file_is_refused_before_any_work(tmp_path, capsys, m
                    "fglm.cli._read_dataset_csv"):
         monkeypatch.setattr(target, no_work)
     cfg = _write_cfg(tmp_path)
-    out = tmp_path / "taken"
-    out.write_bytes(b"keep these bytes\n")
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"keep these bytes\n")
     argv = [cfg if arg == "CFG" else arg for arg in argv]
-    assert main(argv + ["--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: output directory {out} is an existing file\n"
-    assert out.read_bytes() == b"keep these bytes\n"
+    below = taken / "sub"
+    for out, message in [
+        (taken, f"output directory {taken} is an existing file"),
+        (below, f"output directory {below} lies below the existing file {taken}"),
+    ]:
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert taken.read_bytes() == b"keep these bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["study.cfg", "taken"]
+
+
+def test_generate_refuses_an_unwritable_out_before_drawing(tmp_path, capsys, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a dataset was drawn")
+
+    monkeypatch.setattr("fglm.cli.sample_dataset", no_draws)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"keep these bytes\n")
+    below = taken / "data.csv"
+    for out, message in [
+        (folder, f"output file {folder} is an existing directory"),
+        (below, f"output file {below} lies below the existing file {taken}"),
+    ]:
+        assert main(["generate", "--family", "gaussian", "--n", "20000", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    assert list(folder.iterdir()) == []
+    assert taken.read_bytes() == b"keep these bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "taken"]
 
 
 def test_console_entry_point(tmp_path):

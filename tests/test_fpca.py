@@ -110,6 +110,9 @@ def test_partial_scores_prefix_of_full():
     est = spectral_estimate(ds)
     part = compute_scores(ds, est.xbar, est.phi_tilde, 4)
     assert np.allclose(part, est.scores[:, :4])
+    lean = spectral_estimate(ds, 4).scores
+    assert lean.shape == (30, 4)
+    assert np.allclose(lean, est.scores[:, :4], rtol=0, atol=1e-13)
     with pytest.raises(ValueError):
         compute_scores(ds, est.xbar, est.phi_tilde, 10)
 

@@ -3,62 +3,65 @@
 
 Each config in scripts/configs/ is a full study: simulate datasets over an
 n-grid, fit the truncated-likelihood slope estimator, average the squared
-slope error over replications, and regress log(error) on log(n).  Writes
-rate_study.csv / slope.csv per study and prints fitted vs theoretical
-exponents.  Exits 1 if a beta_s = 3 study misses its exponent by more than
-0.15 or the beta_s = 4 study fails to decay visibly faster.
+slope error over replications, and regress log(error) on log(n).  Each
+config, with --reps/--seed applied, is run by `fglm rate-study`, which
+prints its own lines and writes rate_study.csv / slope.csv per study; the
+fitted vs theoretical exponents are read back from slope.csv.  Exits 1 as
+soon as a command fails, if a beta_s = 3 study misses its exponent by more
+than 0.15, or if the beta_s = 4 study fails to decay visibly faster.
 """
 from __future__ import annotations
 
 import argparse
-import os
+import csv
 import sys
+import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
-from fglm.harness import (
-    load_config,
-    run_rate_study,
-    with_overrides,
-    write_rate_study_csv,
-    write_slope_csv,
-)
+from fglm import cli
+from fglm.harness import format_config, load_config
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), "configs")
+CONFIG_DIR = Path(__file__).with_name("configs")
 STUDIES = ("gaussian_beta3", "poisson_beta3", "gaussian_beta4")
 SLOPE_BAND = 0.15
 ORDERING_MARGIN = 0.03
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description="Run the stock rate studies")
     ap.add_argument("--out", default="results", help="output root directory")
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--reps", type=int, default=None, help="override config reps")
     ap.add_argument("--seed", type=int, default=None, help="override config seed")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    overrides = {k: v for k, v in vars(args).items() if k in ("reps", "seed") and v is not None}
 
     slopes = {}
     failures = 0
-    for name in STUDIES:
-        cfg = load_config(os.path.join(CONFIG_DIR, name + ".cfg"))
-        cfg = with_overrides(cfg, seed=args.seed, out_dir=os.path.join(args.out, name))
-        if args.reps is not None:
-            cfg = replace(cfg, reps=args.reps)
-        t0 = time.time()
-        result = run_rate_study(cfg, jobs=args.jobs)
-        write_rate_study_csv(cfg, result, os.path.join(cfg.out_dir, "rate_study.csv"))
-        write_slope_csv(result, os.path.join(cfg.out_dir, "slope.csv"))
-        slopes[name] = result.fitted_slope
-        print(
-            f"[{name}] slope {result.fitted_slope:+.4f} (se {result.slope_se:.4f}) "
-            f"theoretical {result.theoretical:+.4f} in {time.time() - t0:.1f}s"
-        )
-        if name.endswith("beta3"):
-            gap = abs(result.fitted_slope - result.theoretical)
-            if gap > SLOPE_BAND:
-                failures += 1
-                print(f"[{name}] FAIL: |fitted - theoretical| = {gap:.4f} > {SLOPE_BAND}")
+    with tempfile.TemporaryDirectory() as resolved_dir:
+        for name in STUDIES:
+            cfg = replace(load_config(CONFIG_DIR / f"{name}.cfg"), **overrides)
+            resolved = Path(resolved_dir, f"{name}.cfg")
+            resolved.write_text(format_config(cfg), encoding="utf-8")
+            out = Path(args.out, name)
+            t0 = time.time()
+            command = ["rate-study", "--config", str(resolved), "--out", str(out)]
+            if cli.main(command + ["--jobs", str(args.jobs)]) != 0:
+                return 1
+            (row,) = csv.DictReader((out / "slope.csv").read_text(encoding="utf-8").splitlines())
+            slope, theoretical = float(row["slope"]), float(row["theoretical"])
+            slopes[name] = slope
+            print(
+                f"[{name}] slope {slope:+.4f} (se {float(row['se']):.4f}) "
+                f"theoretical {theoretical:+.4f} in {time.time() - t0:.1f}s"
+            )
+            if name.endswith("beta3"):
+                gap = abs(slope - theoretical)
+                if gap > SLOPE_BAND:
+                    failures += 1
+                    print(f"[{name}] FAIL: |fitted - theoretical| = {gap:.4f} > {SLOPE_BAND}")
 
     sep = slopes["gaussian_beta3"] - slopes["gaussian_beta4"]
     if sep < ORDERING_MARGIN:

@@ -30,24 +30,16 @@ import csv
 import os
 import sys
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from .datagen import MU_MODES, Dataset, make_ground_truth, sample_dataset
-from .estimator import estimate_slope
+from .estimator import estimate_slope, zeta_interval
 from .expfam import family_names, get_family, verify_envelope
 from .funcspace import evaluate_on_grid, uniform_grid
-from .harness import (
-    load_config,
-    map_in_order,
-    run_rate_study,
-    with_overrides,
-    write_csv,
-    write_perreplication_csv,
-    write_rate_study_csv,
-    write_slope_csv,
-)
+from .harness import ExperimentConfig, load_config, map_in_order, run_rate_study, write_csv
 from .lowerbound import affinity_study, standard_config
 from .spectral_diag import (
     check_chisq_maximal,
@@ -78,6 +70,11 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fglm", description="Functional GLM simulation toolkit.")
     sub = parser.add_subparsers(dest="command", metavar="command")
+    # the options of every command that runs a study config; see _load_config
+    study = argparse.ArgumentParser(add_help=False)
+    study.add_argument("--config", required=True)
+    study.add_argument("--seed", type=int, default=None, help="override config seed")
+    study.add_argument("--out", default=None, help="override config out_dir")
 
     gen = sub.add_parser("generate", help="write one simulated dataset to CSV")
     gen.add_argument("--family", required=True, choices=family_names())
@@ -100,10 +97,7 @@ def _build_parser() -> _Parser:
     est.add_argument("--out", default=".", help="output directory")
     est.set_defaults(handler=_cmd_estimate)
 
-    rate = sub.add_parser("rate-study", help="MISE decay across sample sizes")
-    rate.add_argument("--config", required=True)
-    rate.add_argument("--seed", type=int, default=None, help="override config seed")
-    rate.add_argument("--out", default=None, help="override config out_dir")
+    rate = sub.add_parser("rate-study", parents=[study], help="MISE decay across sample sizes")
     rate.add_argument("--jobs", type=int, default=1)
     rate.add_argument(
         "--per-replication", action="store_true", help="also write perreplication.csv"
@@ -118,20 +112,16 @@ def _build_parser() -> _Parser:
     pert.add_argument("--out", default=".", help="output directory")
     pert.set_defaults(handler=_cmd_perturb_check)
 
-    low = sub.add_parser("lower-bound", help="calibrated hypercube affinity study")
-    low.add_argument("--config", required=True)
-    low.add_argument("--seed", type=int, default=None, help="override config seed")
-    low.add_argument("--out", default=None, help="override config out_dir")
+    low = sub.add_parser("lower-bound", parents=[study], help="calibrated hypercube affinity study")
     low.add_argument("--m", type=int, default=2, help="hypercube bits")
     low.add_argument("--n-grid", default="100,1000,10000")
     low.add_argument("--n-mc", type=int, default=200)
     low.add_argument("--radius", type=float, default=1.0)
     low.set_defaults(handler=_cmd_lower_bound)
 
-    diag = sub.add_parser("diagnostics", help="envelope / information / maximal checks")
-    diag.add_argument("--config", required=True)
-    diag.add_argument("--seed", type=int, default=None, help="override config seed")
-    diag.add_argument("--out", default=None, help="override config out_dir")
+    diag = sub.add_parser(
+        "diagnostics", parents=[study], help="envelope / information / maximal checks"
+    )
     diag.add_argument("--fisher-reps", type=int, default=200)
     diag.add_argument("--chisq-reps", type=int, default=100_000)
     diag.set_defaults(handler=_cmd_diagnostics)
@@ -144,6 +134,17 @@ def _require_out_dir(path: str) -> None:
     if os.path.exists(path) and not os.path.isdir(path):
         raise ValueError(f"output directory {path} is an existing file")
     _refuse_below_file(path, "directory")
+
+
+def _load_config(args) -> ExperimentConfig:
+    """The --config study with --seed and --out applied; its output directory is checked."""
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    if args.out is not None:
+        cfg = replace(cfg, out_dir=args.out)
+    _require_out_dir(cfg.out_dir)
+    return cfg
 
 
 def _require_out_file(path: str) -> None:
@@ -236,6 +237,7 @@ def _check_support(family: str, y: np.ndarray, path: str) -> None:
 def _cmd_estimate(args) -> int:
     _require_out_dir(args.out)
     t = uniform_grid(args.grid_points)  # refuse a bad --grid-points before any output
+    zeta_interval(args.alpha, args.beta)  # and a smoothness outside the model class
     ds = _read_dataset_csv(args.data)
     _check_support(args.family, ds.y, args.data)
     family = get_family(args.family)
@@ -256,18 +258,24 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_rate_study(args) -> int:
-    cfg = with_overrides(load_config(args.config), seed=args.seed, out_dir=args.out)
-    _require_out_dir(cfg.out_dir)
+    cfg = _load_config(args)
     result = run_rate_study(cfg, jobs=args.jobs)
-    rate_path = os.path.join(cfg.out_dir, "rate_study.csv")
-    slope_path = os.path.join(cfg.out_dir, "slope.csv")
-    write_rate_study_csv(cfg, result, rate_path)
-    write_slope_csv(result, slope_path)
-    written = [rate_path, slope_path]
+    written = [os.path.join(cfg.out_dir, name) for name in ("rate_study.csv", "slope.csv")]
+    write_csv(
+        written[0],
+        ["family", "alpha", "beta", "n", "reps", "m", "N", "mise_mean", "mise_se", "nonconverged"],
+        ((cfg.family, cfg.alpha, cfg.beta_s, p.n, p.reps, p.m, p.n_components, p.mise_mean,
+          p.mise_se, p.nonconverged) for p in result.points),
+    )
+    write_csv(written[1], ["slope", "se", "theoretical"],
+              [(result.fitted_slope, result.slope_se, result.theoretical)])
     if args.per_replication:
-        rep_path = os.path.join(cfg.out_dir, "perreplication.csv")
-        write_perreplication_csv(result, rep_path)
-        written.append(rep_path)
+        written.append(os.path.join(cfg.out_dir, "perreplication.csv"))
+        write_csv(
+            written[2],
+            ["n", "rep", "seed", "loss", "iterations", "converged"],
+            ((r.n, r.rep, r.seed, r.loss, r.iterations, r.converged) for r in result.replications),
+        )
     for p in result.points:
         print(
             f"n={p.n:6d} m={p.m} N={p.n_components} mise={p.mise_mean:.6g} "
@@ -315,8 +323,7 @@ def _cmd_perturb_check(args) -> int:
 
 
 def _cmd_lower_bound(args) -> int:
-    cfg = with_overrides(load_config(args.config), seed=args.seed, out_dir=args.out)
-    _require_out_dir(cfg.out_dir)
+    cfg = _load_config(args)
     n_grid = [int(v) for v in str(args.n_grid).split(",") if v.strip()]
     if not n_grid:
         raise ValueError("--n-grid must list at least one sample size")
@@ -353,8 +360,7 @@ def _cmd_lower_bound(args) -> int:
 
 
 def _cmd_diagnostics(args) -> int:
-    cfg = with_overrides(load_config(args.config), seed=args.seed, out_dir=args.out)
-    _require_out_dir(cfg.out_dir)
+    cfg = _load_config(args)
     # a refused count exits before any Monte Carlo starts or any verdict is printed
     require_fisher_reps(args.fisher_reps)
     require_chisq_reps(args.chisq_reps)

@@ -21,6 +21,7 @@ from .funcspace import FunctionRep
 __all__ = [
     "GroundTruth",
     "Dataset",
+    "check_smoothness",
     "make_ground_truth",
     "sample_dataset",
     "MU_MODES",
@@ -84,6 +85,14 @@ def _check_membership(gt: GroundTruth) -> None:
         raise ValueError("mean function exceeds the class radius")
 
 
+def check_smoothness(alpha: float, beta_s: float) -> None:
+    """Refuse decay exponents outside the model class: alpha > 1, beta_s > (alpha + 3) / 2."""
+    if not np.isfinite(alpha) or alpha <= 1.0:
+        raise ValueError("alpha must be finite and > 1")
+    if not np.isfinite(beta_s) or beta_s <= (alpha + 3.0) / 2.0:
+        raise ValueError("beta_s must be finite and > (alpha + 3) / 2")
+
+
 def make_ground_truth(
     alpha: float,
     beta_s: float,
@@ -98,10 +107,7 @@ def make_ground_truth(
     every class-membership condition hold; the GroundTruth constructor
     still verifies them explicitly.
     """
-    if not np.isfinite(alpha) or alpha <= 1.0:
-        raise ValueError("alpha must be finite and > 1")
-    if not np.isfinite(beta_s) or beta_s <= (alpha + 3.0) / 2.0:
-        raise ValueError("beta_s must be finite and > (alpha + 3) / 2")
+    check_smoothness(alpha, beta_s)
     if k_trunc < 4:
         raise ValueError("k_trunc must be at least 4")
     if mu_mode not in MU_MODES:

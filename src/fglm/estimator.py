@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Dataset, GroundTruth
+from .datagen import Dataset, GroundTruth, check_smoothness
 from .expfam import ExpFamilySpec
 from .fpca import spectral_estimate
 from .funcspace import FunctionRep, norm_sq
@@ -93,6 +93,7 @@ class FitResult:
 
 def zeta_interval(alpha: float, beta_s: float) -> tuple[float, float]:
     """Open interval of admissible exponents for the fitting dimension N."""
+    check_smoothness(alpha, beta_s)
     lo = 1.0 / (alpha + 2.0 * beta_s - 1.0)
     hi = 1.0 / (2.0 + 2.0 * alpha)
     if not lo < hi:

@@ -6,9 +6,9 @@ and eigenpairs come from a symmetric eigensolver with eigenvalues
 sorted descending and clamped to be nonnegative.  Scores are inner
 products of centered curves with the requested leading estimated
 eigenfunctions, so each score column has exact zero mean and the score
-Gram matrix reproduces the estimated eigenvalues.  The full summary
-scores all k_trunc components; the slope estimator asks only for the N
-it fits.
+Gram matrix reproduces the estimated eigenvalues.  Only the requested
+leading components are scored: the slope estimator asks for the N it
+fits.
 
 Eigenvectors are returned in C order.  The column gather that sorts
 them leaves a Fortran-order array, and BLAS sums a matrix-vector
@@ -96,14 +96,13 @@ def compute_scores(
     return centered @ phi_tilde[:, :n_components]
 
 
-def spectral_estimate(ds: Dataset, n_components: int | None = None) -> SpectralEstimate:
+def spectral_estimate(ds: Dataset, n_components: int) -> SpectralEstimate:
     """Spectral summary of a dataset; its scores cover the first
-    n_components components (None: all k_trunc)."""
+    n_components components."""
     xbar = sample_mean(ds)
     cov = sample_cov(ds)
     theta_tilde, phi_tilde = eigendecompose(cov)
-    k = ds.k_trunc if n_components is None else n_components
-    scores = compute_scores(ds, xbar, phi_tilde, k)
+    scores = compute_scores(ds, xbar, phi_tilde, n_components)
     return SpectralEstimate(
         xbar=xbar, cov=cov, theta_tilde=theta_tilde, phi_tilde=phi_tilde, scores=scores
     )

@@ -1,4 +1,4 @@
-"""Experiment orchestration: configs, replication loops, CSV emission.
+"""Experiment orchestration: configs, replication loops, the CSV writer.
 
 A study is a flat text config (key = value, `#` comments, keys named
 exactly after ExperimentConfig fields) plus a master seed.  Every
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,13 +35,9 @@ __all__ = [
     "run_rate_points",
     "run_rate_study",
     "fit_loglog_slope",
-    "write_rate_study_csv",
-    "write_slope_csv",
-    "write_perreplication_csv",
     "write_csv",
     "map_in_order",
     "usable_cpus",
-    "with_overrides",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -337,44 +333,6 @@ def write_csv(path: str, header, rows) -> None:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_rate_study_csv(cfg: ExperimentConfig, result: RateStudyResult, path: str) -> None:
-    write_csv(
-        path,
-        ["family", "alpha", "beta", "n", "reps", "m", "N", "mise_mean", "mise_se", "nonconverged"],
-        (
-            (
-                cfg.family,
-                cfg.alpha,
-                cfg.beta_s,
-                p.n,
-                p.reps,
-                p.m,
-                p.n_components,
-                p.mise_mean,
-                p.mise_se,
-                p.nonconverged,
-            )
-            for p in result.points
-        ),
-    )
-
-
-def write_slope_csv(result: RateStudyResult, path: str) -> None:
-    write_csv(
-        path,
-        ["slope", "se", "theoretical"],
-        [(result.fitted_slope, result.slope_se, result.theoretical)],
-    )
-
-
-def write_perreplication_csv(result: RateStudyResult, path: str) -> None:
-    write_csv(
-        path,
-        ["n", "rep", "seed", "loss", "iterations", "converged"],
-        ((r.n, r.rep, r.seed, r.loss, r.iterations, r.converged) for r in result.replications),
-    )
-
-
 def map_in_order(fn, items, jobs: int):
     """Yield `fn(item)` for every item of a sequence, in order, from a thread pool.
 
@@ -406,10 +364,3 @@ def usable_cpus() -> int:
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
-
-def with_overrides(cfg: ExperimentConfig, seed=None, out_dir=None) -> ExperimentConfig:
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if out_dir is not None:
-        cfg = replace(cfg, out_dir=out_dir)
-    return cfg

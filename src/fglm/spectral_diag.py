@@ -200,16 +200,13 @@ class EigenvectorReport:
     passed: np.ndarray
 
 
-def check_eigenvector_bound(
-    pair: PerturbationPair, data: AlignedEigenData | None = None
-) -> EigenvectorReport:
+def check_eigenvector_bound(pair: PerturbationPair, data: AlignedEigenData) -> EigenvectorReport:
     """Aligned eigenvector error within 3x its first-order size.
 
     Every index k is judged at once and each report field is an array
     over k.  An index without the gap hypothesis (`admissible`) passes by
     convention.
     """
-    data = data or aligned_eigen_data(pair)
     err_norm = np.linalg.norm(data.err, axis=0)
     lead_norm = np.linalg.norm(data.lead, axis=0)
     passed = ~data.admissible | (err_norm <= 3.0 * lead_norm + _SLACK)
@@ -223,9 +220,7 @@ class RemainderReport:
     passed: np.ndarray
 
 
-def check_eigenvector_remainder(
-    pair: PerturbationPair, data: AlignedEigenData | None = None
-) -> RemainderReport:
+def check_eigenvector_remainder(pair: PerturbationPair, data: AlignedEigenData) -> RemainderReport:
     """Remainder after removing the first-order eigenvector error.
 
     Its coordinate along e_k equals -||f_k||^2 / 2 exactly (a sign-
@@ -235,7 +230,6 @@ def check_eigenvector_remainder(
     bound over j != k.  An index without the gap hypothesis passes by
     convention.
     """
-    data = data or aligned_eigen_data(pair)
     err_sq = np.einsum("jk,jk->k", data.err, data.err)
     diag_abs_err = np.abs(np.diagonal(data.rem) + 0.5 * err_sq)
     lead_norm = np.linalg.norm(data.lead, axis=0)
@@ -262,7 +256,7 @@ def check_projection_bound(
     pair: PerturbationPair,
     j_set,
     b,
-    data: AlignedEigenData | None = None,
+    data: AlignedEigenData,
 ) -> ProjectionReport:
     """Spectral-projection error applied to a fixed coefficient vector.
 
@@ -274,7 +268,6 @@ def check_projection_bound(
     R1 + delta^2 R2; the envelope holds up to a universal constant, so
     the ratio is reported rather than asserted.
     """
-    data = data or aligned_eigen_data(pair)
     d = pair.dim
     j_idx = np.asarray(sorted(set(int(j) for j in j_set)), dtype=int)
     if j_idx.size == 0 or j_idx.min() < 0 or j_idx.max() >= d:

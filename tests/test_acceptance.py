@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from fglm import cli
 from fglm.estimator import fit_mle
 from fglm.expfam import (
     family_names,
@@ -17,13 +18,7 @@ from fglm.expfam import (
     hellinger_sq_bound,
     hellinger_sq_exact,
 )
-from fglm.harness import (
-    ExperimentConfig,
-    run_rate_study,
-    write_perreplication_csv,
-    write_rate_study_csv,
-    write_slope_csv,
-)
+from fglm.harness import ExperimentConfig, format_config, run_rate_study
 from fglm.lowerbound import affinity_study, standard_config
 from fglm.spectral_diag import (
     check_chisq_maximal,
@@ -211,14 +206,14 @@ def test_criterion_10_gaussian_oracle_equivalence():
 
 
 def test_criterion_11_determinism(tmp_path):
-    cfg = ExperimentConfig(K_trunc=30, n_grid=(40, 80, 160), reps=3, seed=0)
+    cfg = tmp_path / "study.cfg"
+    study = ExperimentConfig(K_trunc=30, n_grid=(40, 80, 160), reps=3, seed=0)
+    cfg.write_text(format_config(study))
     digests = []
     for sub in ("first", "second"):
         out = tmp_path / sub
-        result = run_rate_study(cfg)
-        write_rate_study_csv(cfg, result, str(out / "rate_study.csv"))
-        write_slope_csv(result, str(out / "slope.csv"))
-        write_perreplication_csv(result, str(out / "perreplication.csv"))
+        argv = ["rate-study", "--config", str(cfg), "--out", str(out), "--per-replication"]
+        assert cli.main(argv) == 0
         digests.append(
             tuple((out / f).read_bytes() for f in ("rate_study.csv", "slope.csv", "perreplication.csv"))
         )

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from fglm import cli, harness, lowerbound
 from fglm.cli import _read_dataset_csv, main
 from fglm.datagen import make_ground_truth, sample_dataset
-from fglm.estimator import estimate_slope
+from fglm.estimator import estimate_slope, tuning
 from fglm.expfam import get_family
 
 SMALL_CFG = "K_trunc = 30\nn_grid = 40, 80, 160\nreps = 2\nseed = 0\n"
@@ -43,6 +44,14 @@ def test_missing_config_file(tmp_path, capsys):
     code = main(["rate-study", "--config", str(tmp_path / "nope.cfg")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rate-study", "lower-bound", "diagnostics"])
+def test_config_commands_refuse_a_missing_config(tmp_path, capsys, command):
+    for argv in ([command], [command, "--config", str(tmp_path / "nope.cfg")]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1  # argparse alone exits 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_config_value(tmp_path, capsys):
@@ -230,6 +239,25 @@ def test_estimate_checks_grid_points_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha, beta", [(-1.0, 3.0), (0.5, 3.0), (2.0, math.inf),
+                                         (math.nan, 3.0), (2.0, 2.5)])
+def test_estimate_refuses_smoothness_outside_the_class_before_reading(
+    tmp_path, capsys, monkeypatch, alpha, beta
+):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the data file was read")
+
+    monkeypatch.setattr("fglm.cli._read_dataset_csv", no_read)
+    out = tmp_path / "out"
+    code = main(["estimate", "--data", str(tmp_path / "data.csv"), "--family", "gaussian",
+                 "--alpha", str(alpha), "--beta", str(beta), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        tuning(1000, alpha, beta)
+
+
 # --- data-file reader ---
 
 
@@ -364,6 +392,24 @@ def test_rate_study_writes_expected_files(tmp_path, capsys):
     assert (out / "perreplication.csv").exists()
     body = (out / "rate_study.csv").read_text().splitlines()
     assert len(body) == 4  # header + one row per sample size
+
+
+def test_study_csv_headers_and_determinism(tmp_path):
+    cfg = _write_cfg(tmp_path, "K_trunc = 30\nn_grid = 40, 80, 160\nreps = 3\nseed = 0\n"
+                               "newton_max_iter = 50\n")
+    d1, d2 = tmp_path / "one", tmp_path / "two"
+    for d in (d1, d2):
+        assert main(["rate-study", "--config", cfg, "--out", str(d), "--per-replication"]) == 0
+    for name in ("rate_study.csv", "slope.csv", "perreplication.csv"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+    assert (d1 / "rate_study.csv").read_text().splitlines()[0] == (
+        "family,alpha,beta,n,reps,m,N,mise_mean,mise_se,nonconverged"
+    )
+    assert (d1 / "slope.csv").read_text().splitlines()[0] == "slope,se,theoretical"
+    assert (d1 / "perreplication.csv").read_text().splitlines()[0] == (
+        "n,rep,seed,loss,iterations,converged"
+    )
+    assert len((d1 / "perreplication.csv").read_text().splitlines()) == 10
 
 
 def test_rate_study_jobs_do_not_change_output(tmp_path):
@@ -728,7 +774,8 @@ RATE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_rate_studie
 def test_rate_study_script_verdict_follows_its_csvs(tmp_path):
     # at 3 reps a study may miss its band, so the exit code is recomputed, not assumed
     proc = subprocess.run(
-        [sys.executable, str(RATE_SCRIPT), "--reps", "3", "--seed", "1", "--out", str(tmp_path)],
+        [sys.executable, "-W", "error", str(RATE_SCRIPT), "--reps", "3", "--seed", "1",
+         "--out", str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=300,
@@ -746,3 +793,24 @@ def test_rate_study_script_verdict_follows_its_csvs(tmp_path):
             failed |= abs(slope - theoretical) > 0.15
     failed |= slopes["gaussian_beta3"] - slopes["gaussian_beta4"] < 0.03
     assert proc.returncode == (1 if failed else 0), proc.stdout + proc.stderr
+
+
+def test_rate_study_script_refuses_an_out_below_a_file_before_any_draw(
+    tmp_path, capsys, monkeypatch
+):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a replication was started")
+
+    monkeypatch.setattr("fglm.harness.sample_dataset", no_draws)
+    spec = importlib.util.spec_from_file_location("run_rate_studies", RATE_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"keep these bytes\n")
+    below = taken / "sub" / "gaussian_beta3"
+    assert script.main(["--reps", "2", "--out", str(taken / "sub")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"output directory {below} lies below the existing file {taken}"
+    assert captured.err == f"error: {message}\n"
+    assert taken.read_bytes() == b"keep these bytes\n"

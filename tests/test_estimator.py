@@ -222,7 +222,7 @@ def test_lean_scores_match_the_full_k_path(family, n):
         ds = sample_dataset(gt, n, seed=seed)
         lean = estimate_slope(ds, fam, 2.0, 3.0)
         m, n_comp = lean.m, lean.n_components
-        est = spectral_estimate(ds)
+        est = spectral_estimate(ds, ds.k_trunc)
         assert est.scores.shape == (n, 200)
         full = fit_mle(ds.y, est.scores[:, :n_comp], fam)
         full_loss = loss(FunctionRep(est.phi_tilde[:, :m] @ full.coefs[1 : m + 1]), gt)

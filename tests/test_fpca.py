@@ -52,7 +52,8 @@ def test_eigendecompose_returns_c_order_eigenvectors():
     # the last bits of the score and slope products depend on this layout
     _, vecs = eigendecompose(sample_cov(_dataset()))
     assert vecs.flags.c_contiguous
-    assert spectral_estimate(_dataset()).phi_tilde.flags.c_contiguous
+    ds = _dataset()
+    assert spectral_estimate(ds, ds.k_trunc).phi_tilde.flags.c_contiguous
 
 
 def test_eigendecompose_small_offdiagonal():
@@ -87,27 +88,28 @@ def test_eigendecompose_clamps_roundoff_negatives():
 
 def test_scores_have_exact_zero_mean_and_diagonal_gram():
     ds = _dataset(n=60, k=10)
-    est = spectral_estimate(ds)
+    est = spectral_estimate(ds, ds.k_trunc)
     assert np.allclose(est.scores.mean(axis=0), 0.0, atol=1e-13)
     gram = est.scores.T @ est.scores / (ds.n - 1.0)
     assert np.allclose(gram, np.diag(est.theta_tilde), atol=1e-12)
 
 
 def test_eigenvalues_sorted_descending():
-    est = spectral_estimate(_dataset())
+    ds = _dataset()
+    est = spectral_estimate(ds, ds.k_trunc)
     assert np.all(np.diff(est.theta_tilde) <= 1e-15)
 
 
 def test_cov_reconstruction_from_eigenpairs():
     ds = _dataset(n=80, k=8)
-    est = spectral_estimate(ds)
+    est = spectral_estimate(ds, ds.k_trunc)
     rebuilt = est.phi_tilde @ np.diag(est.theta_tilde) @ est.phi_tilde.T
     assert np.allclose(rebuilt, est.cov, atol=1e-12)
 
 
 def test_partial_scores_prefix_of_full():
     ds = _dataset(n=30, k=9)
-    est = spectral_estimate(ds)
+    est = spectral_estimate(ds, ds.k_trunc)
     part = compute_scores(ds, est.xbar, est.phi_tilde, 4)
     assert np.allclose(part, est.scores[:, :4])
     lean = spectral_estimate(ds, 4).scores
@@ -130,7 +132,7 @@ def test_mean_norm_obeys_root_n_bound():
 def test_estimated_spectrum_near_truth_for_large_n():
     gt = make_ground_truth(2.0, 3.0, get_family("gaussian"), k_trunc=5)
     ds = sample_dataset(gt, 20_000, seed=2)
-    est = spectral_estimate(ds)
+    est = spectral_estimate(ds, ds.k_trunc)
     assert np.allclose(est.theta_tilde, gt.eigvals, rtol=0.06)
     # leading estimated component aligns with the first basis direction
     assert abs(est.phi_tilde[0, 0]) > 0.99

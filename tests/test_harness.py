@@ -24,11 +24,7 @@ from fglm.harness import (
     run_rate_points,
     run_rate_study,
     theoretical_exponent,
-    with_overrides,
     write_csv,
-    write_perreplication_csv,
-    write_rate_study_csv,
-    write_slope_csv,
 )
 
 TINY = ExperimentConfig(
@@ -108,13 +104,6 @@ def test_load_config_from_file(tmp_path):
     path.write_text("family = bernoulli\nreps = 5\n")
     cfg = load_config(str(path))
     assert cfg.family == "bernoulli" and cfg.reps == 5
-
-
-def test_with_overrides():
-    cfg = ExperimentConfig()
-    assert with_overrides(cfg).seed == cfg.seed
-    assert with_overrides(cfg, seed=9).seed == 9
-    assert with_overrides(cfg, out_dir="/tmp/x").out_dir == "/tmp/x"
 
 
 # --- seeding ---
@@ -468,22 +457,3 @@ def test_write_csv_matrix_path_spans_row_blocks(tmp_path):
     text = (tmp_path / "matrix.csv").read_bytes()
     assert text == _per_value_bytes(tmp_path / "values.csv", matrix)
     assert text.count(b"\n") == matrix.shape[0] + 1
-
-
-def test_study_csv_headers_and_determinism(tmp_path):
-    result = run_rate_study(TINY)
-    d1, d2 = tmp_path / "one", tmp_path / "two"
-    for d in (d1, d2):
-        write_rate_study_csv(TINY, result, str(d / "rate_study.csv"))
-        write_slope_csv(result, str(d / "slope.csv"))
-        write_perreplication_csv(result, str(d / "perreplication.csv"))
-    for name in ("rate_study.csv", "slope.csv", "perreplication.csv"):
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-    assert (d1 / "rate_study.csv").read_text().splitlines()[0] == (
-        "family,alpha,beta,n,reps,m,N,mise_mean,mise_se,nonconverged"
-    )
-    assert (d1 / "slope.csv").read_text().splitlines()[0] == "slope,se,theoretical"
-    assert (d1 / "perreplication.csv").read_text().splitlines()[0] == (
-        "n,rep,seed,loss,iterations,converged"
-    )
-    assert len((d1 / "perreplication.csv").read_text().splitlines()) == 10

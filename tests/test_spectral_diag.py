@@ -274,21 +274,23 @@ def test_remainder_diagonal_identity_is_exact():
 
 def test_eigenvector_bound_and_admissibility():
     pair = _pair(eps=0.001, seed=2)
-    rep = check_eigenvector_bound(pair)
-    assert np.all(aligned_eigen_data(pair).admissible) and np.all(rep.passed)
+    data = aligned_eigen_data(pair)
+    rep = check_eigenvector_bound(pair, data)
+    assert np.all(data.admissible) and np.all(rep.passed)
     assert np.all(rep.err_norm <= 3.0 * rep.lead_norm + 1e-10)
     # a perturbation larger than a fifth of the smallest gap voids the
     # hypothesis for the crowded bottom eigenvalues, which pass by convention
     big = _pair(eps=0.05, dim=10, seed=2)
-    admissible = aligned_eigen_data(big).admissible
+    big_data = aligned_eigen_data(big)
+    admissible = big_data.admissible
     assert not np.all(admissible)
-    assert np.all(check_eigenvector_bound(big).passed[~admissible])
+    assert np.all(check_eigenvector_bound(big, big_data).passed[~admissible])
 
 
 def test_projection_identity_and_envelope():
     pair = _pair(eps=0.01, seed=4)
     b = np.where(np.arange(6) % 2 == 0, 1.0, -1.0) * np.arange(1.0, 7.0) ** -3.0
-    rep = check_projection_bound(pair, (0, 1), b)
+    rep = check_projection_bound(pair, (0, 1), b, aligned_eigen_data(pair))
     assert rep.admissible
     assert rep.identity_passed
     assert rep.identity_err <= 1e-12
@@ -298,13 +300,14 @@ def test_projection_identity_and_envelope():
 
 def test_projection_input_validation():
     pair = _pair()
+    data = aligned_eigen_data(pair)
     b = np.zeros(6)
     with pytest.raises(ValueError):
-        check_projection_bound(pair, (), b)
+        check_projection_bound(pair, (), b, data)
     with pytest.raises(ValueError):
-        check_projection_bound(pair, (0, 99), b)
+        check_projection_bound(pair, (0, 99), b, data)
     with pytest.raises(ValueError):
-        check_projection_bound(pair, (0,), np.zeros(5))
+        check_projection_bound(pair, (0,), np.zeros(5), data)
 
 
 def test_random_suite_has_no_violations():

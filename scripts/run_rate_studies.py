@@ -9,6 +9,8 @@ prints its own lines and writes rate_study.csv / slope.csv per study; the
 fitted vs theoretical exponents are read back from slope.csv.  Exits 1 as
 soon as a command fails, if a beta_s = 3 study misses its exponent by more
 than 0.15, or if the beta_s = 4 study fails to decay visibly faster.
+An override that a config refuses (say --reps 0) exits 1 before any
+study runs.
 """
 from __future__ import annotations
 
@@ -37,12 +39,17 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=None, help="override config seed")
     args = ap.parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k in ("reps", "seed") and v is not None}
+    try:
+        configs = {name: replace(load_config(CONFIG_DIR / f"{name}.cfg"), **overrides)
+                   for name in STUDIES}
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     slopes = {}
     failures = 0
     with tempfile.TemporaryDirectory() as resolved_dir:
-        for name in STUDIES:
-            cfg = replace(load_config(CONFIG_DIR / f"{name}.cfg"), **overrides)
+        for name, cfg in configs.items():
             resolved = Path(resolved_dir, f"{name}.cfg")
             resolved.write_text(format_config(cfg), encoding="utf-8")
             out = Path(args.out, name)

@@ -150,7 +150,6 @@ def fit_mle(
     scores: np.ndarray,
     family: ExpFamilySpec,
     config: NewtonConfig | None = None,
-    init: np.ndarray | None = None,
 ) -> MLEFit:
     """Maximize the exponential-family log likelihood by damped Newton.
 
@@ -162,7 +161,9 @@ def fit_mle(
     objective, so exact monotone acceptance would stall the quadratic
     phase).  A coefficient escaping beyond `_SEPARATION_THRESHOLD` (1e3)
     stops the solver with converged=False (relevant for separable
-    Bernoulli samples); a non-finite objective is a hard error.
+    Bernoulli samples); a non-finite objective is a hard error.  Newton
+    starts from the intercept `family.init_natural(mean(y), n)` and
+    zero slopes.
     """
     cfg = config or NewtonConfig()
     y = np.asarray(y, dtype=float)
@@ -175,13 +176,8 @@ def fit_mle(
     design = np.column_stack([np.ones(n), scores])
     p = n_comp + 1
 
-    if init is None:
-        g = np.zeros(p)
-        g[0] = family.init_natural(float(y.mean()), n)
-    else:
-        g = np.array(init, dtype=float)
-        if g.shape != (p,):
-            raise ValueError("init must have length N + 1")
+    g = np.zeros(p)
+    g[0] = family.init_natural(float(y.mean()), n)
 
     def objective(eta):
         return float(y @ eta - np.sum(family.psi(eta)))

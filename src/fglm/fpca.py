@@ -1,21 +1,18 @@
 """Functional principal components from observed predictor curves.
 
-Everything happens in coefficient space: the sample mean is the
-coefficient average, the sample covariance uses the (n - 1) divisor,
-and eigenpairs come from a symmetric eigensolver with eigenvalues
-sorted descending and clamped to be nonnegative.  Scores are inner
-products of centered curves with the requested leading estimated
-eigenfunctions, so each score column has exact zero mean and the score
-Gram matrix reproduces the estimated eigenvalues.  Only the requested
-leading components are scored: the slope estimator asks for the N it
-fits.
+Everything happens in coefficient space.  `spectral_estimate` centres
+the sample once, at the coefficient average, and takes both the
+covariance ((n - 1) divisor) and the scores from that centred sample.
+Eigenvalues are sorted descending and clamped to be nonnegative.  The
+scores of the requested leading components (the slope estimator asks
+for the N it fits) have exact zero column means, and their Gram matrix
+reproduces the estimated eigenvalues.
 
-Eigenvectors are returned in C order.  The column gather that sorts
-them leaves a Fortran-order array, and BLAS sums a matrix-vector
-product such as the slope rebuild phi_tilde[:, :m] @ coefs in an order
-that depends on the layout, so the last bits of the study losses do
-too; the stock-study CSVs are pinned to C order.  SpectralEstimate
-holds read-only views of its arrays, not copies.
+Eigenvectors are LAPACK's ascending columns reversed and copied to C
+order.  BLAS sums a matrix-vector product such as the slope rebuild
+phi_tilde[:, :m] @ coefs in an order that depends on the layout, so the
+last bits of the study losses do too; the stock-study CSVs are pinned
+to C order.  SpectralEstimate holds read-only views of its arrays.
 """
 from __future__ import annotations
 
@@ -38,7 +35,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Mean, covariance, all eigenpairs, and the centered scores of the
+    """Mean, covariance, all eigenpairs, and the centred scores of the
     requested leading components of one sample."""
 
     xbar: FunctionRep
@@ -59,11 +56,10 @@ def sample_mean(ds: Dataset) -> FunctionRep:
 
 
 def sample_cov(ds: Dataset) -> np.ndarray:
-    """Sample covariance of the predictor coefficients, divisor n - 1."""
+    """Covariance x.T @ x / (n - 1) of a sample `ds` the caller has centred."""
     if ds.n < 2:
         raise ValueError("covariance needs at least 2 observations")
-    centered = ds.x - ds.x.mean(axis=0)
-    return centered.T @ centered / (ds.n - 1.0)
+    return ds.x.T @ ds.x / (ds.n - 1.0)
 
 
 def eigendecompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,32 +73,25 @@ def eigendecompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("covariance must be square")
     if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-10:
         raise ValueError("covariance is not symmetric within 1e-10")
-    vals, vecs = np.linalg.eigh(cov)
-    order = np.argsort(vals)[::-1]
-    # the gather leaves Fortran order; see the module docstring for why C order
-    return np.maximum(vals[order], 0.0), np.ascontiguousarray(vecs[:, order])
+    vals, vecs = np.linalg.eigh(cov)  # ascending
+    return np.maximum(vals[::-1], 0.0), np.ascontiguousarray(vecs[:, ::-1])
 
 
-def compute_scores(
-    ds: Dataset, xbar: FunctionRep, phi_tilde: np.ndarray, n_components: int
-) -> np.ndarray:
-    """Centered scores <X_i - xbar, phi_tilde_k>, shape n x n_components."""
-    k = ds.k_trunc
-    if not 0 <= n_components <= k:
+def compute_scores(ds: Dataset, phi_tilde: np.ndarray, n_components: int) -> np.ndarray:
+    """Scores x @ phi_tilde[:, :n_components] of a sample `ds` the caller has centred."""
+    if not 0 <= n_components <= ds.k_trunc:
         raise ValueError("n_components must lie in [0, k_trunc]")
-    if xbar.basis_size != k:
-        raise ValueError("xbar must live in the same truncated basis")
-    centered = ds.x - xbar.coeffs
-    return centered @ phi_tilde[:, :n_components]
+    return ds.x @ phi_tilde[:, :n_components]
 
 
 def spectral_estimate(ds: Dataset, n_components: int) -> SpectralEstimate:
     """Spectral summary of a dataset; its scores cover the first
     n_components components."""
     xbar = sample_mean(ds)
-    cov = sample_cov(ds)
+    centred = Dataset(x=ds.x - xbar.coeffs, y=ds.y, lambda_true=ds.lambda_true)
+    cov = sample_cov(centred)
     theta_tilde, phi_tilde = eigendecompose(cov)
-    scores = compute_scores(ds, xbar, phi_tilde, n_components)
+    scores = compute_scores(centred, phi_tilde, n_components)
     return SpectralEstimate(
         xbar=xbar, cov=cov, theta_tilde=theta_tilde, phi_tilde=phi_tilde, scores=scores
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .datagen import MU_MODES, GroundTruth, make_ground_truth, sample_dataset
+from .datagen import MU_MODES, GroundTruth, check_smoothness, make_ground_truth, sample_dataset
 from .estimator import NewtonConfig, TuningRule, estimate_slope, loss, tuning
 from .expfam import get_family
 
@@ -80,6 +80,7 @@ class ExperimentConfig:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
+        check_smoothness(self.alpha, self.beta_s)  # the model class, for every command
         if self.zeta_override is not None and not math.isfinite(self.zeta_override):
             raise ValueError("zeta_override must be finite")
         if self.K_trunc < 4 or self.newton_max_iter < 1 or self.newton_tol <= 0:

@@ -59,11 +59,33 @@ def test_bad_config_value(tmp_path, capsys):
     assert code == 1
 
 
-def test_config_outside_the_model_class_is_usage_error(tmp_path, capsys):
-    # refused when the ground truth is built, before any replication runs
-    cfg = _write_cfg(tmp_path, SMALL_CFG + "beta_s = 2.0\n")
-    assert main(["rate-study", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "beta_s must be" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "line, message",
+    [("alpha = 0.5", "alpha must be finite and > 1"),
+     ("beta_s = 2.0", "beta_s must be finite and > (alpha + 3) / 2")],
+    ids=["alpha", "beta_s"],
+)
+@pytest.mark.parametrize("command", ["rate-study", "lower-bound", "diagnostics"])
+def test_config_commands_refuse_a_config_outside_the_model_class(
+    tmp_path, capsys, monkeypatch, command, line, message
+):
+    # refused when the config is loaded, before any draw
+    draws = []
+    for module, name in ((lowerbound, "affinity_detail"), (cli, "check_chisq_maximal"),
+                         (harness, "sample_dataset")):
+        def record(*args, _name=name, _real=getattr(module, name), **kwargs):
+            draws.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+    cfg = _write_cfg(tmp_path, SMALL_CFG + line + "\n")
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out_dir.exists()  # no CSV
+    assert draws == []
 
 
 @pytest.mark.parametrize(
@@ -793,6 +815,28 @@ def test_rate_study_script_verdict_follows_its_csvs(tmp_path):
             failed |= abs(slope - theoretical) > 0.15
     failed |= slopes["gaussian_beta3"] - slopes["gaussian_beta4"] < 0.03
     assert proc.returncode == (1 if failed else 0), proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [(["--reps", "0"], "reps must be at least 1"), (["--seed", "-1"], "seed must fit in 64 bits")],
+    ids=["reps", "seed"],
+)
+def test_rate_study_script_refuses_a_bad_override_before_any_study(
+    tmp_path, capsys, monkeypatch, override, message
+):
+    studies = []
+    monkeypatch.setattr(cli, "main", lambda argv: studies.append(argv) or 0)
+    spec = importlib.util.spec_from_file_location("run_rate_studies", RATE_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "results"
+    assert script.main([*override, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert studies == []  # no study ran
+    assert not out.exists()
 
 
 def test_rate_study_script_refuses_an_out_below_a_file_before_any_draw(

@@ -97,7 +97,7 @@ def test_gaussian_converges_in_one_newton_step():
     rng = np.random.default_rng(0)
     scores = rng.standard_normal((40, 3))
     y = 0.5 + scores @ [1.0, -0.5, 0.2] + rng.standard_normal(40)
-    fit = fit_mle(y, scores, GAUSS, init=np.zeros(4))
+    fit = fit_mle(y, scores, GAUSS)
     assert fit.converged and fit.iterations == 1
 
 
@@ -173,9 +173,9 @@ def test_objective_not_below_start():
     rng = np.random.default_rng(9)
     scores = rng.standard_normal((30, 2))
     y = rng.binomial(1, 0.5, 30).astype(float)
-    init = np.array([0.2, -0.1, 0.3])
-    fit = fit_mle(y, scores, BERN, init=init)
-    eta0 = init[0] + scores @ init[1:]
+    fit = fit_mle(y, scores, BERN)
+    # the solver starts at the intercept-only guess with zero slopes
+    eta0 = np.full(30, BERN.init_natural(float(y.mean()), 30))
     start = float(y @ eta0 - np.sum(BERN.psi(eta0)))
     assert fit.objective >= start - 1e-12
 
@@ -186,8 +186,6 @@ def test_fit_mle_input_validation():
         fit_mle(y, np.zeros((4, 1)), GAUSS)  # row mismatch
     with pytest.raises(ValueError):
         fit_mle(y, np.zeros((5, 4)), GAUSS)  # n < N + 2
-    with pytest.raises(ValueError):
-        fit_mle(y, np.zeros((5, 1)), GAUSS, init=np.zeros(3))
 
 
 # --- full pipeline ---

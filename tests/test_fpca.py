@@ -17,6 +17,11 @@ def _dataset(n=40, k=12, seed=0):
     return sample_dataset(gt, n, seed=seed)
 
 
+def _centred(ds):
+    """The sample minus its coefficient average, as spectral_estimate passes it on."""
+    return Dataset(x=ds.x - ds.x.mean(axis=0), y=ds.y, lambda_true=ds.lambda_true)
+
+
 def test_sample_mean_is_coefficient_average():
     ds = _dataset()
     assert np.allclose(sample_mean(ds).coeffs, ds.x.mean(axis=0))
@@ -24,7 +29,7 @@ def test_sample_mean_is_coefficient_average():
 
 def test_sample_cov_matches_numpy():
     ds = _dataset()
-    assert np.allclose(sample_cov(ds), np.cov(ds.x, rowvar=False), atol=1e-12)
+    assert np.allclose(sample_cov(_centred(ds)), np.cov(ds.x, rowvar=False), atol=1e-12)
 
 
 def test_cov_requires_two_observations():
@@ -110,13 +115,36 @@ def test_cov_reconstruction_from_eigenpairs():
 def test_partial_scores_prefix_of_full():
     ds = _dataset(n=30, k=9)
     est = spectral_estimate(ds, ds.k_trunc)
-    part = compute_scores(ds, est.xbar, est.phi_tilde, 4)
+    part = compute_scores(_centred(ds), est.phi_tilde, 4)
     assert np.allclose(part, est.scores[:, :4])
     lean = spectral_estimate(ds, 4).scores
     assert lean.shape == (30, 4)
     assert np.allclose(lean, est.scores[:, :4], rtol=0, atol=1e-13)
     with pytest.raises(ValueError):
-        compute_scores(ds, est.xbar, est.phi_tilde, 10)
+        compute_scores(_centred(ds), est.phi_tilde, 10)
+
+
+def test_centring_once_keeps_every_bit_of_a_shifted_sample():
+    # a nonzero mean function, so a missed or repeated centring would show;
+    # the references are the expressions that each function centred with
+    gt = make_ground_truth(2.0, 3.0, get_family("poisson"), k_trunc=15, mu_mode="bumps")
+    ds = sample_dataset(gt, 200, seed=4)
+    n_comp = 5
+    est = spectral_estimate(ds, n_comp)
+    x = ds.x
+    xbar = x.mean(axis=0)
+    assert abs(xbar[0]) > 0.5  # the sample sits off the origin
+    centred = x - xbar
+    cov = centred.T @ centred / (ds.n - 1.0)
+    assert np.array_equal(est.cov, cov)
+    vals, vecs = np.linalg.eigh(cov)
+    order = np.argsort(vals)[::-1]
+    phi_tilde = np.ascontiguousarray(vecs[:, order])
+    assert np.array_equal(est.phi_tilde, phi_tilde)
+    assert est.phi_tilde.flags.c_contiguous
+    assert np.array_equal(est.theta_tilde, np.maximum(vals[order], 0.0))
+    assert np.array_equal(est.scores, centred @ phi_tilde[:, :n_comp])
+    assert np.array_equal(est.xbar.coeffs, xbar)
 
 
 def test_mean_norm_obeys_root_n_bound():

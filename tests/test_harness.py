@@ -91,6 +91,8 @@ def test_parse_rejects_malformed_input(text, msg):
         {"seed": -1},
         {"seed": 1 << 64},
         {"alpha": float("nan")},
+        {"alpha": 0.5},
+        {"beta_s": 2.0},
         {"K_trunc": 3},
     ],
 )

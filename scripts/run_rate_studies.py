@@ -53,7 +53,7 @@ def main(argv=None):
             resolved = Path(resolved_dir, f"{name}.cfg")
             resolved.write_text(format_config(cfg), encoding="utf-8")
             out = Path(args.out, name)
-            t0 = time.time()
+            t0 = time.perf_counter()
             command = ["rate-study", "--config", str(resolved), "--out", str(out)]
             if cli.main(command + ["--jobs", str(args.jobs)]) != 0:
                 return 1
@@ -62,7 +62,7 @@ def main(argv=None):
             slopes[name] = slope
             print(
                 f"[{name}] slope {slope:+.4f} (se {float(row['se']):.4f}) "
-                f"theoretical {theoretical:+.4f} in {time.time() - t0:.1f}s"
+                f"theoretical {theoretical:+.4f} in {time.perf_counter() - t0:.1f}s"
             )
             if name.endswith("beta3"):
                 gap = abs(slope - theoretical)

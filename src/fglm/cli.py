@@ -21,7 +21,8 @@ Exit codes: 0 success, 1 bad arguments/config/input, 2 runtime or
 certification failure; an output directory that is or lies below a file,
 and a ``generate`` CSV that is a directory or lies below a file, are
 refused before any work.  ``rate-study --jobs`` (default 1) and ``diagnostics``
-share the thread pool ``harness.map_in_order``; output never depends on it.
+share the thread pool ``harness.map_in_order``, which holds OpenBLAS to one
+thread while it runs; output never depends on either.
 """
 from __future__ import annotations
 
@@ -324,7 +325,10 @@ def _cmd_perturb_check(args) -> int:
 
 def _cmd_lower_bound(args) -> int:
     cfg = _load_config(args)
-    n_grid = [int(v) for v in str(args.n_grid).split(",") if v.strip()]
+    try:
+        n_grid = [int(v) for v in str(args.n_grid).split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"--n-grid must list integers, got {args.n_grid!r}") from None
     if not n_grid:
         raise ValueError("--n-grid must list at least one sample size")
     base = standard_config(

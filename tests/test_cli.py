@@ -529,6 +529,19 @@ def test_lower_bound_refuses_an_empty_n_grid(tmp_path, capsys):
     assert not (tmp_path / "affinity.csv").exists()
 
 
+def test_lower_bound_refuses_a_non_integer_n_grid(tmp_path, capsys, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("an affinity study was started")
+
+    monkeypatch.setattr(cli, "affinity_study", no_draws)
+    code = main(
+        ["lower-bound", "--config", _write_cfg(tmp_path), "--out", str(tmp_path), "--n-grid", "100,x"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: --n-grid must list integers, got '100,x'\n"
+    assert not (tmp_path / "affinity.csv").exists()
+
+
 def test_diagnostics_small_run_passes(tmp_path, capsys):
     out_dir = tmp_path / "diag"
     code = main(

@@ -1,6 +1,9 @@
+import dataclasses
 import math
 import sys
 import threading
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fglm import harness
+from fglm import cli, harness
 from fglm.datagen import make_ground_truth, sample_dataset
 from fglm.estimator import NewtonConfig, TuningRule, fit_mle, loss, tuning
 from fglm.expfam import family_names, get_family, sample_response
@@ -392,6 +395,173 @@ def test_map_in_order_caps_the_threads(monkeypatch, jobs, items, cpus, threads):
     monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
     assert list(map_in_order(str, range(items), jobs)) == [str(i) for i in range(items)]
     assert workers == [threads]
+
+
+# --- one BLAS thread while the pool runs ---
+
+
+class FakeBlas:
+    """A thread count behind get/set calls, as `_blas_thread_calls` returns them."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def calls(self):
+        def get():
+            return self.count
+
+        def put(count):
+            self.count = count
+
+        return get, put
+
+
+def _finish(gen):
+    return list(gen)
+
+
+def _raise(gen):
+    with pytest.raises(RuntimeError, match="stop"):
+        list(gen)
+
+
+def _close_early(gen):
+    for _ in gen:
+        break
+    gen.close()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("end", [_finish, _raise, _close_early], ids=["finish", "raise", "close"])
+def test_map_in_order_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, end, jobs):
+    blas = FakeBlas(4)
+    monkeypatch.setattr(harness, "_blas_thread_calls", blas.calls)
+    seen = []
+
+    def fn(item):
+        seen.append(blas.count)
+        if item == 2 and end is _raise:
+            raise RuntimeError("stop")
+        return item
+
+    gen = map_in_order(fn, range(5), jobs)
+    assert blas.count == 4  # a generator sets nothing before iteration starts
+    end(gen)
+    assert seen and set(seen) == {1}
+    assert blas.count == 4
+
+
+@pytest.fixture
+def fresh_blas_lookup():
+    harness._blas_thread_calls.cache_clear()
+    yield
+    harness._blas_thread_calls.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "libs",
+    [[], [types.SimpleNamespace()], [types.SimpleNamespace(openblas_get_num_threads64_=lambda: 4)]],
+    ids=["no_library", "no_symbol", "no_setter"],
+)
+def test_missing_openblas_leaves_blas_alone(monkeypatch, fresh_blas_lookup, libs):
+    monkeypatch.setattr(harness, "_numpy_openblas", lambda: libs)
+    assert harness._blas_thread_calls() is None
+    assert list(map_in_order(lambda i: i * i, range(5), 2)) == [0, 1, 4, 9, 16]
+
+
+def test_the_numpy_1x_symbols_are_used_when_the_new_ones_are_missing(monkeypatch, fresh_blas_lookup):
+    blas = FakeBlas(4)
+    get, put = blas.calls()
+    lib = types.SimpleNamespace(openblas_get_num_threads64_=get, openblas_set_num_threads64_=put)
+    monkeypatch.setattr(harness, "_numpy_openblas", lambda: [types.SimpleNamespace(), lib])
+    assert harness._blas_thread_calls() == (get, put)
+    assert list(map_in_order(lambda i: blas.count, range(3), 2)) == [1, 1, 1]
+    assert blas.count == 4
+
+
+def test_pools_open_at_once_share_one_hold(monkeypatch):
+    # the first pool ends while the second still runs: its restore must wait
+    blas = FakeBlas(4)
+    monkeypatch.setattr(harness, "_blas_thread_calls", blas.calls)
+    first = map_in_order(lambda i: blas.count, range(2), 1)
+    second = map_in_order(lambda i: blas.count, range(2), 1)
+    assert next(first) == 1 and next(second) == 1
+    assert list(first) == [1]
+    assert blas.count == 1
+    assert list(second) == [1]
+    assert blas.count == 4
+
+
+def test_pools_on_many_threads_never_see_the_count_restored_under_them(monkeypatch):
+    blas = FakeBlas(4)
+    monkeypatch.setattr(harness, "_blas_thread_calls", blas.calls)
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def pools():
+            for _ in range(50):
+                values = list(map_in_order(lambda i: blas.count, range(4), 2))
+                seen.extend(values)
+
+        threads = [threading.Thread(target=pools) for _ in range(6)]  # more than cores
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 6 * 50 * 4 and set(seen) == {1}
+    assert blas.count == 4
+
+
+def test_the_real_openblas_runs_one_thread_inside_the_pool():
+    calls = harness._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's OpenBLAS or its thread calls were not found")
+    get, put = calls
+    before = get()
+    put(2)  # a count the cap visibly changes, whatever the machine started with
+    try:
+        assert list(map_in_order(lambda i: get(), range(4), 2)) == [1, 1, 1, 1]
+        assert get() == 2
+    finally:
+        put(before)
+
+
+def test_the_blas_cap_keeps_every_byte_of_a_poisson_study(monkeypatch, tmp_path):
+    # Capped runs start from one BLAS thread and from two; uncapped runs (the
+    # library "not found") from one, as under OPENBLAS_NUM_THREADS=1.  On some
+    # kernels (Nehalem) two-thread eigh rounds differently, so without the cap
+    # a study started from two threads would not match.
+    calls = harness._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's OpenBLAS or its thread calls were not found")
+    get, put = calls
+    stock = load_config(Path(__file__).resolve().parents[1] / "scripts" / "configs" / "poisson_beta3.cfg")
+    cfg = tmp_path / "poisson.cfg"
+    cfg.write_text(format_config(dataclasses.replace(stock, reps=5)))
+    outputs = {}
+    before = get()
+    try:
+        for capped, start in ((True, 2), (True, 1), (False, 1)):
+            if not capped:
+                monkeypatch.setattr(harness, "_blas_thread_calls", lambda: None)
+            for jobs in ("1", "2"):
+                put(start)
+                out = tmp_path / f"{capped}-{start}-{jobs}"
+                argv = ["rate-study", "--config", str(cfg), "--per-replication", "--jobs", jobs]
+                assert cli.main(argv + ["--out", str(out)]) == 0
+                assert get() == start
+                outputs[capped, start, jobs] = tuple(
+                    (out / name).read_bytes()
+                    for name in ("rate_study.csv", "slope.csv", "perreplication.csv")
+                )
+    finally:
+        put(before)
+    assert len(set(outputs.values())) == 1
 
 
 def test_single_rep_has_zero_se():

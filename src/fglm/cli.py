@@ -22,7 +22,8 @@ certification failure; an output directory that is or lies below a file,
 and a ``generate`` CSV that is a directory or lies below a file, are
 refused before any work.  ``rate-study --jobs`` (default 1) and ``diagnostics``
 share the thread pool ``harness.map_in_order``, which holds OpenBLAS to one
-thread while it runs; output never depends on either.
+thread while it runs; output never depends on either.  ``estimate`` fits
+under the same one-thread hold, so its bits do not depend on the core count.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from .datagen import MU_MODES, Dataset, make_ground_truth, sample_dataset
 from .estimator import estimate_slope, zeta_interval
 from .expfam import family_names, get_family, verify_envelope
 from .funcspace import evaluate_on_grid, uniform_grid
+from .harness import _ONE_BLAS_THREAD
 from .harness import ExperimentConfig, load_config, map_in_order, run_rate_study, write_csv
 from .lowerbound import affinity_study, standard_config
 from .spectral_diag import (
@@ -241,13 +243,13 @@ def _cmd_estimate(args) -> int:
     zeta_interval(args.alpha, args.beta)  # and a smoothness outside the model class
     ds = _read_dataset_csv(args.data)
     _check_support(args.family, ds.y, args.data)
-    family = get_family(args.family)
-    fit = estimate_slope(ds, family, args.alpha, args.beta)
+    with _ONE_BLAS_THREAD:  # as in a study, so the bits do not depend on the core count
+        fit = estimate_slope(ds, get_family(args.family), args.alpha, args.beta)
+        vals = evaluate_on_grid(fit.slope, args.grid_points)
     coef_path = os.path.join(args.out, "estimate_coefs.csv")
     grid_path = os.path.join(args.out, "estimate_grid.csv")
     coeffs = fit.slope.coeffs
     write_csv(coef_path, ["k", "coef"], ((k + 1, coeffs[k]) for k in range(coeffs.shape[0])))
-    vals = evaluate_on_grid(fit.slope, args.grid_points)
     write_csv(grid_path, ["t", "value"], zip(t, vals))
     status = "converged" if fit.converged else "NOT converged"
     print(

@@ -3,6 +3,8 @@
 Everything happens in coefficient space.  `spectral_estimate` centres
 the sample once, at the coefficient average, and takes both the
 covariance ((n - 1) divisor) and the scores from that centred sample.
+Its SpectralEstimate holds the eigenpairs and scores only; `sample_mean`
+and `sample_cov` give the mean and covariance on their own.
 Eigenvalues are sorted descending and clamped to be nonnegative.  The
 scores of the requested leading components (the slope estimator asks
 for the N it fits) have exact zero column means, and their Gram matrix
@@ -35,17 +37,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Mean, covariance, all eigenpairs, and the centred scores of the
-    requested leading components of one sample."""
+    """All eigenpairs, and the centred scores of the requested leading
+    components of one sample."""
 
-    xbar: FunctionRep
-    cov: np.ndarray
     theta_tilde: np.ndarray
     phi_tilde: np.ndarray  # columns are eigenvectors in the fixed basis
     scores: np.ndarray  # n x (requested components)
 
     def __post_init__(self):
-        for name in ("cov", "theta_tilde", "phi_tilde", "scores"):
+        for name in ("theta_tilde", "phi_tilde", "scores"):
             arr = np.asarray(getattr(self, name), dtype=float).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -87,11 +87,7 @@ def compute_scores(ds: Dataset, phi_tilde: np.ndarray, n_components: int) -> np.
 def spectral_estimate(ds: Dataset, n_components: int) -> SpectralEstimate:
     """Spectral summary of a dataset; its scores cover the first
     n_components components."""
-    xbar = sample_mean(ds)
-    centred = Dataset(x=ds.x - xbar.coeffs, y=ds.y, lambda_true=ds.lambda_true)
-    cov = sample_cov(centred)
-    theta_tilde, phi_tilde = eigendecompose(cov)
+    centred = Dataset(x=ds.x - sample_mean(ds).coeffs, y=ds.y, lambda_true=ds.lambda_true)
+    theta_tilde, phi_tilde = eigendecompose(sample_cov(centred))
     scores = compute_scores(centred, phi_tilde, n_components)
-    return SpectralEstimate(
-        xbar=xbar, cov=cov, theta_tilde=theta_tilde, phi_tilde=phi_tilde, scores=scores
-    )
+    return SpectralEstimate(theta_tilde=theta_tilde, phi_tilde=phi_tilde, scores=scores)

@@ -1,12 +1,15 @@
 """Experiment orchestration: configs, replication loops, the CSV writer.
 
 A study is a flat text config (key = value, `#` comments, keys named
-exactly after ExperimentConfig fields) plus a master seed.  Every
+exactly after ExperimentConfig fields) plus a master seed.  Loading a
+config validates it and builds its tuning rule and Newton settings once,
+so a bad rule is refused by every command before any work.  Every
 replication derives its own 64-bit seed from (master, index of n, rep)
 through a splitmix64 mix, so results are independent of execution
 order and identical across --jobs settings.  Replications share one
-ground truth and run through `map_in_order`, the package's one thread
-pool, on at most --jobs threads (default 1).  While the pool runs, the
+ground truth and those settings, run through `map_in_order`, the
+package's one thread pool, on at most --jobs threads (default 1), and
+each returns its own ReplicationRecord.  While the pool runs, the
 OpenBLAS bundled with numpy is held to one thread, so the pool's threads
 and not BLAS's own share the cores; the count it had before is restored
 when the pool ends.  CSV floats are written with 17 significant digits
@@ -26,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .datagen import MU_MODES, GroundTruth, check_smoothness, make_ground_truth, sample_dataset
-from .estimator import NewtonConfig, TuningRule, estimate_slope, loss, tuning
+from .estimator import NewtonConfig, TuningRule, estimate_slope, loss, tuning, zeta_interval
 from .expfam import get_family
 
 __all__ = [
@@ -52,7 +55,11 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a study needs; field names double as config-file keys."""
+    """Everything a study needs; field names double as config-file keys.
+
+    Construction also builds the study's TuningRule `rule` and NewtonConfig
+    `newton` once, as plain attributes: neither is a field or config key.
+    """
 
     family: str = "gaussian"
     alpha: float = 2.0
@@ -88,10 +95,14 @@ class ExperimentConfig:
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
         check_smoothness(self.alpha, self.beta_s)  # the model class, for every command
-        if self.zeta_override is not None and not math.isfinite(self.zeta_override):
-            raise ValueError("zeta_override must be finite")
         if self.K_trunc < 4 or self.newton_max_iter < 1 or self.newton_tol <= 0:
             raise ValueError("K_trunc must be >= 4, newton_max_iter >= 1 and newton_tol > 0")
+        if self.zeta_override is not None:  # as `tuning` would refuse it at every n
+            lo, hi = zeta_interval(self.alpha, self.beta_s)
+            if not lo < self.zeta_override < hi:
+                raise ValueError(f"zeta must lie strictly inside ({lo:.6g}, {hi:.6g})")
+        object.__setattr__(self, "rule", TuningRule(self.c_m, self.c_N, self.zeta_override))
+        object.__setattr__(self, "newton", NewtonConfig(self.newton_tol, self.newton_max_iter))
 
 
 # value parser per field annotation (annotations are strings in this module)
@@ -197,18 +208,14 @@ class RateStudyResult:
 
 
 def _replication_task(
-    cfg: ExperimentConfig, gt: GroundTruth, n: int, seed: int
-) -> tuple[float, int, bool]:
+    cfg: ExperimentConfig, gt: GroundTruth, n: int, rep: int, seed: int
+) -> ReplicationRecord:
     ds = sample_dataset(gt, n, seed)
-    fit = estimate_slope(
-        ds,
-        gt.family,
-        cfg.alpha,
-        cfg.beta_s,
-        rule=TuningRule(c_m=cfg.c_m, c_N=cfg.c_N, zeta=cfg.zeta_override),
-        config=NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.newton_max_iter),
+    fit = estimate_slope(ds, gt.family, cfg.alpha, cfg.beta_s, rule=cfg.rule, config=cfg.newton)
+    return ReplicationRecord(
+        n=n, rep=rep, seed=seed, loss=loss(fit.slope, gt), iterations=fit.iterations,
+        converged=fit.converged,
     )
-    return loss(fit.slope, gt), fit.iterations, fit.converged
 
 
 def run_rate_points(
@@ -224,7 +231,6 @@ def run_rate_points(
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    rule = TuningRule(c_m=cfg.c_m, c_N=cfg.c_N, zeta=cfg.zeta_override)
     gt = make_ground_truth(
         cfg.alpha,
         cfg.beta_s,
@@ -233,7 +239,7 @@ def run_rate_points(
         intercept=cfg.a,
         mu_mode=cfg.mu_mode,
     )
-    levels = [tuning(n, cfg.alpha, cfg.beta_s, rule) for n in cfg.n_grid]
+    levels = [tuning(n, cfg.alpha, cfg.beta_s, cfg.rule) for n in cfg.n_grid]
     for n, (_, n_comp) in zip(cfg.n_grid, levels):
         if n_comp > cfg.K_trunc:  # estimate_slope would clamp N to K_trunc, unreported
             raise ValueError(f"N={n_comp} components at n={n} exceed K_trunc={cfg.K_trunc}")
@@ -242,18 +248,14 @@ def run_rate_points(
         for n_idx, n in enumerate(cfg.n_grid)
         for rep in range(cfg.reps)
     ]
-    outcomes = []
+    records = []
     try:
-        for outcome in map_in_order(lambda m: _replication_task(cfg, gt, m[0], m[2]), meta, jobs):
-            outcomes.append(outcome)
+        for record in map_in_order(lambda m: _replication_task(cfg, gt, *m), meta, jobs):
+            records.append(record)
     except Exception as exc:
-        n, rep, seed = meta[len(outcomes)]  # outcomes arrive in meta order
+        n, rep, seed = meta[len(records)]  # records arrive in meta order
         raise RuntimeError(f"replication failed at n={n}, rep={rep}, seed={seed}: {exc}") from exc
 
-    records = tuple(
-        ReplicationRecord(n=n, rep=rep, seed=seed, loss=o[0], iterations=o[1], converged=o[2])
-        for (n, rep, seed), o in zip(meta, outcomes)
-    )
     points = []
     for n_idx, (n, (m, n_comp)) in enumerate(zip(cfg.n_grid, levels)):
         chunk = records[n_idx * cfg.reps : (n_idx + 1) * cfg.reps]
@@ -270,7 +272,7 @@ def run_rate_points(
                 nonconverged=sum(1 for r in chunk if not r.converged),
             )
         )
-    return tuple(points), records
+    return tuple(points), tuple(records)
 
 
 def run_rate_study(cfg: ExperimentConfig, jobs: int = 1) -> RateStudyResult:

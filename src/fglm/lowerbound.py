@@ -116,12 +116,6 @@ def _check_gamma(cfg: AssouadConfig, gamma) -> np.ndarray:
     return gamma
 
 
-def _flip_offset(cfg: AssouadConfig, j: int) -> int:
-    if j not in cfg.j_set:
-        raise ValueError(f"flip index {j} outside coordinates {cfg.j_set}")
-    return j - (cfg.m + 1)
-
-
 def hypercube_slope(cfg: AssouadConfig, gamma) -> FunctionRep:
     """Slope at a hypercube corner: eps * gamma_j * beta_j on coordinate j."""
     gamma = _check_gamma(cfg, gamma)
@@ -133,8 +127,10 @@ def hypercube_slope(cfg: AssouadConfig, gamma) -> FunctionRep:
 def flip(cfg: AssouadConfig, gamma, j: int) -> tuple[int, ...]:
     """Corner with bit j (1-indexed coordinate in J) flipped."""
     gamma = _check_gamma(cfg, gamma)
+    if j not in cfg.j_set:
+        raise ValueError(f"flip index {j} outside coordinates {cfg.j_set}")
     out = gamma.astype(int).tolist()
-    pos = _flip_offset(cfg, j)
+    pos = j - cfg.m - 1
     out[pos] = 1 - out[pos]
     return tuple(out)
 
@@ -166,19 +162,17 @@ def affinity_detail(
         raise ValueError("n must be positive")
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
-    gamma = _check_gamma(cfg, gamma)
-    pos = _flip_offset(cfg, j)
-
-    weights = cfg.eps_scale * cfg.beta_weights * gamma
+    weights = hypercube_slope(cfg, gamma).coeffs[cfg.m :]
+    pos = j - cfg.m - 1
     # flipping bit j adds or removes eps*beta_j from the j-th coordinate
-    delta_sign = -1.0 if gamma[pos] == 1.0 else 1.0
+    step = hypercube_slope(cfg, flip(cfg, gamma, j)).coeffs[j - 1] - weights[pos]
     scale = np.sqrt(cfg.theta_j)
     rng = np.random.default_rng(seed)
     vals = np.empty(n_mc)
     for d in range(n_mc):
         z = rng.standard_normal((n, cfg.m)) * scale
         lam = z @ weights
-        delta = delta_sign * cfg.eps_scale * cfg.beta_weights[pos] * z[:, pos]
+        delta = step * z[:, pos]
         s = min(2.0, float(np.sum(hellinger_sq_exact(cfg.family, lam, delta))))
         vals[d] = 1.0 - math.sqrt(s)
     mean = float(np.mean(vals))

@@ -62,8 +62,12 @@ def test_bad_config_value(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line, message",
     [("alpha = 0.5", "alpha must be finite and > 1"),
-     ("beta_s = 2.0", "beta_s must be finite and > (alpha + 3) / 2")],
-    ids=["alpha", "beta_s"],
+     ("beta_s = 2.0", "beta_s must be finite and > (alpha + 3) / 2"),
+     # a tuning rule only rate-study uses is still refused by every command
+     ("c_m = -1", "tuning constants must be positive"),
+     ("c_N = 0", "tuning constants must be positive"),
+     ("zeta_override = 0.9", "zeta must lie strictly inside (0.142857, 0.166667)")],
+    ids=["alpha", "beta_s", "c_m", "c_N", "zeta_override"],
 )
 @pytest.mark.parametrize("command", ["rate-study", "lower-bound", "diagnostics"])
 def test_config_commands_refuse_a_config_outside_the_model_class(

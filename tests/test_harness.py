@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from fglm import cli, harness
 from fglm.datagen import make_ground_truth, sample_dataset
-from fglm.estimator import NewtonConfig, TuningRule, fit_mle, loss, tuning
+from fglm.estimator import NewtonConfig, TuningRule, estimate_slope, fit_mle, loss, tuning
 from fglm.expfam import family_names, get_family, sample_response
 from fglm.funcspace import FunctionRep
 from fglm.harness import (
@@ -47,11 +47,23 @@ def test_defaults_are_valid():
 
 def test_parse_format_round_trip():
     cfg = ExperimentConfig(
-        family="poisson", alpha=1.5, n_grid=(10, 20), reps=2, zeta_override=0.15
+        family="poisson", alpha=1.5, n_grid=(10, 20), reps=2, zeta_override=0.175
     )
     assert parse_config(format_config(cfg)) == cfg
     # and the default survives too, including zeta_override = none
     assert parse_config(format_config(ExperimentConfig())) == ExperimentConfig()
+
+
+def test_solver_settings_are_built_once_at_load(monkeypatch):
+    cfg = dataclasses.replace(TINY, c_m=1.5, zeta_override=0.15)
+    assert cfg.rule == TuningRule(c_m=1.5, c_N=2.0, zeta=0.15)
+    assert cfg.newton == NewtonConfig(tol=1e-10, max_iter=50)
+    assert "rule" not in format_config(cfg) and "newton =" not in format_config(cfg)
+    built = []
+    monkeypatch.setattr(harness, "TuningRule", lambda *args, **kwargs: built.append(args))
+    monkeypatch.setattr(harness, "NewtonConfig", lambda *args, **kwargs: built.append(args))
+    _, records = run_rate_points(cfg, jobs=2)
+    assert len(records) == 9 and built == []
 
 
 def test_parse_ignores_comments_and_blanks():
@@ -244,10 +256,11 @@ def test_replication_matches_the_long_way_bit_for_bit(family, mu_mode):
     )
     for rep in range(cfg.reps):
         seed = replication_seed(cfg.seed, 0, rep)
-        got = harness._replication_task(cfg, gt, 2000, seed)
+        got = harness._replication_task(cfg, gt, 2000, rep, seed)
         want = _reference_replication(cfg, 2000, seed)
-        assert float.hex(got[0]) == float.hex(want[0])
-        assert got[1:] == want[1:]
+        assert (got.n, got.rep, got.seed) == (2000, rep, seed)
+        assert float.hex(got.loss) == float.hex(want[0])
+        assert (got.iterations, got.converged) == want[1:]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -562,6 +575,53 @@ def test_the_blas_cap_keeps_every_byte_of_a_poisson_study(monkeypatch, tmp_path)
     finally:
         put(before)
     assert len(set(outputs.values())) == 1
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["fit", "fit_raises"])
+def test_estimate_fits_on_one_blas_thread_and_restores_the_count(monkeypatch, tmp_path, fails):
+    blas = FakeBlas(4)
+    monkeypatch.setattr(harness, "_blas_thread_calls", blas.calls)
+    seen = []
+
+    def fit(*args, **kwargs):
+        seen.append(blas.count)
+        if fails:
+            raise RuntimeError("stop")
+        return estimate_slope(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_slope", fit)
+    data = str(tmp_path / "data.csv")
+    assert cli.main(["generate", "--family", "gaussian", "--n", "60", "--k-trunc", "10",
+                     "--out", data]) == 0
+    argv = ["estimate", "--data", data, "--family", "gaussian", "--out", str(tmp_path)]
+    assert cli.main(argv) == (2 if fails else 0)
+    assert seen == [1]
+    assert blas.count == 4
+
+
+def test_estimate_keeps_every_byte_from_any_blas_thread_count(tmp_path):
+    # on some kernels (Nehalem) a two-thread eigh of a 200 x 200 covariance
+    # rounds differently, so without the hold these files would differ there
+    calls = harness._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's OpenBLAS or its thread calls were not found")
+    get, put = calls
+    data = str(tmp_path / "data.csv")
+    assert cli.main(["generate", "--family", "gaussian", "--n", "300", "--out", data]) == 0
+    outputs = {}
+    before = get()
+    try:
+        for start in (1, 2):
+            put(start)
+            out = tmp_path / str(start)
+            assert cli.main(["estimate", "--data", data, "--family", "gaussian",
+                             "--out", str(out)]) == 0
+            assert get() == start
+            outputs[start] = [(out / name).read_bytes()
+                              for name in ("estimate_coefs.csv", "estimate_grid.csv")]
+    finally:
+        put(before)
+    assert outputs[1] == outputs[2]
 
 
 def test_single_rep_has_zero_se():

@@ -19,7 +19,6 @@ import csv
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from fglm import cli
@@ -40,8 +39,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k in ("reps", "seed") and v is not None}
     try:
-        configs = {name: replace(load_config(CONFIG_DIR / f"{name}.cfg"), **overrides)
-                   for name in STUDIES}
+        configs = {name: load_config(CONFIG_DIR / f"{name}.cfg", **overrides) for name in STUDIES}
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

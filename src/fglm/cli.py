@@ -17,6 +17,9 @@ The three certification commands own their verdicts: each prints a
 (``lower-bound`` when the smallest calibrated affinity at any n falls
 below 0.1).  ``scripts/run_certifications.py`` only drives them.
 
+``rate-study``, ``lower-bound`` and ``diagnostics`` build their ``--config``
+once, ``--seed`` and ``--out`` applied, so all three refuse the same configs.
+
 Exit codes: 0 success, 1 bad arguments/config/input, 2 runtime or
 certification failure; an output directory that is or lies below a file,
 and a ``generate`` CSV that is a directory or lies below a file, are
@@ -32,7 +35,6 @@ import csv
 import os
 import sys
 import warnings
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -41,8 +43,8 @@ from .datagen import MU_MODES, Dataset, make_ground_truth, sample_dataset
 from .estimator import estimate_slope, zeta_interval
 from .expfam import family_names, get_family, verify_envelope
 from .funcspace import evaluate_on_grid, uniform_grid
-from .harness import _ONE_BLAS_THREAD
-from .harness import ExperimentConfig, load_config, map_in_order, run_rate_study, write_csv
+from .harness import _ONE_BLAS_THREAD, ExperimentConfig, load_config, map_in_order
+from .harness import parse_sample_sizes, run_rate_study, write_csv
 from .lowerbound import affinity_study, standard_config
 from .spectral_diag import (
     check_chisq_maximal,
@@ -140,12 +142,9 @@ def _require_out_dir(path: str) -> None:
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The --config study with --seed and --out applied; its output directory is checked."""
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
+    """The --config study built once, with --seed and --out applied; its out_dir is checked."""
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    cfg = load_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
     _require_out_dir(cfg.out_dir)
     return cfg
 
@@ -187,16 +186,20 @@ def _cmd_generate(args) -> int:
 def _read_dataset_csv(path: str) -> Dataset:
     """Parse a `generate`-style CSV: a header row, then one numeric row per sample.
 
-    Only the y, lambda and x1..xK columns are parsed; fields may be quoted
-    and lines may end in CRLF.  loadtxt converts through the same routine
-    as `float`, so every value keeps its bits.
+    Only the y, lambda and x1..xK columns are parsed, and a repeated column
+    name is refused; fields may be quoted and lines may end in CRLF.
+    loadtxt converts through the same routine as `float`, so every value
+    keeps its bits.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline()
         if not first:
             raise ValueError(f"{path}: empty file")
-        header = next(csv.reader([first]))
-        cols = {name: i for i, name in enumerate(header)}
+        cols = {}
+        for i, name in enumerate(next(csv.reader([first]))):
+            if name in cols:
+                raise ValueError(f"{path}: duplicate column {name!r}")
+            cols[name] = i
         if "y" not in cols:
             raise ValueError(f"{path}: missing 'y' column")
         x_names = sorted(
@@ -327,12 +330,7 @@ def _cmd_perturb_check(args) -> int:
 
 def _cmd_lower_bound(args) -> int:
     cfg = _load_config(args)
-    try:
-        n_grid = [int(v) for v in str(args.n_grid).split(",") if v.strip()]
-    except ValueError:
-        raise ValueError(f"--n-grid must list integers, got {args.n_grid!r}") from None
-    if not n_grid:
-        raise ValueError("--n-grid must list at least one sample size")
+    n_grid = list(parse_sample_sizes(args.n_grid, "--n-grid"))
     base = standard_config(
         args.m,
         get_family(cfg.family),

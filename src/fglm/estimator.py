@@ -48,8 +48,8 @@ class TuningRule:
     zeta: float | None = None
 
     def __post_init__(self):
-        if self.c_m <= 0 or self.c_N <= 0:
-            raise ValueError("tuning constants must be positive")
+        if not (0 < self.c_m < math.inf and 0 < self.c_N < math.inf):
+            raise ValueError("tuning constants must be finite and positive")
 
 
 _SEPARATION_THRESHOLD = 1e3  # see fit_mle
@@ -61,8 +61,8 @@ class NewtonConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("invalid Newton configuration")
+        if not 0 < self.tol < math.inf or self.max_iter < 1:
+            raise ValueError("Newton tol must be finite and > 0, and max_iter >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
 """Experiment orchestration: configs, replication loops, the CSV writer.
 
 A study is a flat text config (key = value, `#` comments, keys named
-exactly after ExperimentConfig fields) plus a master seed.  Loading a
-config validates it and builds its tuning rule and Newton settings once,
-so a bad rule is refused by every command before any work.  Every
-replication derives its own 64-bit seed from (master, index of n, rep)
-through a splitmix64 mix, so results are independent of execution
-order and identical across --jobs settings.  Replications share one
-ground truth and those settings, run through `map_in_order`, the
+exactly after ExperimentConfig fields) plus a master seed.  Building a
+config checks it by building, once, what a study needs, each part checked
+by its owner, so every command refuses a bad config before any work.
+Every replication derives its own 64-bit seed from (master, index of n,
+rep) through a splitmix64 mix, so results are independent of execution
+order and identical across --jobs settings.  Replications share the
+config's ground truth and solver settings, run through `map_in_order`, the
 package's one thread pool, on at most --jobs threads (default 1), and
 each returns its own ReplicationRecord.  While the pool runs, the
 OpenBLAS bundled with numpy is held to one thread, so the pool's threads
@@ -28,8 +28,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .datagen import MU_MODES, GroundTruth, check_smoothness, make_ground_truth, sample_dataset
-from .estimator import NewtonConfig, TuningRule, estimate_slope, loss, tuning, zeta_interval
+from .datagen import make_ground_truth, sample_dataset
+from .estimator import NewtonConfig, TuningRule, estimate_slope, loss, tuning
 from .expfam import get_family
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "parse_config",
     "load_config",
     "format_config",
+    "parse_sample_sizes",
     "replication_seed",
     "theoretical_exponent",
     "RatePoint",
@@ -57,8 +58,10 @@ _MASK64 = (1 << 64) - 1
 class ExperimentConfig:
     """Everything a study needs; field names double as config-file keys.
 
-    Construction also builds the study's TuningRule `rule` and NewtonConfig
-    `newton` once, as plain attributes: neither is a field or config key.
+    Construction checks the config by building what a study reads: the
+    GroundTruth `truth`, the (m, N) `levels` at each n of n_grid, the
+    TuningRule `rule` and the NewtonConfig `newton`, plain attributes
+    that are not fields or config keys.
     """
 
     family: str = "gaussian"
@@ -78,12 +81,9 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        get_family(self.family)  # raises on unknown names
-        if self.mu_mode not in MU_MODES:
-            raise ValueError("mu_mode must be 'zero' or 'bumps'")
         grid = tuple(int(v) for v in self.n_grid)
-        if len(grid) == 0 or any(v < 1 for v in grid):
-            raise ValueError("n_grid must list positive sample sizes")
+        if not grid:
+            raise ValueError("n_grid must list at least one sample size")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         object.__setattr__(self, "n_grid", grid)
@@ -91,18 +91,33 @@ class ExperimentConfig:
             raise ValueError("reps must be at least 1")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must fit in 64 bits")
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        check_smoothness(self.alpha, self.beta_s)  # the model class, for every command
-        if self.K_trunc < 4 or self.newton_max_iter < 1 or self.newton_tol <= 0:
-            raise ValueError("K_trunc must be >= 4, newton_max_iter >= 1 and newton_tol > 0")
-        if self.zeta_override is not None:  # as `tuning` would refuse it at every n
-            lo, hi = zeta_interval(self.alpha, self.beta_s)
-            if not lo < self.zeta_override < hi:
-                raise ValueError(f"zeta must lie strictly inside ({lo:.6g}, {hi:.6g})")
-        object.__setattr__(self, "rule", TuningRule(self.c_m, self.c_N, self.zeta_override))
+        truth = make_ground_truth(
+            self.alpha,
+            self.beta_s,
+            get_family(self.family),
+            k_trunc=self.K_trunc,
+            intercept=self.a,
+            mu_mode=self.mu_mode,
+        )
+        rule = TuningRule(self.c_m, self.c_N, self.zeta_override)
+        levels = tuple(tuning(n, self.alpha, self.beta_s, rule) for n in grid)
+        for n, (_, n_comp) in zip(grid, levels):
+            if n_comp > self.K_trunc:  # estimate_slope would clamp N to K_trunc, unreported
+                raise ValueError(f"N={n_comp} components at n={n} exceed K_trunc={self.K_trunc}")
+        object.__setattr__(self, "truth", truth)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "newton", NewtonConfig(self.newton_tol, self.newton_max_iter))
+
+
+def parse_sample_sizes(text: str, name: str = "n_grid") -> tuple[int, ...]:
+    """Comma-separated sample sizes such as "500, 1000"; an empty entry is refused."""
+    if not text.replace(",", "").strip():
+        raise ValueError(f"{name} must list at least one sample size")
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"{name} must list integers, got {text!r}") from None
 
 
 # value parser per field annotation (annotations are strings in this module)
@@ -110,14 +125,14 @@ _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "tuple[int, ...]": lambda val: tuple(int(v.strip()) for v in val.split(",") if v.strip()),
+    "tuple[int, ...]": parse_sample_sizes,
     "float | None": lambda val: None if val.lower() in ("", "none") else float(val),
 }
 _KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key = value format; unknown keys are errors."""
+def parse_config(text: str, **overrides) -> ExperimentConfig:
+    """Parse the flat key = value format, then apply `overrides`; unknown keys are errors."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -135,12 +150,12 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = _KEY_PARSERS[key](val)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad value for {key!r}: {val!r}") from exc
-    return ExperimentConfig(**values)
+    return ExperimentConfig(**{**values, **overrides})
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **overrides) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), **overrides)
 
 
 def format_config(cfg: ExperimentConfig) -> str:
@@ -207,9 +222,8 @@ class RateStudyResult:
     theoretical: float
 
 
-def _replication_task(
-    cfg: ExperimentConfig, gt: GroundTruth, n: int, rep: int, seed: int
-) -> ReplicationRecord:
+def _replication_task(cfg: ExperimentConfig, n: int, rep: int, seed: int) -> ReplicationRecord:
+    gt = cfg.truth
     ds = sample_dataset(gt, n, seed)
     fit = estimate_slope(ds, gt.family, cfg.alpha, cfg.beta_s, rule=cfg.rule, config=cfg.newton)
     return ReplicationRecord(
@@ -223,26 +237,14 @@ def run_rate_points(
 ) -> tuple[tuple[RatePoint, ...], tuple[ReplicationRecord, ...]]:
     """All replications of the study, aggregated per sample size.
 
-    The ground truth is built once and shared by every replication.
-    Tasks run on up to `jobs` threads but are collected in (n, rep)
-    order, so the output is identical for every jobs setting.  A failed
-    replication aborts the study with its coordinates; a tuning rule that
-    refuses some n or asks for N > K_trunc does so before the first draw.
+    Every replication shares the config's ground truth and solver
+    settings; the truncation levels are the config's too.  Tasks run on
+    up to `jobs` threads but are collected in (n, rep) order, so the
+    output is identical for every jobs setting.  A failed replication
+    aborts the study with its coordinates.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    gt = make_ground_truth(
-        cfg.alpha,
-        cfg.beta_s,
-        get_family(cfg.family),
-        k_trunc=cfg.K_trunc,
-        intercept=cfg.a,
-        mu_mode=cfg.mu_mode,
-    )
-    levels = [tuning(n, cfg.alpha, cfg.beta_s, cfg.rule) for n in cfg.n_grid]
-    for n, (_, n_comp) in zip(cfg.n_grid, levels):
-        if n_comp > cfg.K_trunc:  # estimate_slope would clamp N to K_trunc, unreported
-            raise ValueError(f"N={n_comp} components at n={n} exceed K_trunc={cfg.K_trunc}")
     meta = [
         (n, rep, replication_seed(cfg.seed, n_idx, rep))
         for n_idx, n in enumerate(cfg.n_grid)
@@ -250,14 +252,14 @@ def run_rate_points(
     ]
     records = []
     try:
-        for record in map_in_order(lambda m: _replication_task(cfg, gt, *m), meta, jobs):
+        for record in map_in_order(lambda m: _replication_task(cfg, *m), meta, jobs):
             records.append(record)
     except Exception as exc:
         n, rep, seed = meta[len(records)]  # records arrive in meta order
         raise RuntimeError(f"replication failed at n={n}, rep={rep}, seed={seed}: {exc}") from exc
 
     points = []
-    for n_idx, (n, (m, n_comp)) in enumerate(zip(cfg.n_grid, levels)):
+    for n_idx, (n, (m, n_comp)) in enumerate(zip(cfg.n_grid, cfg.levels)):
         chunk = records[n_idx * cfg.reps : (n_idx + 1) * cfg.reps]
         losses = np.array([r.loss for r in chunk])
         mise_se = float(np.std(losses, ddof=1) / math.sqrt(cfg.reps)) if cfg.reps > 1 else 0.0

@@ -60,18 +60,20 @@ def test_bad_config_value(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line, message",
+    "lines, message",
     [("alpha = 0.5", "alpha must be finite and > 1"),
      ("beta_s = 2.0", "beta_s must be finite and > (alpha + 3) / 2"),
      # a tuning rule only rate-study uses is still refused by every command
-     ("c_m = -1", "tuning constants must be positive"),
-     ("c_N = 0", "tuning constants must be positive"),
-     ("zeta_override = 0.9", "zeta must lie strictly inside (0.142857, 0.166667)")],
-    ids=["alpha", "beta_s", "c_m", "c_N", "zeta_override"],
+     ("c_m = -1", "tuning constants must be finite and positive"),
+     ("c_N = 0", "tuning constants must be finite and positive"),
+     ("zeta_override = 0.9", "zeta must lie strictly inside (0.142857, 0.166667)"),
+     ("n_grid = 5, 100, 200", "tuning needs n >= 8"),
+     ("K_trunc = 4\nn_grid = 500, 1000, 4000", "N=5 components at n=500 exceed K_trunc=4")],
+    ids=["alpha", "beta_s", "c_m", "c_N", "zeta_override", "small_n", "n_comp_beyond_k_trunc"],
 )
 @pytest.mark.parametrize("command", ["rate-study", "lower-bound", "diagnostics"])
 def test_config_commands_refuse_a_config_outside_the_model_class(
-    tmp_path, capsys, monkeypatch, command, line, message
+    tmp_path, capsys, monkeypatch, command, lines, message
 ):
     # refused when the config is loaded, before any draw
     draws = []
@@ -82,7 +84,10 @@ def test_config_commands_refuse_a_config_outside_the_model_class(
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, record)
-    cfg = _write_cfg(tmp_path, SMALL_CFG + line + "\n")
+    # SMALL_CFG with the keys that `lines` sets taken out: a config may not repeat a key
+    keys = {line.partition("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in SMALL_CFG.splitlines() if line.partition("=")[0].strip() not in keys]
+    cfg = _write_cfg(tmp_path, "\n".join(kept + [lines]) + "\n")
     out_dir = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out_dir)]) == 1
     captured = capsys.readouterr()
@@ -97,7 +102,8 @@ def test_config_commands_refuse_a_config_outside_the_model_class(
     [
         ("K_trunc = 20\nn_grid = 40, 80, 160\nzeta_override = 0.5\n",
          "zeta must lie strictly inside"),
-        ("K_trunc = 20\nn_grid = 40, 80, 160\nnewton_tol = 0\n", "newton_tol > 0"),
+        ("K_trunc = 20\nn_grid = 40, 80, 160\nnewton_tol = 0\n",
+         "Newton tol must be finite and > 0"),
         ("K_trunc = 20\nn_grid = 5, 100, 200\n", "tuning needs n >= 8"),
         ("K_trunc = 4\nn_grid = 500, 1000, 4000\n", "N=5 components at n=500 exceed K_trunc=4"),
     ],
@@ -194,6 +200,43 @@ def test_estimate_rejects_malformed_csv(tmp_path, capsys):
     code = main(["estimate", "--data", str(bad), "--family", "gaussian"])
     assert code == 1
     assert "consecutive" in capsys.readouterr().err
+
+
+def test_estimate_refuses_a_repeated_column_before_any_fit(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit was started")
+
+    monkeypatch.setattr(cli, "estimate_slope", no_fit)
+    data = tmp_path / "data.csv"
+    rng = np.random.default_rng(0)
+    rows = ["y,x1,x2,x3,x1"]  # the second x1 is constant
+    for x in rng.standard_normal((40, 3)):
+        rows.append(",".join(str(v) for v in (x.sum(), *x, 0.0)))
+    data.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    code = main(["estimate", "--data", str(data), "--family", "gaussian", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {data}: duplicate column 'x1'\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_study_config_is_built_once_with_seed_and_out_applied(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make_ground_truth(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "make_ground_truth", counting)
+    out = str(tmp_path / "out")
+    args = cli._build_parser().parse_args(
+        ["rate-study", "--config", _write_cfg(tmp_path), "--seed", "9", "--out", out]
+    )
+    cfg = cli._load_config(args)
+    assert (cfg.seed, cfg.out_dir, cfg.reps) == (9, out, 2)
+    assert len(calls) == 1
 
 
 def test_estimate_handles_missing_lambda_column(tmp_path, capsys):
@@ -667,6 +710,7 @@ def test_diagnostics_task_failure_is_the_command_error(
             "radius 1e+200 is out of range: the calibrated eps at n=100 is not finite and positive",
         ),
         (["lower-bound", "--n-grid", "100,100"], "sample sizes must not repeat, got [100, 100]"),
+        (["lower-bound", "--n-grid", "100,,200,"], "--n-grid must list integers, got '100,,200,'"),
     ],
 )
 def test_certification_refuses_counts_that_certify_nothing(

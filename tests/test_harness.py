@@ -58,10 +58,13 @@ def test_solver_settings_are_built_once_at_load(monkeypatch):
     cfg = dataclasses.replace(TINY, c_m=1.5, zeta_override=0.15)
     assert cfg.rule == TuningRule(c_m=1.5, c_N=2.0, zeta=0.15)
     assert cfg.newton == NewtonConfig(tol=1e-10, max_iter=50)
-    assert "rule" not in format_config(cfg) and "newton =" not in format_config(cfg)
+    assert cfg.levels == tuple(tuning(n, 2.0, 3.0, cfg.rule) for n in cfg.n_grid)
+    assert cfg.truth.k_trunc == 30 and cfg.truth.family is get_family("gaussian")
+    for attr in ("rule", "newton", "truth", "levels"):
+        assert f"{attr} =" not in format_config(cfg)
     built = []
-    monkeypatch.setattr(harness, "TuningRule", lambda *args, **kwargs: built.append(args))
-    monkeypatch.setattr(harness, "NewtonConfig", lambda *args, **kwargs: built.append(args))
+    for name in ("TuningRule", "NewtonConfig", "make_ground_truth", "tuning"):
+        monkeypatch.setattr(harness, name, lambda *args, _name=name, **kwargs: built.append(_name))
     _, records = run_rate_points(cfg, jobs=2)
     assert len(records) == 9 and built == []
 
@@ -88,6 +91,7 @@ def test_parse_ignores_comments_and_blanks():
         ("reps = 2\nreps = 3", "duplicate"),
         ("reps", "expected key = value"),
         ("reps = two", "bad value"),
+        ("n_grid = 40,,80, 160,", "bad value for 'n_grid'"),
     ],
 )
 def test_parse_rejects_malformed_input(text, msg):
@@ -109,6 +113,8 @@ def test_parse_rejects_malformed_input(text, msg):
         {"alpha": 0.5},
         {"beta_s": 2.0},
         {"K_trunc": 3},
+        {"c_m": float("inf")},
+        {"newton_tol": float("nan")},
     ],
 )
 def test_config_validation(kwargs):
@@ -215,7 +221,9 @@ def test_ground_truth_is_built_once_per_study(monkeypatch):
         return make_ground_truth(*args, **kwargs)
 
     monkeypatch.setattr(harness, "make_ground_truth", counting)
-    run_rate_points(TINY, jobs=1)
+    cfg = dataclasses.replace(TINY)
+    assert len(calls) == 1
+    run_rate_points(cfg, jobs=1)
     assert len(calls) == 1
 
 
@@ -251,12 +259,9 @@ def _reference_replication(cfg, n, seed):
 @pytest.mark.parametrize("family", family_names())
 def test_replication_matches_the_long_way_bit_for_bit(family, mu_mode):
     cfg = ExperimentConfig(family=family, mu_mode=mu_mode, K_trunc=200, n_grid=(2000,), reps=8)
-    gt = make_ground_truth(
-        cfg.alpha, cfg.beta_s, get_family(family), k_trunc=200, intercept=cfg.a, mu_mode=mu_mode
-    )
     for rep in range(cfg.reps):
         seed = replication_seed(cfg.seed, 0, rep)
-        got = harness._replication_task(cfg, gt, 2000, rep, seed)
+        got = harness._replication_task(cfg, 2000, rep, seed)
         want = _reference_replication(cfg, 2000, seed)
         assert (got.n, got.rep, got.seed) == (2000, rep, seed)
         assert float.hex(got.loss) == float.hex(want[0])
@@ -286,9 +291,8 @@ def test_components_beyond_k_trunc_are_refused_before_the_first_draw(monkeypatch
         raise AssertionError("a replication was started")
 
     monkeypatch.setattr(harness, "sample_dataset", no_draws)
-    cfg = ExperimentConfig(K_trunc=4, n_grid=(500, 1000, 4000), reps=2, seed=0)
     with pytest.raises(ValueError, match="N=5 components at n=500 exceed K_trunc=4"):
-        run_rate_points(cfg, jobs=1)
+        ExperimentConfig(K_trunc=4, n_grid=(500, 1000, 4000), reps=2, seed=0)
 
 
 @pytest.mark.parametrize(

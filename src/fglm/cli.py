@@ -24,18 +24,23 @@ Exit codes: 0 success, 1 bad arguments/config/input, 2 runtime or
 certification failure; an output directory that is or lies below a file,
 and a ``generate`` CSV that is a directory or lies below a file, are
 refused before any work.  ``rate-study --jobs`` (default 1) and ``diagnostics``
-share the thread pool ``harness.map_in_order``, which holds OpenBLAS to one
-thread while it runs; output never depends on either.  ``estimate`` fits
-under the same one-thread hold, so its bits do not depend on the core count.
+share the thread pool ``harness.map_in_order``; output never depends on
+either.  Every command runs with the OpenBLAS bundled with numpy held to one
+thread, and the count it had is restored when the command ends: the pool's
+threads, not BLAS's own, share the cores, and on kernels where a threaded
+BLAS call rounds differently (Nehalem) no output depends on the core count.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import glob
 import os
 import sys
 import warnings
-from functools import partial
+from contextlib import contextmanager
+from functools import cache, partial
 
 import numpy as np
 
@@ -43,7 +48,7 @@ from .datagen import MU_MODES, Dataset, make_ground_truth, sample_dataset
 from .estimator import estimate_slope, zeta_interval
 from .expfam import family_names, get_family, verify_envelope
 from .funcspace import evaluate_on_grid, uniform_grid
-from .harness import _ONE_BLAS_THREAD, ExperimentConfig, load_config, map_in_order
+from .harness import ExperimentConfig, load_config, map_in_order
 from .harness import parse_sample_sizes, run_rate_study, write_csv
 from .lowerbound import affinity_study, standard_config
 from .spectral_diag import (
@@ -246,9 +251,8 @@ def _cmd_estimate(args) -> int:
     zeta_interval(args.alpha, args.beta)  # and a smoothness outside the model class
     ds = _read_dataset_csv(args.data)
     _check_support(args.family, ds.y, args.data)
-    with _ONE_BLAS_THREAD:  # as in a study, so the bits do not depend on the core count
-        fit = estimate_slope(ds, get_family(args.family), args.alpha, args.beta)
-        vals = evaluate_on_grid(fit.slope, args.grid_points)
+    fit = estimate_slope(ds, get_family(args.family), args.alpha, args.beta)
+    vals = evaluate_on_grid(fit.slope, args.grid_points)
     coef_path = os.path.join(args.out, "estimate_coefs.csv")
     grid_path = os.path.join(args.out, "estimate_grid.csv")
     coeffs = fit.slope.coeffs
@@ -427,6 +431,66 @@ def _cmd_diagnostics(args) -> int:
     return 0
 
 
+# (get, set) symbol pairs of OpenBLAS's thread count, newest wheels first:
+# numpy 2 bundles scipy-openblas, numpy 1.x wheels an ILP64 OpenBLAS of its own
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+def _numpy_openblas() -> list:
+    """Handles of the OpenBLAS libraries bundled with numpy and already loaded."""
+    base = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(base + ".libs", "*openblas*"))  # Linux and Windows wheels
+    paths += glob.glob(os.path.join(base, ".dylibs", "*openblas*"))  # macOS wheels
+    libs = []
+    for path in sorted(paths):
+        try:  # RTLD_NOLOAD: the copy numpy uses, never a second one
+            libs.append(ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0)))
+        except OSError:
+            pass
+    return libs
+
+
+@cache
+def _blas_thread_calls():
+    """(get, set) of the loaded OpenBLAS's thread count, or None without one.
+
+    Looked up on first use, not at import, and kept for the process.
+    """
+    for lib in _numpy_openblas():
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread; restore the count it had on exit.
+
+    The count is process-wide and the hold keeps no tally of its holders,
+    so `main` must not run on two threads at once: the first to finish
+    would restore the count under the other.  Does nothing when numpy's
+    OpenBLAS or its thread calls are not found.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -440,7 +504,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.handler(args)
+        with _one_blas_thread():
+            return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

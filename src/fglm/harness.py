@@ -9,20 +9,16 @@ rep) through a splitmix64 mix, so results are independent of execution
 order and identical across --jobs settings.  Replications share the
 config's ground truth and solver settings, run through `map_in_order`, the
 package's one thread pool, on at most --jobs threads (default 1), and
-each returns its own ReplicationRecord.  While the pool runs, the
-OpenBLAS bundled with numpy is held to one thread, so the pool's threads
-and not BLAS's own share the cores; the count it had before is restored
-when the pool ends.  CSV floats are written with 17 significant digits
-to survive a parse round trip.
+each returns its own ReplicationRecord.  The pool leaves BLAS's thread
+count to the caller: the `fglm` command holds it to one thread (see
+`cli`), and a library caller sets its own, for instance with
+OPENBLAS_NUM_THREADS=1.  CSV floats are written with 17 significant
+digits to survive a parse round trip.
 """
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -351,8 +347,7 @@ def map_in_order(fn, items, jobs: int):
     At most `jobs` threads, and no more than there are items or usable CPUs.
     Calls start in item order; once one raises, the items after it not yet
     started are skipped, and the first exception in item order is raised here.
-    From the first `next` until the generator ends, raises or is closed,
-    OpenBLAS is held to one thread (see `_OneBlasThread`), at every `jobs`.
+    BLAS runs at whatever thread count the process has.
     """
     # pool.map cancels unstarted calls only when the caller sees a failure, after a
     # free worker took the next item.  Only appended to: failed[0] is a failed index.
@@ -367,10 +362,7 @@ def map_in_order(fn, items, jobs: int):
             failed.append(index)
             raise
 
-    # the pool shuts down, its calls all ended, before the BLAS count is restored
-    with _ONE_BLAS_THREAD, ThreadPoolExecutor(
-        max_workers=min(jobs, len(items), usable_cpus())
-    ) as pool:
+    with ThreadPoolExecutor(max_workers=min(jobs, len(items), usable_cpus())) as pool:
         yield from pool.map(call, range(len(items)))
 
 
@@ -380,78 +372,3 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-# (get, set) symbol pairs of OpenBLAS's thread count, newest wheels first:
-# numpy 2 bundles scipy-openblas, numpy 1.x wheels an ILP64 OpenBLAS of its own
-_OPENBLAS_THREAD_CALLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-)
-
-
-def _numpy_openblas() -> list:
-    """Handles of the OpenBLAS libraries bundled with numpy and already loaded."""
-    base = os.path.dirname(np.__file__)
-    paths = glob.glob(os.path.join(base + ".libs", "*openblas*"))  # Linux and Windows wheels
-    paths += glob.glob(os.path.join(base, ".dylibs", "*openblas*"))  # macOS wheels
-    libs = []
-    for path in sorted(paths):
-        try:  # RTLD_NOLOAD: the copy numpy uses, never a second one
-            libs.append(ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0)))
-        except OSError:
-            pass
-    return libs
-
-
-@functools.cache
-def _blas_thread_calls():
-    """(get, set) of the loaded OpenBLAS's thread count, or None without one.
-
-    Looked up on first use, not at import, and kept for the process.
-    """
-    for lib in _numpy_openblas():
-        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
-            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-class _OneBlasThread:
-    """Holds OpenBLAS to one thread while any `map_in_order` pool runs.
-
-    The count is process-wide, so pools open at once on different threads
-    share one hold: the first saves the count and sets 1, the last
-    restores it.  Restored under a running pool, the count would give that
-    pool's BLAS calls more threads, and on some OpenBLAS kernels (Nehalem)
-    a threaded eigh rounds differently.  Does nothing when numpy's OpenBLAS
-    or its thread calls are not found.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._pools = 0
-        self._calls = None
-        self._before = None
-
-    def __enter__(self):
-        with self._lock:
-            if self._pools == 0:
-                self._calls = _blas_thread_calls()
-                if self._calls is not None:
-                    get, put = self._calls
-                    self._before = get()
-                    put(1)
-            self._pools += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._pools -= 1
-            if self._pools == 0 and self._calls is not None:
-                self._calls[1](self._before)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()

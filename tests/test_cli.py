@@ -68,8 +68,11 @@ def test_bad_config_value(tmp_path, capsys):
      ("c_N = 0", "tuning constants must be finite and positive"),
      ("zeta_override = 0.9", "zeta must lie strictly inside (0.142857, 0.166667)"),
      ("n_grid = 5, 100, 200", "tuning needs n >= 8"),
-     ("K_trunc = 4\nn_grid = 500, 1000, 4000", "N=5 components at n=500 exceed K_trunc=4")],
-    ids=["alpha", "beta_s", "c_m", "c_N", "zeta_override", "small_n", "n_comp_beyond_k_trunc"],
+     ("K_trunc = 4\nn_grid = 500, 1000, 4000", "N=5 components at n=500 exceed K_trunc=4"),
+     # 2^(alpha + 1) overflows a float
+     ("alpha = 1100\nbeta_s = 2000", "class radius must be finite and positive, got inf")],
+    ids=["alpha", "beta_s", "c_m", "c_N", "zeta_override", "small_n", "n_comp_beyond_k_trunc",
+         "large_alpha"],
 )
 @pytest.mark.parametrize("command", ["rate-study", "lower-bound", "diagnostics"])
 def test_config_commands_refuse_a_config_outside_the_model_class(
@@ -793,6 +796,21 @@ def test_generate_refuses_an_unwritable_out_before_drawing(tmp_path, capsys, mon
     assert list(folder.iterdir()) == []
     assert taken.read_bytes() == b"keep these bytes\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "taken"]
+
+
+def test_generate_refuses_an_alpha_whose_radius_overflows_before_drawing(tmp_path, capsys,
+                                                                         monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a dataset was drawn")
+
+    monkeypatch.setattr("fglm.cli.sample_dataset", no_draws)
+    out = tmp_path / "data.csv"
+    assert main(["generate", "--family", "gaussian", "--alpha", "2000", "--beta", "3000",
+                 "--n", "10", "--out", str(out)]) == 1  # 2^(alpha + 1) overflows a float
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: class radius must be finite and positive, got inf\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_console_entry_point(tmp_path):

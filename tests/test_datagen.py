@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fglm.datagen import (
     Dataset,
@@ -10,6 +13,7 @@ from fglm.datagen import (
     sample_dataset,
 )
 from fglm.expfam import get_family
+from fglm.funcspace import FunctionRep
 
 GAUSS = get_family("gaussian")
 
@@ -90,6 +94,74 @@ def test_membership_rejects_oversized_slope():
             slope_coeffs=b,
             family=GAUSS,
         )
+
+
+def _with_nan_at(name, index):
+    def edit(gt):
+        values = getattr(gt, name).copy()
+        values[index] = math.nan
+        return {name: values}
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, msg",
+    [
+        (_with_nan_at("eigvals", 5), "eigenvalues and slope coefficients must be finite"),
+        (_with_nan_at("slope_coeffs", 3), "eigenvalues and slope coefficients must be finite"),
+        (lambda gt: {"radius": math.nan}, "class radius must be finite and positive, got nan"),
+        (lambda gt: {"radius": math.inf}, "class radius must be finite and positive, got inf"),
+        (lambda gt: {"radius": -1.0}, "class radius must be finite and positive, got -1.0"),
+        (lambda gt: {"alpha": math.nan}, "alpha must be finite and > 1"),
+        (lambda gt: {"beta_s": math.nan}, r"beta_s must be finite and > \(alpha \+ 3\) / 2"),
+        (lambda gt: {"intercept": math.nan}, "intercept must be finite"),
+    ],
+    ids=["nan_eigval", "nan_slope", "nan_radius", "inf_radius", "negative_radius", "nan_alpha",
+         "nan_beta_s", "nan_intercept"],
+)
+def test_membership_rejects_non_finite_fields(edit, msg):
+    # every comparison with NaN is False and an infinite radius passes every envelope
+    gt = make_ground_truth(2.0, 3.0, GAUSS, k_trunc=10)
+    with pytest.raises(ValueError, match=msg):
+        dataclasses.replace(gt, **edit(gt))
+
+
+def _pairwise_gap_holds(gt):
+    """The pairwise gap condition as the membership check once tested it, all k < j."""
+    k = np.arange(1, gt.k_trunc + 1)
+    pk = k[:, None] ** -gt.alpha
+    diff_theta = gt.eigvals[:, None] - gt.eigvals[None, :]
+    diff_pow = pk - pk.T
+    upper = np.triu(np.ones((gt.k_trunc, gt.k_trunc), dtype=bool), k=1)
+    return not np.any(diff_theta[upper] < diff_pow[upper] / gt.radius - 1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=st.floats(1.01, 6.0),
+    radius=st.floats(4.0, 100.0),
+    margins=st.lists(st.floats(1e-12, 1.0), min_size=3, max_size=60),
+    tail=st.floats(1e-6, 1.0),
+)
+def test_adjacent_gaps_imply_the_pairwise_gap_condition(alpha, radius, margins, tail):
+    # every adjacent gap at its floor (alpha / r) i^(-alpha-1), up to a relative margin
+    k = np.arange(1.0, len(margins) + 2)
+    gaps = (alpha / radius) * k[:-1] ** (-alpha - 1.0) * (1.0 + np.asarray(margins))
+    theta = [tail * k[-1] ** -alpha / radius]
+    for gap in gaps[::-1]:
+        theta.append(theta[-1] + gap)
+    gt = GroundTruth(
+        alpha=alpha,
+        beta_s=(alpha + 3.0) / 2.0 + 1.0,
+        radius=radius,
+        intercept=0.0,
+        mean=FunctionRep(np.zeros(k.size)),
+        eigvals=theta[::-1],
+        slope_coeffs=np.zeros(k.size),
+        family=GAUSS,
+    )
+    assert _pairwise_gap_holds(gt)
 
 
 def test_dataset_validation_and_views():

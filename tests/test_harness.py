@@ -414,11 +414,11 @@ def test_map_in_order_caps_the_threads(monkeypatch, jobs, items, cpus, threads):
     assert workers == [threads]
 
 
-# --- one BLAS thread while the pool runs ---
+# --- one BLAS thread while a command runs ---
 
 
 class FakeBlas:
-    """A thread count behind get/set calls, as `_blas_thread_calls` returns them."""
+    """A thread count behind get/set calls, as `cli._blas_thread_calls` returns them."""
 
     def __init__(self, count):
         self.count = count
@@ -433,46 +433,49 @@ class FakeBlas:
         return get, put
 
 
-def _finish(gen):
-    return list(gen)
+# each subcommand with its required options; the tests below replace its handler
+_COMMAND_ARGV = {
+    "generate": ["--family", "gaussian", "--n", "10", "--out", "data.csv"],
+    "estimate": ["--data", "data.csv", "--family", "gaussian"],
+    "rate-study": ["--config", "study.cfg"],
+    "perturb-check": [],
+    "lower-bound": ["--config", "study.cfg"],
+    "diagnostics": ["--config", "study.cfg"],
+}
 
 
-def _raise(gen):
-    with pytest.raises(RuntimeError, match="stop"):
-        list(gen)
+def _main_with_handler(monkeypatch, command, handler):
+    monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"), lambda args: handler())
+    return cli.main([command, *_COMMAND_ARGV[command]])
 
 
-def _close_early(gen):
-    for _ in gen:
-        break
-    gen.close()
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("end", [_finish, _raise, _close_early], ids=["finish", "raise", "close"])
-def test_map_in_order_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, end, jobs):
+@pytest.mark.parametrize(
+    "fault, code", [(None, 0), (ValueError, 1), (RuntimeError, 2)], ids=["ok", "error", "failure"]
+)
+@pytest.mark.parametrize("command", list(_COMMAND_ARGV))
+def test_every_command_runs_on_one_blas_thread_and_restores_the_count(
+    monkeypatch, command, fault, code
+):
     blas = FakeBlas(4)
-    monkeypatch.setattr(harness, "_blas_thread_calls", blas.calls)
+    monkeypatch.setattr(cli, "_blas_thread_calls", blas.calls)
     seen = []
 
-    def fn(item):
+    def handler():
         seen.append(blas.count)
-        if item == 2 and end is _raise:
-            raise RuntimeError("stop")
-        return item
+        if fault is not None:
+            raise fault("stop")
+        return 0
 
-    gen = map_in_order(fn, range(5), jobs)
-    assert blas.count == 4  # a generator sets nothing before iteration starts
-    end(gen)
-    assert seen and set(seen) == {1}
+    assert _main_with_handler(monkeypatch, command, handler) == code
+    assert seen == [1]
     assert blas.count == 4
 
 
 @pytest.fixture
 def fresh_blas_lookup():
-    harness._blas_thread_calls.cache_clear()
+    cli._blas_thread_calls.cache_clear()
     yield
-    harness._blas_thread_calls.cache_clear()
+    cli._blas_thread_calls.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -481,68 +484,51 @@ def fresh_blas_lookup():
     ids=["no_library", "no_symbol", "no_setter"],
 )
 def test_missing_openblas_leaves_blas_alone(monkeypatch, fresh_blas_lookup, libs):
-    monkeypatch.setattr(harness, "_numpy_openblas", lambda: libs)
-    assert harness._blas_thread_calls() is None
-    assert list(map_in_order(lambda i: i * i, range(5), 2)) == [0, 1, 4, 9, 16]
+    monkeypatch.setattr(cli, "_numpy_openblas", lambda: libs)
+    assert cli._blas_thread_calls() is None
+    squares = []
+
+    def handler():
+        squares.extend(map_in_order(lambda i: i * i, range(5), 2))
+        return 0
+
+    assert _main_with_handler(monkeypatch, "rate-study", handler) == 0
+    assert squares == [0, 1, 4, 9, 16]
 
 
 def test_the_numpy_1x_symbols_are_used_when_the_new_ones_are_missing(monkeypatch, fresh_blas_lookup):
     blas = FakeBlas(4)
     get, put = blas.calls()
     lib = types.SimpleNamespace(openblas_get_num_threads64_=get, openblas_set_num_threads64_=put)
-    monkeypatch.setattr(harness, "_numpy_openblas", lambda: [types.SimpleNamespace(), lib])
-    assert harness._blas_thread_calls() == (get, put)
-    assert list(map_in_order(lambda i: blas.count, range(3), 2)) == [1, 1, 1]
-    assert blas.count == 4
-
-
-def test_pools_open_at_once_share_one_hold(monkeypatch):
-    # the first pool ends while the second still runs: its restore must wait
-    blas = FakeBlas(4)
-    monkeypatch.setattr(harness, "_blas_thread_calls", blas.calls)
-    first = map_in_order(lambda i: blas.count, range(2), 1)
-    second = map_in_order(lambda i: blas.count, range(2), 1)
-    assert next(first) == 1 and next(second) == 1
-    assert list(first) == [1]
-    assert blas.count == 1
-    assert list(second) == [1]
-    assert blas.count == 4
-
-
-def test_pools_on_many_threads_never_see_the_count_restored_under_them(monkeypatch):
-    blas = FakeBlas(4)
-    monkeypatch.setattr(harness, "_blas_thread_calls", blas.calls)
-    monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_numpy_openblas", lambda: [types.SimpleNamespace(), lib])
+    assert cli._blas_thread_calls() == (get, put)
     seen = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        def pools():
-            for _ in range(50):
-                values = list(map_in_order(lambda i: blas.count, range(4), 2))
-                seen.extend(values)
 
-        threads = [threading.Thread(target=pools) for _ in range(6)]  # more than cores
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(seen) == 6 * 50 * 4 and set(seen) == {1}
+    def handler():
+        seen.extend(map_in_order(lambda i: blas.count, range(3), 2))
+        return 0
+
+    assert _main_with_handler(monkeypatch, "rate-study", handler) == 0
+    assert seen == [1, 1, 1]
     assert blas.count == 4
 
 
-def test_the_real_openblas_runs_one_thread_inside_the_pool():
-    calls = harness._blas_thread_calls()
+def test_the_real_openblas_runs_one_thread_inside_the_pool(monkeypatch):
+    calls = cli._blas_thread_calls()
     if calls is None:
         pytest.skip("numpy's OpenBLAS or its thread calls were not found")
     get, put = calls
+    seen = []
+
+    def handler():
+        seen.extend(map_in_order(lambda i: get(), range(4), 2))
+        return 0
+
     before = get()
-    put(2)  # a count the cap visibly changes, whatever the machine started with
+    put(2)  # a count the hold visibly changes, whatever the machine started with
     try:
-        assert list(map_in_order(lambda i: get(), range(4), 2)) == [1, 1, 1, 1]
+        assert _main_with_handler(monkeypatch, "rate-study", handler) == 0
+        assert seen == [1, 1, 1, 1]
         assert get() == 2
     finally:
         put(before)
@@ -553,7 +539,7 @@ def test_the_blas_cap_keeps_every_byte_of_a_poisson_study(monkeypatch, tmp_path)
     # library "not found") from one, as under OPENBLAS_NUM_THREADS=1.  On some
     # kernels (Nehalem) two-thread eigh rounds differently, so without the cap
     # a study started from two threads would not match.
-    calls = harness._blas_thread_calls()
+    calls = cli._blas_thread_calls()
     if calls is None:
         pytest.skip("numpy's OpenBLAS or its thread calls were not found")
     get, put = calls
@@ -565,7 +551,7 @@ def test_the_blas_cap_keeps_every_byte_of_a_poisson_study(monkeypatch, tmp_path)
     try:
         for capped, start in ((True, 2), (True, 1), (False, 1)):
             if not capped:
-                monkeypatch.setattr(harness, "_blas_thread_calls", lambda: None)
+                monkeypatch.setattr(cli, "_blas_thread_calls", lambda: None)
             for jobs in ("1", "2"):
                 put(start)
                 out = tmp_path / f"{capped}-{start}-{jobs}"
@@ -584,7 +570,7 @@ def test_the_blas_cap_keeps_every_byte_of_a_poisson_study(monkeypatch, tmp_path)
 @pytest.mark.parametrize("fails", [False, True], ids=["fit", "fit_raises"])
 def test_estimate_fits_on_one_blas_thread_and_restores_the_count(monkeypatch, tmp_path, fails):
     blas = FakeBlas(4)
-    monkeypatch.setattr(harness, "_blas_thread_calls", blas.calls)
+    monkeypatch.setattr(cli, "_blas_thread_calls", blas.calls)
     seen = []
 
     def fit(*args, **kwargs):
@@ -606,7 +592,7 @@ def test_estimate_fits_on_one_blas_thread_and_restores_the_count(monkeypatch, tm
 def test_estimate_keeps_every_byte_from_any_blas_thread_count(tmp_path):
     # on some kernels (Nehalem) a two-thread eigh of a 200 x 200 covariance
     # rounds differently, so without the hold these files would differ there
-    calls = harness._blas_thread_calls()
+    calls = cli._blas_thread_calls()
     if calls is None:
         pytest.skip("numpy's OpenBLAS or its thread calls were not found")
     get, put = calls

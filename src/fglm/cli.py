@@ -126,7 +126,6 @@ def _build_parser() -> _Parser:
     low.add_argument("--m", type=int, default=2, help="hypercube bits")
     low.add_argument("--n-grid", default="100,1000,10000")
     low.add_argument("--n-mc", type=int, default=200)
-    low.add_argument("--radius", type=float, default=1.0)
     low.set_defaults(handler=_cmd_lower_bound)
 
     diag = sub.add_parser(
@@ -335,20 +334,10 @@ def _cmd_perturb_check(args) -> int:
 def _cmd_lower_bound(args) -> int:
     cfg = _load_config(args)
     n_grid = list(parse_sample_sizes(args.n_grid, "--n-grid"))
-    base = standard_config(
-        args.m,
-        get_family(cfg.family),
-        alpha=cfg.alpha,
-        beta_s=cfg.beta_s,
-        radius=args.radius,
-    )
+    base = standard_config(args.m, get_family(cfg.family), alpha=cfg.alpha, beta_s=cfg.beta_s)
     rows = affinity_study(base, n_grid, n_mc=args.n_mc, seed=cfg.seed)
     path = os.path.join(cfg.out_dir, "affinity.csv")
-    write_csv(
-        path,
-        ["n", "j", "eps", "affinity", "se", "bound_value"],
-        ((r["n"], r["j"], r["eps"], r["affinity"], r["se"], r["bound_value"]) for r in rows),
-    )
+    write_csv(path, list(rows[0].keys()), (tuple(row.values()) for row in rows))
     for n in n_grid:
         sub = [r for r in rows if r["n"] == n]
         worst = min(sub, key=lambda r: r["affinity"])

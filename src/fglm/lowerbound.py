@@ -2,12 +2,14 @@
 
 The minimax risk of slope estimation is bounded below by testing between
 slopes indexed by corners of a hypercube: coordinates j in J = {m+1,
-..., 2m} carry coefficients eps * gamma_j * beta_j with beta_j = R
+..., 2m} carry coefficients eps * gamma_j * beta_j with beta_j =
 j^-beta, and flipping one bit changes the squared distance by (eps
 beta_j)^2 while moving the data distribution by a controlled Hellinger
-amount.  This module computes the pieces that make that argument
-quantitative: the corner slopes, Monte Carlo estimates of the affinity
-between one-bit neighbors, and the resulting risk-bound value.
+amount.  The amplitude eps is the cube's only size; calibration sets it
+from n, so a scale factor on beta_j would cancel.  This module computes
+the pieces that make that argument quantitative: the corner slopes,
+Monte Carlo estimates of the affinity between one-bit neighbors, and
+the resulting risk-bound value.
 
 The affinity estimate averages 1 - sqrt(min(2, sum_i h_i^2)) over fresh
 design draws, which lower-bounds the expected overlap between the two
@@ -46,12 +48,12 @@ class AssouadConfig:
 
     `theta` lists process eigenvalues by 1-indexed coordinate and must
     cover the hypercube coordinates (length >= 2m).  `eps_scale` may be
-    zero, which collapses all corners to the zero slope.
+    zero, which collapses all corners to the zero slope; a corner's
+    coefficient on coordinate j is eps_scale * j^-beta_s.
     """
 
     m: int
     eps_scale: float
-    radius: float
     beta_s: float
     family: ExpFamilySpec
     theta: np.ndarray
@@ -61,8 +63,8 @@ class AssouadConfig:
             raise ValueError("m must be a positive integer")
         if not (self.eps_scale >= 0.0 and math.isfinite(self.eps_scale)):
             raise ValueError("eps_scale must be finite and nonnegative")
-        if not (0.0 < self.radius < math.inf and 0.0 < self.beta_s < math.inf):
-            raise ValueError("radius and beta_s must be finite and positive")
+        if not 0.0 < self.beta_s < math.inf:
+            raise ValueError("beta_s must be finite and positive")
         theta = np.asarray(self.theta, dtype=float)
         if theta.ndim != 1 or theta.shape[0] < 2 * self.m:
             raise ValueError("theta must cover coordinates 1 .. 2m")
@@ -78,9 +80,9 @@ class AssouadConfig:
 
     @property
     def beta_weights(self) -> np.ndarray:
-        """beta_j = R j^-beta for j in the perturbed set, decreasing."""
+        """beta_j = j^-beta for j in the perturbed set, decreasing."""
         j = np.arange(self.m + 1, 2 * self.m + 1, dtype=float)
-        return self.radius * j**-self.beta_s
+        return j**-self.beta_s
 
     @property
     def theta_j(self) -> np.ndarray:
@@ -93,14 +95,12 @@ def standard_config(
     alpha: float = 2.0,
     beta_s: float = 3.0,
     eps_scale: float = 1.0,
-    radius: float = 1.0,
 ) -> AssouadConfig:
-    """Config over the polynomially decaying spectrum theta_k = k^-alpha."""
+    """Corners eps_scale * gamma_j * j^-beta_s over the spectrum theta_k = k^-alpha."""
     k = np.arange(1, 2 * m + 1, dtype=float)
     return AssouadConfig(
         m=m,
         eps_scale=eps_scale,
-        radius=radius,
         beta_s=beta_s,
         family=family,
         theta=k**-alpha,
@@ -139,7 +139,6 @@ def flip(cfg: AssouadConfig, gamma, j: int) -> tuple[int, ...]:
 class AffinityEstimate:
     mean: float
     se: float
-    n_mc: int
 
 
 def affinity_detail(
@@ -177,7 +176,7 @@ def affinity_detail(
         vals[d] = 1.0 - math.sqrt(s)
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
-    return AffinityEstimate(mean=mean, se=se, n_mc=n_mc)
+    return AffinityEstimate(mean=mean, se=se)
 
 
 def calibrated_eps(cfg: AssouadConfig, n: int) -> float:
@@ -186,18 +185,17 @@ def calibrated_eps(cfg: AssouadConfig, n: int) -> float:
     Solves n * eps^2 * max_j beta_j^2 theta_j = 1; with decaying beta
     and theta the maximum sits at j = m+1.  Keeps the per-flip Hellinger
     sum of order one for every n, so the affinity floor is n-free.  A
-    radius so large or small that eps is not finite and positive in
-    float64 is refused.
+    beta_s so large that eps or eps^2 leaves float64 is refused (from
+    325 up at alpha = 2, m = 2, n = 100).
     """
     if n < 1:
         raise ValueError("n must be positive")
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        top = float(np.max(cfg.beta_weights**2 * cfg.theta_j))
+    top = float(np.max(cfg.beta_weights**2 * cfg.theta_j))
     eps = 1.0 / math.sqrt(n * top) if top > 0.0 else math.inf
-    if not 0.0 < eps < math.inf:
+    if not 0.0 < eps * eps < math.inf:  # a float ** would raise OverflowError
         raise ValueError(
-            f"radius {cfg.radius:g} is out of range: the calibrated eps at n={n} "
-            "is not finite and positive"
+            f"beta_s={cfg.beta_s:g}, m={cfg.m} and n={n} put the hypercube out of float "
+            "range: the calibrated eps and its square must be finite and positive"
         )
     return eps
 
@@ -214,10 +212,10 @@ def assouad_bound_value(cfg: AssouadConfig, affinity_floor: float) -> float:
     """
     if not 0.0 <= affinity_floor <= 1.0:
         raise ValueError("affinity_floor must lie in [0, 1]")
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        value = affinity_floor / 8.0 * cfg.eps_scale**2 * float(np.sum(cfg.beta_weights**2))
+    eps_sq = cfg.eps_scale * cfg.eps_scale  # a float ** would raise OverflowError
+    value = affinity_floor / 8.0 * eps_sq * float(np.sum(cfg.beta_weights**2))
     if not math.isfinite(value):
-        raise ValueError(f"radius {cfg.radius:g} is out of range: the bound value is not finite")
+        raise ValueError(f"eps_scale {cfg.eps_scale:g} makes the bound value infinite")
     return value
 
 
@@ -232,7 +230,8 @@ def affinity_study(
     For each n the config is re-calibrated via `calibrated_eps` and the
     exact-Hellinger affinity estimated at every flip coordinate from the
     all-ones corner.  Rows carry enough to check that the minimum
-    affinity stays bounded away from zero as n grows.
+    affinity stays bounded away from zero as n grows.  Every n is
+    calibrated before the first draw, so a refused one costs no Monte Carlo.
     """
     n_grid = [int(v) for v in n_grid]
     if any(v < 1 for v in n_grid):
@@ -240,9 +239,9 @@ def affinity_study(
     if len(set(n_grid)) < len(n_grid):
         raise ValueError(f"sample sizes must not repeat, got {n_grid}")
     gamma = (1,) * cfg.m
+    cubes = [calibrated_config(cfg, n) for n in n_grid]
     rows = []
-    for n_idx, n in enumerate(n_grid):
-        scaled = calibrated_config(cfg, n)
+    for n_idx, (n, scaled) in enumerate(zip(n_grid, cubes)):
         for j_idx, j in enumerate(scaled.j_set):
             detail = affinity_detail(
                 scaled,

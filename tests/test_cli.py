@@ -706,12 +706,10 @@ def test_diagnostics_task_failure_is_the_command_error(
         (["perturb-check", "--alpha", "0"], "alpha must be finite and positive, got 0.0"),
         (["perturb-check", "--alpha", "inf"], "alpha must be finite and positive, got inf"),
         (["perturb-check", "--alpha", "nan"], "alpha must be finite and positive, got nan"),
-        (["lower-bound", "--radius", "inf"], "radius and beta_s must be finite and positive"),
-        (["lower-bound", "--radius", "nan"], "radius and beta_s must be finite and positive"),
-        (
-            ["lower-bound", "--radius", "1e200"],
-            "radius 1e+200 is out of range: the calibrated eps at n=100 is not finite and positive",
-        ),
+        # the hypercube has one amplitude, the calibrated eps; there is no radius to set
+        (["lower-bound", "--radius", "1"], "unrecognized arguments: --radius 1"),
+        (["lower-bound", "--m", "0"], "m must be a positive integer"),
+        (["lower-bound", "--n-grid", "0,100"], "sample sizes must be positive"),
         (["lower-bound", "--n-grid", "100,100"], "sample sizes must not repeat, got [100, 100]"),
         (["lower-bound", "--n-grid", "100,,200,"], "--n-grid must list integers, got '100,,200,'"),
     ],
@@ -736,6 +734,27 @@ def test_certification_refuses_counts_that_certify_nothing(
     assert captured.out == ""  # no verdict line
     assert not out_dir.exists()  # no CSV
     assert monte_carlo_calls == []  # refused before any Monte Carlo started
+
+
+@pytest.mark.parametrize("beta_s", ["326", "330", "336", "340", "400"])
+def test_lower_bound_refuses_a_cube_out_of_float_range(tmp_path, capsys, monkeypatch, beta_s):
+    # every other command accepts these configs; at the stock --n-grid the
+    # calibrated eps^2 overflows (326 .. 336) or eps itself is 1/0 (340, 400)
+    monte_carlo_calls = []
+    monkeypatch.setattr(lowerbound, "affinity_detail", monte_carlo_calls.append)
+    cfg = _write_cfg(tmp_path, f"family = gaussian\nseed = 0\nbeta_s = {beta_s}\n")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused, not warned about
+        assert main(["lower-bound", "--config", cfg, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: beta_s={beta_s}, m=2 and n=100 put the hypercube out of float range: "
+        "the calibrated eps and its square must be finite and positive\n"
+    )
+    assert captured.out == ""
+    assert not out_dir.exists()  # no CSV
+    assert monte_carlo_calls == []
 
 
 @pytest.mark.parametrize(

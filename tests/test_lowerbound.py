@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from fglm import lowerbound
 from fglm.expfam import get_family, hellinger_sq_exact
 from fglm.funcspace import norm_sq
 from fglm.lowerbound import (
@@ -35,13 +36,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         standard_config(0, GAUSS)
     with pytest.raises(ValueError):
-        AssouadConfig(
-            m=2, eps_scale=1.0, radius=1.0, beta_s=3.0, family=GAUSS, theta=np.ones(3)
-        )
+        AssouadConfig(m=2, eps_scale=1.0, beta_s=3.0, family=GAUSS, theta=np.ones(3))
     with pytest.raises(ValueError):
-        AssouadConfig(
-            m=1, eps_scale=-0.5, radius=1.0, beta_s=3.0, family=GAUSS, theta=np.ones(2)
-        )
+        AssouadConfig(m=1, eps_scale=-0.5, beta_s=3.0, family=GAUSS, theta=np.ones(2))
+    for beta_s in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta_s must be finite and positive"):
+            standard_config(2, GAUSS, beta_s=beta_s)
 
 
 def test_corner_slopes():
@@ -75,7 +75,7 @@ def test_flip_involution_and_separation(gamma, j):
     assert sum(a != b for a, b in zip(gamma, flipped)) == 1
     # flipping bit j moves the corner slope by exactly eps * beta_j
     gap = norm_sq(hypercube_slope(cfg, gamma) - hypercube_slope(cfg, flipped))
-    beta_j = cfg.radius * float(j) ** -cfg.beta_s
+    beta_j = float(j) ** -cfg.beta_s
     assert gap == pytest.approx((0.7 * beta_j) ** 2, rel=1e-12)
 
 
@@ -110,20 +110,22 @@ def test_affinity_symmetric_between_neighbor_corners():
     assert abs(a.mean - b.mean) <= 4.0 * math.hypot(a.se, b.se)
 
 
-def test_affinity_matches_quadrature_oracle():
-    # m = 1, n = 1: the affinity is E_z[1 - h(z)] with h^2 the gaussian
-    # Hellinger distance at shift eps * beta_2 * z, z ~ N(0, theta_2)
-    cfg = standard_config(1, GAUSS, eps_scale=0.8)
-    beta2 = cfg.beta_weights[0]
-    theta2 = cfg.theta_j[0]
+@pytest.mark.parametrize("eps", [0.8, 20.0])
+@pytest.mark.parametrize("family", ["gaussian", "poisson", "bernoulli"])
+def test_affinity_matches_quadrature_oracle(family, eps):
+    # m = 1, n = 1: the affinity is E_z[1 - sqrt(min(2, h^2))] with h^2 the
+    # exact Hellinger distance between the corner at lambda = a z and its
+    # flip, which moves lambda by -a z; a = eps * beta_2, z ~ N(0, theta_2)
+    spec = get_family(family)
+    cfg = standard_config(1, spec, eps_scale=eps)
+    a = eps * cfg.beta_weights[0]
+    sd = math.sqrt(cfg.theta_j[0])
 
     def f(z):
-        h2 = hellinger_sq_exact(GAUSS, 0.0, 0.8 * beta2 * z)
-        return (1.0 - math.sqrt(min(2.0, h2))) * stats.norm.pdf(
-            z, scale=math.sqrt(theta2)
-        )
+        h2 = float(hellinger_sq_exact(spec, a * z, -a * z))
+        return (1.0 - math.sqrt(min(2.0, h2))) * stats.norm.pdf(z, scale=sd)
 
-    exact, _ = integrate.quad(f, -10 * math.sqrt(theta2), 10 * math.sqrt(theta2))
+    exact, _ = integrate.quad(f, -10 * sd, 10 * sd)
     est = affinity_detail(cfg, 1, 2, (1,), n_mc=4000, seed=3)
     assert abs(est.mean - exact) <= 4.0 * est.se
 
@@ -151,23 +153,37 @@ def test_calibrated_eps_shrinks_like_root_n():
 
 
 @pytest.mark.parametrize(
-    "radius, n, message",
+    "beta_s, n_ok, n_refused",
     [
-        # beta_j^2 overflows, and eps came out as 0 with a NaN bound value
-        (1e200, 100, "the calibrated eps at n=100 is not finite and positive"),
-        # beta_j^2 underflows to 0, and eps came out as 1/0
-        (1e-200, 100, "the calibrated eps at n=100 is not finite and positive"),
-        # eps is finite, but the sum of beta_j^2 overflows to an infinite bound value
-        (3.57e155, 1, "the bound value is not finite"),
+        # eps^2 ~ 3^(2 beta_s + 2) / n overflows below some n, which grows with beta_s
+        (324.0, 100, 10),
+        (325.0, 1000, 100),
+        # beta_j^2 theta_j underflows to 0, so eps is 1/0 at every n
+        (340.0, None, 10**9),
     ],
 )
-def test_a_radius_out_of_float_range_is_refused(radius, n, message):
-    cfg = standard_config(2, GAUSS, radius=radius)
+def test_a_cube_out_of_float_range_is_refused(monkeypatch, beta_s, n_ok, n_refused):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("an affinity was estimated")
+
+    monkeypatch.setattr(lowerbound, "affinity_detail", no_draws)
+    cfg = standard_config(2, GAUSS, beta_s=beta_s)
+    message = (
+        f"beta_s={beta_s:g}, m=2 and n={n_refused} put the hypercube out of float range: "
+        "the calibrated eps and its square must be finite and positive"
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused, not warned about
+        if n_ok is not None:
+            assert math.isfinite(assouad_bound_value(calibrated_config(cfg, n_ok), 1.0))
         with pytest.raises(ValueError) as refused:
-            affinity_study(cfg, [n], n_mc=2)
-    assert str(refused.value) == f"radius {radius:g} is out of range: {message}"
+            calibrated_eps(cfg, n_refused)
+        assert str(refused.value) == message
+        # a study calibrates every n before its first draw, so the good n
+        # listed first costs no Monte Carlo either
+        with pytest.raises(ValueError) as refused:
+            affinity_study(cfg, [n for n in (n_ok, n_refused) if n is not None])
+        assert str(refused.value) == message
 
 
 def test_bound_value_closed_form():
@@ -177,6 +193,9 @@ def test_bound_value_closed_form():
     assert assouad_bound_value(cfg, 0.0) == 0.0
     with pytest.raises(ValueError):
         assouad_bound_value(cfg, 1.5)
+    # a library caller's huge eps squares to inf, refused rather than an OverflowError
+    with pytest.raises(ValueError, match=r"eps_scale 1e\+200 makes the bound value infinite"):
+        assouad_bound_value(standard_config(1, GAUSS, eps_scale=1e200), 1.0)
 
 
 def test_bound_value_matches_partial_sum():

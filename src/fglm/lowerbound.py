@@ -233,6 +233,11 @@ def affinity_study(
     affinity stays bounded away from zero as n grows.  Every n is
     calibrated before the first draw, so a refused one costs no Monte Carlo.
     """
+    if cfg.m > 1000:  # the seed rule below gives each cell its own stream only up to here
+        raise ValueError(
+            f"m={cfg.m} is above 1000: cell (n_idx, j_idx) is seeded seed + 1000 * n_idx + "
+            "j_idx, so two cells would share a random stream"
+        )
     n_grid = [int(v) for v in n_grid]
     if any(v < 1 for v in n_grid):
         raise ValueError("sample sizes must be positive")

@@ -20,7 +20,8 @@ All quantities use the eigenbasis of the base matrix, eigenvalues sorted
 descending.  Ties in the base spectrum make first-order terms undefined,
 so checks gate on a minimum gap relative to the perturbation size
 (`gap > 5 * delta`) and on a floor below which the eigensolver's own
-rounding swamps the eigenvectors (`eigensolver_gap_floor`).  The
+rounding swamps the eigenvectors (`eigensolver_gap_floor`).  A
+`PerturbationPair` computes f_k, L_k and r_k once, when it is built.  The
 eigenvector and remainder checks judge every index k of an instance at
 once and return arrays over k; an index that fails the gap hypothesis
 passes by convention and is counted as skipped.
@@ -37,7 +38,6 @@ from .expfam import ExpFamilySpec
 
 __all__ = [
     "PerturbationPair",
-    "AlignedEigenData",
     "eigensolver_gap_floor",
     "aligned_eigen_data",
     "EigenvalueReport",
@@ -76,15 +76,36 @@ def _eigh_descending(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PerturbationPair:
-    """A symmetric perturbed matrix and the eigensystems of it and its base."""
+    """One perturbation instance: two eigensystems and the eigenvector errors.
 
-    perturbed: np.ndarray
+    `theta`, `vecs` and `theta_tilde`, `vecs_tilde` are the base and the
+    perturbed eigenpairs, `delta_op` and `delta_hs` the operator and
+    Hilbert-Schmidt norms of the change.  The other fields, made once by
+    `aligned_eigen_data`, are the eigenvector errors in the base
+    eigencoordinates.  Column k of each matrix refers to the k-th
+    eigenpair: `aligned[:, k]` holds the coordinates of s_k e~_k,
+    `err[:, k]` those of s_k e~_k - e_k, `lead[:, k]` the first-order term
+    with entries <e_j, T~ e_k> / (theta_k - theta_j) and zero on the
+    diagonal, and `rem = err - lead`.  `gap_table[j, k]` is
+    |theta_k - theta_j|, infinite on the diagonal; `gaps[k]`, its column
+    minimum, is the distance from theta_k to the rest of the base
+    spectrum, and `admissible[k]` is the gap hypothesis gap_k > 5 delta
+    together with gap_k > `eigensolver_gap_floor(theta)`.
+    """
+
     theta: np.ndarray
     vecs: np.ndarray
     theta_tilde: np.ndarray
     vecs_tilde: np.ndarray
     delta_op: float
     delta_hs: float
+    aligned: np.ndarray
+    err: np.ndarray
+    lead: np.ndarray
+    rem: np.ndarray
+    gap_table: np.ndarray
+    gaps: np.ndarray
+    admissible: np.ndarray
 
     @classmethod
     def from_matrices(cls, base, perturbed) -> "PerturbationPair":
@@ -102,37 +123,15 @@ class PerturbationPair:
         theta_tilde, vecs_tilde = _eigh_descending(perturbed)
         delta_op = float(np.max(np.abs(np.linalg.eigvalsh(diff))))
         delta_hs = float(np.linalg.norm(diff))
-        return cls(perturbed, theta, vecs, theta_tilde, vecs_tilde, delta_op, delta_hs)
+        errors = aligned_eigen_data(perturbed, theta, vecs, vecs_tilde, delta_op)
+        return cls(theta, vecs, theta_tilde, vecs_tilde, delta_op, delta_hs, **errors)
 
     @property
     def dim(self) -> int:
         return self.theta.shape[0]
 
 
-@dataclass(frozen=True)
-class AlignedEigenData:
-    """Eigenvector errors in the base eigencoordinates.
-
-    Column k of each matrix refers to the k-th eigenpair: `aligned[:, k]`
-    holds the coordinates of s_k e~_k, `err[:, k]` those of s_k e~_k - e_k,
-    `lead[:, k]` the first-order term with entries <e_j, T~ e_k> /
-    (theta_k - theta_j) and zero on the diagonal, and `rem = err - lead`.
-    `gap_table[j, k]` is |theta_k - theta_j|, infinite on the diagonal;
-    `gaps[k]`, its column minimum, is the distance from theta_k to the rest
-    of the base spectrum, and `admissible[k]` is the gap hypothesis
-    gap_k > 5 delta together with gap_k > `eigensolver_gap_floor(pair)`.
-    """
-
-    aligned: np.ndarray
-    err: np.ndarray
-    lead: np.ndarray
-    rem: np.ndarray
-    gap_table: np.ndarray
-    gaps: np.ndarray
-    admissible: np.ndarray
-
-
-def eigensolver_gap_floor(pair: PerturbationPair) -> float:
+def eigensolver_gap_floor(theta: np.ndarray) -> float:
     """Smallest gap at which rounding in the eigenvectors fits in `_SLACK`.
 
     LAPACK's symmetric eigensolver is backward stable: the eigenpairs it
@@ -147,40 +146,38 @@ def eigensolver_gap_floor(pair: PerturbationPair) -> float:
     dim * eps * theta_max / _SLACK.  For dim <= 12 and theta_max = 1 the
     floor is under 3e-5, below every gap of the spectrum k^-2.
     """
-    theta_max = float(np.max(np.abs(pair.theta), initial=0.0))
-    return pair.dim * np.finfo(float).eps * theta_max / _SLACK
+    theta_max = float(np.max(np.abs(theta), initial=0.0))
+    return theta.shape[0] * np.finfo(float).eps * theta_max / _SLACK
 
 
-def aligned_eigen_data(pair: PerturbationPair) -> AlignedEigenData:
-    theta, vecs, vecs_tilde = pair.theta, pair.vecs, pair.vecs_tilde
-    d = pair.dim
+def aligned_eigen_data(perturbed, theta, vecs, vecs_tilde, delta_op: float) -> dict:
+    """The eigenvector-error fields of a `PerturbationPair`, by field name."""
+    d = theta.shape[0]
     overlap = np.einsum("ij,ij->j", vecs, vecs_tilde)
     signs = np.where(overlap >= 0.0, 1.0, -1.0)  # sign(0) := +1
     aligned = vecs.T @ (vecs_tilde * signs)
     err = aligned - np.eye(d)
-    mid = vecs.T @ pair.perturbed @ vecs
+    mid = vecs.T @ perturbed @ vecs
     denom = theta[None, :] - theta[:, None]  # theta_k - theta_j at (j, k)
     with np.errstate(divide="ignore", invalid="ignore"):
         lead = np.where(np.eye(d, dtype=bool), 0.0, mid / denom)
     gap_table = np.abs(denom)
     np.fill_diagonal(gap_table, np.inf)
     gaps = gap_table.min(axis=0)
-    return AlignedEigenData(
+    return dict(
         aligned=aligned,
         err=err,
         lead=lead,
         rem=err - lead,
         gap_table=gap_table,
         gaps=gaps,
-        admissible=(gaps > 5.0 * pair.delta_op) & (gaps > eigensolver_gap_floor(pair)),
+        admissible=(gaps > 5.0 * delta_op) & (gaps > eigensolver_gap_floor(theta)),
     )
 
 
 @dataclass(frozen=True)
 class EigenvalueReport:
     max_abs_err: float
-    delta_op: float
-    delta_hs: float
     passed: bool
 
 
@@ -188,9 +185,7 @@ def check_eigenvalue_bound(pair: PerturbationPair) -> EigenvalueReport:
     """Each eigenvalue moves by at most the operator norm of the change."""
     err = float(np.max(np.abs(pair.theta - pair.theta_tilde)))
     passed = err <= pair.delta_op + _SLACK and err <= pair.delta_hs + _SLACK
-    return EigenvalueReport(
-        max_abs_err=err, delta_op=pair.delta_op, delta_hs=pair.delta_hs, passed=passed
-    )
+    return EigenvalueReport(max_abs_err=err, passed=passed)
 
 
 @dataclass(frozen=True)
@@ -200,16 +195,16 @@ class EigenvectorReport:
     passed: np.ndarray
 
 
-def check_eigenvector_bound(pair: PerturbationPair, data: AlignedEigenData) -> EigenvectorReport:
+def check_eigenvector_bound(pair: PerturbationPair) -> EigenvectorReport:
     """Aligned eigenvector error within 3x its first-order size.
 
     Every index k is judged at once and each report field is an array
     over k.  An index without the gap hypothesis (`admissible`) passes by
     convention.
     """
-    err_norm = np.linalg.norm(data.err, axis=0)
-    lead_norm = np.linalg.norm(data.lead, axis=0)
-    passed = ~data.admissible | (err_norm <= 3.0 * lead_norm + _SLACK)
+    err_norm = np.linalg.norm(pair.err, axis=0)
+    lead_norm = np.linalg.norm(pair.lead, axis=0)
+    passed = ~pair.admissible | (err_norm <= 3.0 * lead_norm + _SLACK)
     return EigenvectorReport(err_norm=err_norm, lead_norm=lead_norm, passed=passed)
 
 
@@ -220,7 +215,7 @@ class RemainderReport:
     passed: np.ndarray
 
 
-def check_eigenvector_remainder(pair: PerturbationPair, data: AlignedEigenData) -> RemainderReport:
+def check_eigenvector_remainder(pair: PerturbationPair) -> RemainderReport:
     """Remainder after removing the first-order eigenvector error.
 
     Its coordinate along e_k equals -||f_k||^2 / 2 exactly (a sign-
@@ -230,15 +225,15 @@ def check_eigenvector_remainder(pair: PerturbationPair, data: AlignedEigenData) 
     bound over j != k.  An index without the gap hypothesis passes by
     convention.
     """
-    err_sq = np.einsum("jk,jk->k", data.err, data.err)
-    diag_abs_err = np.abs(np.diagonal(data.rem) + 0.5 * err_sq)
-    lead_norm = np.linalg.norm(data.lead, axis=0)
+    err_sq = np.einsum("jk,jk->k", pair.err, pair.err)
+    diag_abs_err = np.abs(np.diagonal(pair.rem) + 0.5 * err_sq)
+    lead_norm = np.linalg.norm(pair.lead, axis=0)
     with np.errstate(divide="ignore"):  # a tie gives an infinite budget
-        budget = 5.0 * pair.delta_op * lead_norm / data.gap_table
-    excess = np.abs(data.rem) - budget
+        budget = 5.0 * pair.delta_op * lead_norm / pair.gap_table
+    excess = np.abs(pair.rem) - budget
     np.fill_diagonal(excess, -np.inf)
     max_off_excess = excess.max(axis=0)
-    passed = ~data.admissible | ((diag_abs_err <= _DIAG_TOL) & (max_off_excess <= _SLACK))
+    passed = ~pair.admissible | ((diag_abs_err <= _DIAG_TOL) & (max_off_excess <= _SLACK))
     return RemainderReport(diag_abs_err=diag_abs_err, max_off_excess=max_off_excess, passed=passed)
 
 
@@ -252,12 +247,7 @@ class ProjectionReport:
     identity_passed: bool
 
 
-def check_projection_bound(
-    pair: PerturbationPair,
-    j_set,
-    b,
-    data: AlignedEigenData,
-) -> ProjectionReport:
+def check_projection_bound(pair: PerturbationPair, j_set, b) -> ProjectionReport:
     """Spectral-projection error applied to a fixed coefficient vector.
 
     With J the projected index set and B = sum_k b_k e_k, the exact
@@ -277,7 +267,7 @@ def check_projection_bound(
         raise ValueError("coefficient vector must match the matrix dimension")
     mask = np.zeros(d, dtype=bool)
     mask[j_idx] = True
-    admissible = bool(np.all(data.admissible[mask]))
+    admissible = bool(np.all(pair.admissible[mask]))
 
     # exact projection difference, expressed in base eigencoordinates
     b_orig = pair.vecs @ b
@@ -286,7 +276,7 @@ def check_projection_bound(
     diff = pair.vecs.T @ (proj_pert - proj_base)
 
     # first-order cross terms; the J x J block cancels by antisymmetry
-    lead = data.lead  # lead[j, k] = <e_j, first-order error of evec k>
+    lead = pair.lead  # lead[j, k] = <e_j, first-order error of evec k>
     main = np.zeros(d)
     main[mask] = lead.T[mask][:, ~mask] @ b[~mask]
     main[~mask] = lead[~mask][:, mask] @ b[mask]
@@ -295,9 +285,9 @@ def check_projection_bound(
     # sum over k in J of [ s_k e~_k <r_k, B> + f_k <L_k, B> + r_k b_k ]
     cross = lead[:, mask].T @ b  # <L_k, B> for k in J
     rho = (
-        data.aligned[:, mask] @ (data.rem[:, mask].T @ b)
-        + data.err[:, mask] @ cross
-        + data.rem[:, mask] @ b[mask]
+        pair.aligned[:, mask] @ (pair.rem[:, mask].T @ b)
+        + pair.err[:, mask] @ cross
+        + pair.rem[:, mask] @ b[mask]
     )
     identity_err = float(np.linalg.norm(diff - main - rho))
     rho_sq = float(np.dot(rho, rho))
@@ -305,10 +295,10 @@ def check_projection_bound(
     lead_norms_sq = np.einsum("jk,jk->k", lead[:, mask], lead[:, mask])
     r1 = float(np.sum(lead_norms_sq)) * float(np.sum(cross**2))
     # C order: the product below sums in layout order, and perturb_check.csv pins its bits
-    inv_gap = np.ascontiguousarray(1.0 / data.gap_table[:, mask])
+    inv_gap = np.ascontiguousarray(1.0 / pair.gap_table[:, mask])
     term1 = float(np.sum(lead_norms_sq * (np.abs(b) @ inv_gap) ** 2))
     term2 = float(np.sum(np.sqrt(lead_norms_sq) * np.abs(b[mask]) * inv_gap.sum(axis=0)) ** 2)
-    term3 = float(np.sum(lead_norms_sq * b[mask] ** 2 / data.gaps[mask] ** 2))
+    term3 = float(np.sum(lead_norms_sq * b[mask] ** 2 / pair.gaps[mask] ** 2))
     envelope = r1 + pair.delta_op**2 * (term1 + term2 + term3)
 
     if envelope > 0:
@@ -382,16 +372,15 @@ def random_perturbation_suite(
         eps = eps_sweep[idx % 3]
         eps = min(eps, 0.9 * spectrum[-1])  # keep the perturbed matrix PSD
         pair = PerturbationPair.from_matrices(base, base + eps * sym)
-        data = aligned_eigen_data(pair)
 
         ev_rep = check_eigenvalue_bound(pair)
-        checked = int(np.count_nonzero(data.admissible))
-        vec_viol = int(np.count_nonzero(~check_eigenvector_bound(pair, data).passed))
-        rem_viol = int(np.count_nonzero(~check_eigenvector_remainder(pair, data).passed))
+        checked = int(np.count_nonzero(pair.admissible))
+        vec_viol = int(np.count_nonzero(~check_eigenvector_bound(pair).passed))
+        rem_viol = int(np.count_nonzero(~check_eigenvector_remainder(pair).passed))
         coeff = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0) * np.arange(
             1, dim + 1, dtype=float
         ) ** -3.0
-        proj = check_projection_bound(pair, (0, 1), coeff, data)
+        proj = check_projection_bound(pair, (0, 1), coeff)
         proj_id_fail += int(proj.admissible and not proj.identity_passed)
         rows.append(
             {
@@ -449,7 +438,6 @@ _EPS2 = 0.1
 
 def check_mle_linearization(
     n: int,
-    n_components: int,
     family: ExpFamilySpec,
     gamma,
     seed: int = 0,
@@ -459,7 +447,8 @@ def check_mle_linearization(
 ) -> LinearizationReport:
     """Monte Carlo check of the one-step likelihood linearization.
 
-    Per replication, a fresh design xi_i = (1, z_i) is drawn, the exact
+    The truth `gamma` holds the intercept and N >= 1 slopes.  Per
+    replication, a fresh design xi_i = (1, z_i) is drawn, the exact
     information J = sum_i d2psi(lam_i) xi_i xi_i' is formed at the true
     lam_i = <xi_i, gamma>, and the standardized design w_i = J^{-1/2}
     xi_i is tested against the smallness hypothesis max_i |w_i| <=
@@ -472,8 +461,9 @@ def check_mle_linearization(
     report is informational.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (n_components + 1,):
-        raise ValueError("gamma must have length n_components + 1")
+    if gamma.ndim != 1 or gamma.shape[0] < 2:
+        raise ValueError("gamma must be a vector of an intercept and at least one slope")
+    n_components = gamma.shape[0] - 1
     if score_dist not in ("gaussian", "rademacher"):
         raise ValueError("score_dist must be 'gaussian' or 'rademacher'")
     rng = np.random.default_rng(seed)
@@ -598,12 +588,10 @@ class FisherReport:
     n_components: int
     max_abs_z: float
     mean_sq_dev: float
-    bn: np.ndarray
 
 
 def check_fisher_expectation(
     n: int,
-    n_components: int,
     family: ExpFamilySpec,
     gamma,
     diag_scale,
@@ -612,7 +600,8 @@ def check_fisher_expectation(
 ) -> FisherReport:
     """Monte Carlo average of A_n against its analytic expectation.
 
-    The z-scores need a sample standard error, so `reps` must be at least 2.
+    The design has N = len(gamma) - 1 score columns.  The z-scores need a
+    sample standard error, so `reps` must be at least 2.
     """
     require_fisher_reps(reps)
     gamma = np.asarray(gamma, dtype=float)
@@ -620,7 +609,8 @@ def check_fisher_expectation(
     expect = expected_fisher(family, gamma, diag_scale)
     c = gamma * diag_scale
     rng = np.random.default_rng(seed)
-    p = n_components + 1
+    p = gamma.shape[0]
+    n_components = p - 1
     total = np.zeros((p, p))
     total_sq = np.zeros((p, p))
     dev_sq = 0.0
@@ -642,7 +632,6 @@ def check_fisher_expectation(
         n_components=n_components,
         max_abs_z=float(np.max(z_scores)),
         mean_sq_dev=dev_sq / reps,
-        bn=expect,
     )
 
 
@@ -672,9 +661,7 @@ def fisher_study(
         )
         diag_scale = np.concatenate([[1.0], k ** (-alpha / 2.0)])
         reports.append(
-            check_fisher_expectation(
-                n, n_comp, family, gamma, diag_scale, reps=reps, seed=seed + offset
-            )
+            check_fisher_expectation(n, family, gamma, diag_scale, reps=reps, seed=seed + offset)
         )
     return reports
 

@@ -127,11 +127,11 @@ def test_criterion_05_projection_decomposition(perturb_suite):
 
 
 def test_criterion_06_mle_linearization():
-    gauss = check_mle_linearization(400, 3, GAUSS, [0.5, 0.3, -0.2, 0.1], reps=50)
+    gauss = check_mle_linearization(400, GAUSS, [0.5, 0.3, -0.2, 0.1], reps=50)
     assert gauss.max_residual_all <= 1e-8, f"gaussian residual {gauss.max_residual_all}"
     k = np.arange(1.0, 4.0)
     gamma = np.concatenate([[0.3], np.where(np.arange(3) % 2 == 0, 1.0, -1.0) * k**-3.0])
-    pois = check_mle_linearization(5000, 3, POIS, gamma, reps=300)
+    pois = check_mle_linearization(5000, POIS, gamma, reps=300)
     assert pois.violation_rate <= pois.allowance
     note = (
         f"hypotheses satisfied on {pois.satisfied}/300 replications"

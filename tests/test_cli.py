@@ -712,6 +712,9 @@ def test_diagnostics_task_failure_is_the_command_error(
         (["lower-bound", "--n-grid", "0,100"], "sample sizes must be positive"),
         (["lower-bound", "--n-grid", "100,100"], "sample sizes must not repeat, got [100, 100]"),
         (["lower-bound", "--n-grid", "100,,200,"], "--n-grid must list integers, got '100,,200,'"),
+        # above 1000 the per-cell seeds seed + 1000 * n_idx + j_idx collide
+        (["lower-bound", "--m", "1001"], "m=1001 is above 1000: cell (n_idx, j_idx) is seeded "
+         "seed + 1000 * n_idx + j_idx, so two cells would share a random stream"),
     ],
 )
 def test_certification_refuses_counts_that_certify_nothing(

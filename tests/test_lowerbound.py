@@ -219,3 +219,30 @@ def test_study_recalibrates_per_n():
     assert {row["j"] for row in rows} == {2}
     with pytest.raises(ValueError):
         affinity_study(cfg, (0, 10), n_mc=5)
+
+
+def test_every_cell_draws_its_own_seed_up_to_m_1000(monkeypatch):
+    # cell (n_idx, j_idx) is seeded seed + 1000 * n_idx + j_idx: distinct for
+    # m <= 1000, while m = 1001 over n = 100, 200 would seed (100, j=2002) and
+    # (200, j=1002) both with 1006
+    seeds = []
+
+    def record(cfg, n, j, gamma, n_mc, seed):
+        seeds.append(seed)
+        return lowerbound.AffinityEstimate(mean=0.5, se=0.0)
+
+    monkeypatch.setattr(lowerbound, "affinity_detail", record)
+    rows = affinity_study(standard_config(1000, GAUSS), (100, 200), n_mc=1, seed=6)
+    assert len(rows) == len(set(seeds)) == 2000
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the cube was calibrated or sampled")
+
+    monkeypatch.setattr(lowerbound, "affinity_detail", no_work)
+    monkeypatch.setattr(lowerbound, "calibrated_eps", no_work)
+    with pytest.raises(ValueError) as refused:
+        affinity_study(standard_config(1001, GAUSS), (100, 200), n_mc=1, seed=6)
+    assert str(refused.value) == (
+        "m=1001 is above 1000: cell (n_idx, j_idx) is seeded seed + 1000 * n_idx + j_idx, "
+        "so two cells would share a random stream"
+    )

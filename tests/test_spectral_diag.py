@@ -78,20 +78,19 @@ def test_small_offdiagonal_worked_example():
     assert rep.passed
     assert rep.max_abs_err == pytest.approx(math.sqrt(0.26) - 0.5, abs=1e-14)
 
-    data = aligned_eigen_data(pair)
-    vec = check_eigenvector_bound(pair, data)
-    assert data.admissible[0]  # gap 1 > 5 * 0.1
+    vec = check_eigenvector_bound(pair)
+    assert pair.admissible[0]  # gap 1 > 5 * 0.1
     assert vec.passed[0]
     assert vec.lead_norm[0] == pytest.approx(0.1, abs=1e-14)
     phi = 0.5 * math.atan(0.2)
     assert vec.err_norm[0] == pytest.approx(2.0 * math.sin(0.5 * phi), abs=1e-12)
 
-    rem = check_eigenvector_remainder(pair, data)
+    rem = check_eigenvector_remainder(pair)
     assert rem.passed[0]
-    assert data.rem[0, 0] == pytest.approx(-0.5 * vec.err_norm[0] ** 2, abs=1e-15)
-    assert data.rem[0, 0] == pytest.approx(-0.0049, abs=2e-4)
+    assert pair.rem[0, 0] == pytest.approx(-0.5 * vec.err_norm[0] ** 2, abs=1e-15)
+    assert pair.rem[0, 0] == pytest.approx(-0.0049, abs=2e-4)
 
-    proj = check_projection_bound(pair, [0], [0.0, 1.0], data)
+    proj = check_projection_bound(pair, [0], [0.0, 1.0])
     assert proj.admissible
     assert proj.identity_passed
     assert proj.ratio <= 10.0
@@ -102,31 +101,30 @@ def test_identical_matrices_give_zero_errors():
     pair = PerturbationPair.from_matrices(mat, mat)
     assert pair.delta_op == 0.0
     assert pair.delta_hs == 0.0
-    data = aligned_eigen_data(pair)
-    assert np.all(data.err == 0.0)
-    assert np.all(data.lead == 0.0)
+    assert np.all(pair.err == 0.0)
+    assert np.all(pair.lead == 0.0)
     assert check_eigenvalue_bound(pair).max_abs_err == 0.0
-    rep = check_eigenvector_bound(pair, data)
-    assert np.all(data.admissible) and np.all(rep.passed) and np.all(rep.err_norm == 0.0)
-    proj = check_projection_bound(pair, [0, 2], [1.0, -1.0, 2.0], data)
+    rep = check_eigenvector_bound(pair)
+    assert np.all(pair.admissible) and np.all(rep.passed) and np.all(rep.err_norm == 0.0)
+    proj = check_projection_bound(pair, [0, 2], [1.0, -1.0, 2.0])
     assert proj.identity_passed
     assert proj.rho_sq == 0.0
     assert proj.ratio == 0.0
 
 
-def _per_index_checks(pair, data, k):
+def _per_index_checks(pair, k):
     """The eigenvector and remainder checks as first written, one index k
     per call: (err_norm, lead_norm, passed, diag_abs_err, max_off_excess,
     passed)."""
-    admissible = bool(data.admissible[k])
-    err_norm = float(np.linalg.norm(data.err[:, k]))
-    lead_norm = float(np.linalg.norm(data.lead[:, k]))
+    admissible = bool(pair.admissible[k])
+    err_norm = float(np.linalg.norm(pair.err[:, k]))
+    lead_norm = float(np.linalg.norm(pair.lead[:, k]))
     vec_passed = (not admissible) or err_norm <= 3.0 * lead_norm + 1e-10
-    fk_sq = float(np.dot(data.err[:, k], data.err[:, k]))
-    diag_abs_err = abs(float(data.rem[k, k]) + 0.5 * fk_sq)
+    fk_sq = float(np.dot(pair.err[:, k], pair.err[:, k]))
+    diag_abs_err = abs(float(pair.rem[k, k]) + 0.5 * fk_sq)
     with np.errstate(divide="ignore"):
-        budget = 5.0 * pair.delta_op * lead_norm / data.gap_table[:, k]
-    excess = np.abs(data.rem[:, k]) - budget
+        budget = 5.0 * pair.delta_op * lead_norm / pair.gap_table[:, k]
+    excess = np.abs(pair.rem[:, k]) - budget
     excess[k] = -np.inf
     max_off_excess = float(np.max(excess))
     rem_passed = (not admissible) or (diag_abs_err <= 1e-10 and max_off_excess <= 1e-10)
@@ -138,14 +136,16 @@ def _misrotated_pair():
     eigenvectors are turned by 0.1 rad in the plane of e_1 and e_2: far
     more than a perturbation of that size can move them, as an eigensolver
     fault would, so the eigenvector and remainder bounds break at indices
-    0 and 1."""
+    0 and 1.  The errors are recomputed from the turned eigenvectors."""
     base = np.diag([3.0, 2.0, 1.0])
     bump = np.zeros((3, 3))
     bump[0, 1] = bump[1, 0] = 1e-3
     honest = PerturbationPair.from_matrices(base, base + bump)
     turn = np.eye(3)
     turn[:2, :2] = [[math.cos(0.1), -math.sin(0.1)], [math.sin(0.1), math.cos(0.1)]]
-    return dataclasses.replace(honest, vecs_tilde=turn @ honest.vecs_tilde)
+    turned = turn @ honest.vecs_tilde
+    errors = aligned_eigen_data(base + bump, honest.theta, honest.vecs, turned, honest.delta_op)
+    return dataclasses.replace(honest, vecs_tilde=turned, **errors)
 
 
 def _equivalence_pairs():
@@ -189,12 +189,11 @@ def _equivalence_pairs():
 def test_array_checks_match_the_per_index_checks():
     seen = np.zeros((2, 2), dtype=int)  # [admissible?, remainder passed?]
     for pair in _equivalence_pairs():
-        data = aligned_eigen_data(pair)
         # a tie puts 0/0 and inf - inf into the budget of inadmissible columns
         with np.errstate(invalid="ignore"):
-            vec = check_eigenvector_bound(pair, data)
-            rem = check_eigenvector_remainder(pair, data)
-            want = np.array([_per_index_checks(pair, data, k) for k in range(pair.dim)]).T
+            vec = check_eigenvector_bound(pair)
+            rem = check_eigenvector_remainder(pair)
+            want = np.array([_per_index_checks(pair, k) for k in range(pair.dim)]).T
         # diag_abs_err is a cancellation residual of ||f_k||^2 <= 4, so the
         # norms' summation order moves it by up to an ulp of 4, not relatively
         for got, expected, atol in zip(
@@ -206,18 +205,17 @@ def test_array_checks_match_the_per_index_checks():
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=atol)
         assert vec.passed.tolist() == want[2].astype(bool).tolist()
         assert rem.passed.tolist() == want[5].astype(bool).tolist()
-        np.add.at(seen, (data.admissible.astype(int), rem.passed.astype(int)), 1)
+        np.add.at(seen, (pair.admissible.astype(int), rem.passed.astype(int)), 1)
     # both verdicts occur on admissible indices, and inadmissible ones pass
     assert seen[1, 0] > 0 and seen[1, 1] > 0 and seen[0, 1] > 0 and seen[0, 0] == 0
 
 
 def test_a_real_violation_clears_the_eigensolver_floor():
     pair = _misrotated_pair()
-    data = aligned_eigen_data(pair)
-    floor = eigensolver_gap_floor(pair)
-    assert data.gaps.min() == pytest.approx(1.0) and data.admissible.all()
-    vec = check_eigenvector_bound(pair, data)
-    rem = check_eigenvector_remainder(pair, data)
+    floor = eigensolver_gap_floor(pair.theta)
+    assert pair.gaps.min() == pytest.approx(1.0) and pair.admissible.all()
+    vec = check_eigenvector_bound(pair)
+    rem = check_eigenvector_remainder(pair)
     assert vec.passed.tolist() == [False, False, True]
     assert rem.passed.tolist() == [False, False, True]
     # each broken bound is overshot by far more than the floor
@@ -228,34 +226,35 @@ def test_a_real_violation_clears_the_eigensolver_floor():
 def test_eigensolver_floor_skips_only_gaps_rounding_can_swamp():
     # dim * eps * theta_max / 1e-10 at dim 12 and theta_max 1
     pair = _pair(dim=12)
-    assert eigensolver_gap_floor(pair) == pytest.approx(12 * 2.220446049250313e-16 / 1e-10)
+    assert eigensolver_gap_floor(pair.theta) == pytest.approx(12 * 2.220446049250313e-16 / 1e-10)
     # the spectrum k^-2 keeps every gap above it, so the stock suite skips no extra index
     spectrum = np.arange(1, 13, dtype=float) ** -2.0
-    assert np.min(spectrum[:-1] - spectrum[1:]) > 40.0 * eigensolver_gap_floor(pair)
+    assert np.min(spectrum[:-1] - spectrum[1:]) > 40.0 * eigensolver_gap_floor(pair.theta)
     # under k^-20 every gap but the first, 1 - 2^-20, is below 1e-6: those indices are skipped
     steep = _pair(eps=1e-25, dim=6, alpha=20.0)
-    assert aligned_eigen_data(steep).admissible.tolist() == [True] + [False] * 5
+    assert steep.admissible.tolist() == [True] + [False] * 5
 
 
 def test_eigenvalue_bound_on_random_pairs():
     for seed in range(20):
-        rep = check_eigenvalue_bound(_pair(eps=0.05, seed=seed))
+        pair = _pair(eps=0.05, seed=seed)
+        rep = check_eigenvalue_bound(pair)
         assert rep.passed
-        assert rep.max_abs_err <= rep.delta_op + 1e-12
+        assert rep.max_abs_err <= pair.delta_op + 1e-12
 
 
 def test_lead_matrix_is_antisymmetric():
     for seed in range(10):
-        data = aligned_eigen_data(_pair(seed=seed))
-        assert np.allclose(data.lead + data.lead.T, 0.0, atol=1e-10)
-        assert np.all(np.diag(data.lead) == 0.0)
+        pair = _pair(seed=seed)
+        assert np.allclose(pair.lead + pair.lead.T, 0.0, atol=1e-10)
+        assert np.all(np.diag(pair.lead) == 0.0)
 
 
 def test_remainder_shrinks_quadratically():
     # halving the perturbation four times should shrink the second-order
     # part by roughly 16x each time
     norms = [
-        np.linalg.norm(aligned_eigen_data(_pair(eps=e, seed=3)).rem)
+        np.linalg.norm(_pair(eps=e, seed=3).rem)
         for e in (4e-3, 1e-3)
     ]
     assert norms[0] / norms[1] == pytest.approx(16.0, rel=0.25)
@@ -264,9 +263,8 @@ def test_remainder_shrinks_quadratically():
 def test_remainder_diagonal_identity_is_exact():
     # eps small enough that every index clears the 5 delta gap hypothesis
     pair = _pair(eps=0.002, seed=1)
-    data = aligned_eigen_data(pair)
-    rep = check_eigenvector_remainder(pair, data)
-    assert np.all(data.admissible)
+    rep = check_eigenvector_remainder(pair)
+    assert np.all(pair.admissible)
     assert rep.diag_abs_err.shape == (pair.dim,)
     assert np.all(rep.diag_abs_err <= 1e-13)
     assert np.all(rep.passed)
@@ -274,23 +272,21 @@ def test_remainder_diagonal_identity_is_exact():
 
 def test_eigenvector_bound_and_admissibility():
     pair = _pair(eps=0.001, seed=2)
-    data = aligned_eigen_data(pair)
-    rep = check_eigenvector_bound(pair, data)
-    assert np.all(data.admissible) and np.all(rep.passed)
+    rep = check_eigenvector_bound(pair)
+    assert np.all(pair.admissible) and np.all(rep.passed)
     assert np.all(rep.err_norm <= 3.0 * rep.lead_norm + 1e-10)
     # a perturbation larger than a fifth of the smallest gap voids the
     # hypothesis for the crowded bottom eigenvalues, which pass by convention
     big = _pair(eps=0.05, dim=10, seed=2)
-    big_data = aligned_eigen_data(big)
-    admissible = big_data.admissible
+    admissible = big.admissible
     assert not np.all(admissible)
-    assert np.all(check_eigenvector_bound(big, big_data).passed[~admissible])
+    assert np.all(check_eigenvector_bound(big).passed[~admissible])
 
 
 def test_projection_identity_and_envelope():
     pair = _pair(eps=0.01, seed=4)
     b = np.where(np.arange(6) % 2 == 0, 1.0, -1.0) * np.arange(1.0, 7.0) ** -3.0
-    rep = check_projection_bound(pair, (0, 1), b, aligned_eigen_data(pair))
+    rep = check_projection_bound(pair, (0, 1), b)
     assert rep.admissible
     assert rep.identity_passed
     assert rep.identity_err <= 1e-12
@@ -300,14 +296,13 @@ def test_projection_identity_and_envelope():
 
 def test_projection_input_validation():
     pair = _pair()
-    data = aligned_eigen_data(pair)
     b = np.zeros(6)
     with pytest.raises(ValueError):
-        check_projection_bound(pair, (), b, data)
+        check_projection_bound(pair, (), b)
     with pytest.raises(ValueError):
-        check_projection_bound(pair, (0, 99), b, data)
+        check_projection_bound(pair, (0, 99), b)
     with pytest.raises(ValueError):
-        check_projection_bound(pair, (0,), np.zeros(5), data)
+        check_projection_bound(pair, (0,), np.zeros(5))
 
 
 def test_random_suite_has_no_violations():
@@ -363,19 +358,31 @@ def test_expected_fisher_zero_slope_is_scaled_identity():
 
 def test_fisher_montecarlo_matches_expectation():
     rep = check_fisher_expectation(
-        400, 3, POIS, [0.3, 0.5, -0.2, 0.1], [1.0, 1.0, 0.35, 0.19], reps=150, seed=0
+        400, POIS, [0.3, 0.5, -0.2, 0.1], [1.0, 1.0, 0.35, 0.19], reps=150, seed=0
     )
     assert rep.max_abs_z <= 4.0
-    assert rep.bn.shape == (4, 4)
+    assert rep.n_components == 3
     assert rep.mean_sq_dev > 0
 
 
 @pytest.mark.parametrize("reps", [1, 0, -4])
 def test_fisher_needs_two_reps_for_a_standard_error(reps):
     with pytest.raises(ValueError, match="at least 2"):
-        check_fisher_expectation(50, 1, GAUSS, [0.3, 0.5], [1.0, 1.0], reps=reps)
+        check_fisher_expectation(50, GAUSS, [0.3, 0.5], [1.0, 1.0], reps=reps)
     with pytest.raises(ValueError, match="at least 2"):
         fisher_study(GAUSS, n_grid=(50,), reps=reps)
+
+
+@pytest.mark.parametrize(
+    "gamma, diag_scale", [([0.3, 0.5, -0.2], [1.0, 1.0]), ([0.3, 0.5], [1.0, 1.0, 0.35])]
+)
+def test_fisher_refuses_unequal_lengths_before_any_draw(monkeypatch, gamma, diag_scale):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(spectral_diag.np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="gamma and diag_scale must be vectors of equal length"):
+        check_fisher_expectation(50, POIS, gamma, diag_scale, reps=10)
 
 
 def test_fisher_study_concentrates():
@@ -517,7 +524,7 @@ def test_chisq_memory_is_about_one_chunk_of_sums():
 
 
 def test_linearization_gaussian_is_exact():
-    rep = check_mle_linearization(100, 3, GAUSS, [0.5, 0.3, -0.2, 0.1], reps=20)
+    rep = check_mle_linearization(100, GAUSS, [0.5, 0.3, -0.2, 0.1], reps=20)
     assert rep.max_residual_all <= 1e-8
     assert rep.violations == 0
 
@@ -527,7 +534,6 @@ def test_linearization_hypotheses_feasible_regime():
     # design row under the smallness budget, so the event actually occurs
     rep = check_mle_linearization(
         4000,
-        2,
         POIS,
         [6.0, 0.02, -0.02],
         reps=30,
@@ -540,14 +546,15 @@ def test_linearization_hypotheses_feasible_regime():
 
 
 def test_linearization_small_sample_is_vacuous():
-    rep = check_mle_linearization(200, 3, POIS, [0.3, 0.2, -0.1, 0.05], reps=10)
+    rep = check_mle_linearization(200, POIS, [0.3, 0.2, -0.1, 0.05], reps=10)
     assert rep.satisfied == 0
     assert rep.violations == 0
     assert rep.allowance == pytest.approx(0.2)
 
 
 def test_linearization_input_validation():
+    for gamma in ([0.1], [], [[0.1, 0.2]]):  # no slope, or not a vector
+        with pytest.raises(ValueError, match="intercept and at least one slope"):
+            check_mle_linearization(50, GAUSS, gamma, reps=2)
     with pytest.raises(ValueError):
-        check_mle_linearization(50, 2, GAUSS, [0.1, 0.2], reps=2)
-    with pytest.raises(ValueError):
-        check_mle_linearization(50, 2, GAUSS, [0.1, 0.2, 0.3], score_dist="cauchy")
+        check_mle_linearization(50, GAUSS, [0.1, 0.2, 0.3], score_dist="cauchy")

@@ -46,7 +46,6 @@ from .lowerbound import (
     assouad_bound_value,
     calibrated_eps,
     hypercube_slope,
-    standard_config,
 )
 from .spectral_diag import (
     PerturbationPair,

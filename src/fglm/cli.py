@@ -50,7 +50,7 @@ from .expfam import family_names, get_family, verify_envelope
 from .funcspace import evaluate_on_grid, uniform_grid
 from .harness import ExperimentConfig, load_config, map_in_order
 from .harness import parse_sample_sizes, run_rate_study, write_csv
-from .lowerbound import affinity_study, standard_config
+from .lowerbound import AssouadConfig, affinity_study
 from .spectral_diag import (
     check_chisq_maximal,
     fisher_study,
@@ -334,8 +334,8 @@ def _cmd_perturb_check(args) -> int:
 def _cmd_lower_bound(args) -> int:
     cfg = _load_config(args)
     n_grid = list(parse_sample_sizes(args.n_grid, "--n-grid"))
-    base = standard_config(args.m, get_family(cfg.family), alpha=cfg.alpha, beta_s=cfg.beta_s)
-    rows = affinity_study(base, n_grid, n_mc=args.n_mc, seed=cfg.seed)
+    cube = AssouadConfig(args.m, get_family(cfg.family), alpha=cfg.alpha, beta_s=cfg.beta_s)
+    rows = affinity_study(cube, n_grid, n_mc=args.n_mc, seed=cfg.seed)
     path = os.path.join(cfg.out_dir, "affinity.csv")
     write_csv(path, list(rows[0].keys()), (tuple(row.values()) for row in rows))
     for n in n_grid:

@@ -2,14 +2,15 @@
 
 The minimax risk of slope estimation is bounded below by testing between
 slopes indexed by corners of a hypercube: coordinates j in J = {m+1,
-..., 2m} carry coefficients eps * gamma_j * beta_j with beta_j =
-j^-beta, and flipping one bit changes the squared distance by (eps
-beta_j)^2 while moving the data distribution by a controlled Hellinger
-amount.  The amplitude eps is the cube's only size; calibration sets it
-from n, so a scale factor on beta_j would cancel.  This module computes
-the pieces that make that argument quantitative: the corner slopes,
-Monte Carlo estimates of the affinity between one-bit neighbors, and
-the resulting risk-bound value.
+..., 2m} of a process with spectrum theta_k = k^-alpha carry
+coefficients eps * gamma_j * beta_j with beta_j = j^-beta, and flipping
+one bit changes the squared distance by (eps beta_j)^2 while moving the
+data distribution by a controlled Hellinger amount.  The cube is fixed
+by m and the exponents alpha and beta; the amplitude eps is its only
+size, and calibration sets it from n, so a scale factor on beta_j would
+cancel.  This module computes the pieces that make that argument
+quantitative: the corner slopes, Monte Carlo estimates of the affinity
+between one-bit neighbors, and the resulting risk-bound value.
 
 The affinity estimate averages 1 - sqrt(min(2, sum_i h_i^2)) over fresh
 design draws, which lower-bounds the expected overlap between the two
@@ -30,13 +31,11 @@ from .funcspace import FunctionRep
 
 __all__ = [
     "AssouadConfig",
-    "standard_config",
     "hypercube_slope",
     "flip",
     "AffinityEstimate",
     "affinity_detail",
     "calibrated_eps",
-    "calibrated_config",
     "assouad_bound_value",
     "affinity_study",
 ]
@@ -46,32 +45,26 @@ __all__ = [
 class AssouadConfig:
     """Hypercube of slope perturbations on coordinates m+1 .. 2m.
 
-    `theta` lists process eigenvalues by 1-indexed coordinate and must
-    cover the hypercube coordinates (length >= 2m).  `eps_scale` may be
-    zero, which collapses all corners to the zero slope; a corner's
-    coefficient on coordinate j is eps_scale * j^-beta_s.
+    The process spectrum is theta_k = k^-alpha and a corner's coefficient
+    on coordinate j is eps_scale * j^-beta_s.  `eps_scale` may be zero,
+    which collapses all corners to the zero slope.
     """
 
     m: int
-    eps_scale: float
-    beta_s: float
     family: ExpFamilySpec
-    theta: np.ndarray
+    alpha: float = 2.0
+    beta_s: float = 3.0
+    eps_scale: float = 1.0
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be a positive integer")
         if not (self.eps_scale >= 0.0 and math.isfinite(self.eps_scale)):
             raise ValueError("eps_scale must be finite and nonnegative")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if not 0.0 < self.beta_s < math.inf:
             raise ValueError("beta_s must be finite and positive")
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.ndim != 1 or theta.shape[0] < 2 * self.m:
-            raise ValueError("theta must cover coordinates 1 .. 2m")
-        if np.any(theta <= 0) or not np.all(np.isfinite(theta)):
-            raise ValueError("theta entries must be positive and finite")
-        object.__setattr__(self, "theta", theta.copy())
-        self.theta.setflags(write=False)
 
     @property
     def j_set(self) -> tuple[int, ...]:
@@ -86,25 +79,9 @@ class AssouadConfig:
 
     @property
     def theta_j(self) -> np.ndarray:
-        return self.theta[self.m : 2 * self.m]
-
-
-def standard_config(
-    m: int,
-    family: ExpFamilySpec,
-    alpha: float = 2.0,
-    beta_s: float = 3.0,
-    eps_scale: float = 1.0,
-) -> AssouadConfig:
-    """Corners eps_scale * gamma_j * j^-beta_s over the spectrum theta_k = k^-alpha."""
-    k = np.arange(1, 2 * m + 1, dtype=float)
-    return AssouadConfig(
-        m=m,
-        eps_scale=eps_scale,
-        beta_s=beta_s,
-        family=family,
-        theta=k**-alpha,
-    )
+        """Process eigenvalues theta_j = j^-alpha on the perturbed set."""
+        j = np.arange(self.m + 1, 2 * self.m + 1, dtype=float)
+        return j**-self.alpha
 
 
 def _check_gamma(cfg: AssouadConfig, gamma) -> np.ndarray:
@@ -184,9 +161,9 @@ def calibrated_eps(cfg: AssouadConfig, n: int) -> float:
 
     Solves n * eps^2 * max_j beta_j^2 theta_j = 1; with decaying beta
     and theta the maximum sits at j = m+1.  Keeps the per-flip Hellinger
-    sum of order one for every n, so the affinity floor is n-free.  A
-    beta_s so large that eps or eps^2 leaves float64 is refused (from
-    325 up at alpha = 2, m = 2, n = 100).
+    sum of order one for every n, so the affinity floor is n-free.  An
+    alpha or beta_s so large that eps or eps^2 leaves float64 is refused
+    (beta_s from 325 up at alpha = 2, m = 2, n = 100).
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -194,14 +171,10 @@ def calibrated_eps(cfg: AssouadConfig, n: int) -> float:
     eps = 1.0 / math.sqrt(n * top) if top > 0.0 else math.inf
     if not 0.0 < eps * eps < math.inf:  # a float ** would raise OverflowError
         raise ValueError(
-            f"beta_s={cfg.beta_s:g}, m={cfg.m} and n={n} put the hypercube out of float "
-            "range: the calibrated eps and its square must be finite and positive"
+            f"alpha={cfg.alpha:g}, beta_s={cfg.beta_s:g}, m={cfg.m} and n={n} put the hypercube "
+            "out of float range: the calibrated eps and its square must be finite and positive"
         )
     return eps
-
-
-def calibrated_config(cfg: AssouadConfig, n: int) -> AssouadConfig:
-    return dataclasses.replace(cfg, eps_scale=calibrated_eps(cfg, n))
 
 
 def assouad_bound_value(cfg: AssouadConfig, affinity_floor: float) -> float:
@@ -244,7 +217,7 @@ def affinity_study(
     if len(set(n_grid)) < len(n_grid):
         raise ValueError(f"sample sizes must not repeat, got {n_grid}")
     gamma = (1,) * cfg.m
-    cubes = [calibrated_config(cfg, n) for n in n_grid]
+    cubes = [dataclasses.replace(cfg, eps_scale=calibrated_eps(cfg, n)) for n in n_grid]
     rows = []
     for n_idx, (n, scaled) in enumerate(zip(n_grid, cubes)):
         for j_idx, j in enumerate(scaled.j_set):

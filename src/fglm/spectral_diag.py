@@ -436,6 +436,14 @@ _EPS1 = 0.5
 _EPS2 = 0.1
 
 
+def _intercept_and_slopes(gamma) -> np.ndarray:
+    """`gamma` as a float vector, refused unless it holds an intercept and a slope."""
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.ndim != 1 or gamma.shape[0] < 2:
+        raise ValueError("gamma must be a vector of an intercept and at least one slope")
+    return gamma
+
+
 def check_mle_linearization(
     n: int,
     family: ExpFamilySpec,
@@ -460,9 +468,7 @@ def check_mle_linearization(
     If no replication satisfies the hypotheses (small samples), the
     report is informational.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 1 or gamma.shape[0] < 2:
-        raise ValueError("gamma must be a vector of an intercept and at least one slope")
+    gamma = _intercept_and_slopes(gamma)
     n_components = gamma.shape[0] - 1
     if score_dist not in ("gaussian", "rademacher"):
         raise ValueError("score_dist must be 'gaussian' or 'rademacher'")
@@ -600,11 +606,11 @@ def check_fisher_expectation(
 ) -> FisherReport:
     """Monte Carlo average of A_n against its analytic expectation.
 
-    The design has N = len(gamma) - 1 score columns.  The z-scores need a
-    sample standard error, so `reps` must be at least 2.
+    The design has N = len(gamma) - 1 >= 1 score columns.  The z-scores
+    need a sample standard error, so `reps` must be at least 2.
     """
     require_fisher_reps(reps)
-    gamma = np.asarray(gamma, dtype=float)
+    gamma = _intercept_and_slopes(gamma)
     diag_scale = np.asarray(diag_scale, dtype=float)
     expect = expected_fisher(family, gamma, diag_scale)
     c = gamma * diag_scale

@@ -19,7 +19,7 @@ from fglm.expfam import (
     hellinger_sq_exact,
 )
 from fglm.harness import ExperimentConfig, format_config, run_rate_study
-from fglm.lowerbound import affinity_study, standard_config
+from fglm.lowerbound import AssouadConfig, affinity_study
 from fglm.spectral_diag import (
     check_chisq_maximal,
     check_mle_linearization,
@@ -174,7 +174,7 @@ def test_criterion_08_information_matrix_expectation():
 
 
 def test_criterion_09_assouad_affinity():
-    rows = affinity_study(standard_config(2, GAUSS), (100, 1000, 10000), n_mc=200, seed=0)
+    rows = affinity_study(AssouadConfig(2, GAUSS), (100, 1000, 10000), n_mc=200, seed=0)
     mins = {}
     for row in rows:
         mins[row["n"]] = min(mins.get(row["n"], 1.0), row["affinity"])

@@ -752,8 +752,8 @@ def test_lower_bound_refuses_a_cube_out_of_float_range(tmp_path, capsys, monkeyp
         assert main(["lower-bound", "--config", cfg, "--out", str(out_dir)]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        f"error: beta_s={beta_s}, m=2 and n=100 put the hypercube out of float range: "
-        "the calibrated eps and its square must be finite and positive\n"
+        f"error: alpha=2, beta_s={beta_s}, m=2 and n=100 put the hypercube out of float "
+        "range: the calibrated eps and its square must be finite and positive\n"
     )
     assert captured.out == ""
     assert not out_dir.exists()  # no CSV

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -15,37 +16,45 @@ from fglm.lowerbound import (
     affinity_detail,
     affinity_study,
     assouad_bound_value,
-    calibrated_config,
     calibrated_eps,
     flip,
     hypercube_slope,
-    standard_config,
 )
 
 GAUSS = get_family("gaussian")
 
 
 def test_config_geometry():
-    cfg = standard_config(3, GAUSS)
+    cfg = AssouadConfig(3, GAUSS)
     assert cfg.j_set == (4, 5, 6)
     assert np.allclose(cfg.beta_weights, np.array([4.0, 5.0, 6.0]) ** -3.0)
     assert np.allclose(cfg.theta_j, np.array([4.0, 5.0, 6.0]) ** -2.0)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        standard_config(0, GAUSS)
-    with pytest.raises(ValueError):
-        AssouadConfig(m=2, eps_scale=1.0, beta_s=3.0, family=GAUSS, theta=np.ones(3))
-    with pytest.raises(ValueError):
-        AssouadConfig(m=1, eps_scale=-0.5, beta_s=3.0, family=GAUSS, theta=np.ones(2))
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        AssouadConfig(0, GAUSS)
+    with pytest.raises(ValueError, match="eps_scale must be finite and nonnegative"):
+        AssouadConfig(1, GAUSS, eps_scale=-0.5)
+    for alpha in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError) as refused:
+            AssouadConfig(2, GAUSS, alpha=alpha)
+        assert str(refused.value) == f"alpha must be finite and positive, got {alpha}"
     for beta_s in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="beta_s must be finite and positive"):
-            standard_config(2, GAUSS, beta_s=beta_s)
+            AssouadConfig(2, GAUSS, beta_s=beta_s)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 40, 1000])
+@pytest.mark.parametrize("alpha", [0.5, 1.1, 2.0, 3.0, 7.25, 100.0])
+def test_theta_j_matches_the_full_spectrum_bit_for_bit(m, alpha):
+    # oracle: the spectrum k^-alpha over k = 1 .. 2m, cut to the perturbed block
+    oracle = (np.arange(1, 2 * m + 1, dtype=float) ** -alpha)[m:]
+    assert AssouadConfig(m, GAUSS, alpha=alpha).theta_j.tobytes() == oracle.tobytes()
 
 
 def test_corner_slopes():
-    cfg = standard_config(2, GAUSS, eps_scale=0.5)
+    cfg = AssouadConfig(2, GAUSS, eps_scale=0.5)
     slope = hypercube_slope(cfg, (1, 0))
     assert slope.basis_size == 4
     assert np.allclose(slope.coeffs[:2], 0.0)
@@ -54,7 +63,7 @@ def test_corner_slopes():
     assert np.all(hypercube_slope(cfg, (0, 0)).coeffs == 0.0)
     # smallest cube: the single active coefficient sits at the second basis
     # index with value eps * 2^-3
-    one = hypercube_slope(standard_config(1, GAUSS, eps_scale=1.0), (1,))
+    one = hypercube_slope(AssouadConfig(1, GAUSS, eps_scale=1.0), (1,))
     assert one.basis_size == 2
     assert one.coeffs[1] == pytest.approx(0.125)
     with pytest.raises(ValueError):
@@ -69,7 +78,7 @@ bits = st.lists(st.integers(min_value=0, max_value=1), min_size=3, max_size=3)
 @given(gamma=bits, j=st.sampled_from([4, 5, 6]))
 @settings(max_examples=60)
 def test_flip_involution_and_separation(gamma, j):
-    cfg = standard_config(3, GAUSS, eps_scale=0.7)
+    cfg = AssouadConfig(3, GAUSS, eps_scale=0.7)
     flipped = flip(cfg, gamma, j)
     assert flip(cfg, flipped, j) == tuple(gamma)
     assert sum(a != b for a, b in zip(gamma, flipped)) == 1
@@ -80,13 +89,13 @@ def test_flip_involution_and_separation(gamma, j):
 
 
 def test_flip_rejects_outside_coordinates():
-    cfg = standard_config(2, GAUSS)
+    cfg = AssouadConfig(2, GAUSS)
     with pytest.raises(ValueError):
         flip(cfg, (0, 1), 2)  # coordinate 2 is below the perturbed block
 
 
 def test_zero_eps_gives_perfect_affinity():
-    cfg = standard_config(2, GAUSS, eps_scale=0.0)
+    cfg = AssouadConfig(2, GAUSS, eps_scale=0.0)
     est = affinity_detail(cfg, 50, 3, (1, 1), n_mc=10, seed=0)
     assert est.mean == 1.0 and est.se == 0.0
 
@@ -94,7 +103,7 @@ def test_zero_eps_gives_perfect_affinity():
 def test_affinity_decreases_with_eps():
     vals = [
         affinity_detail(
-            standard_config(1, GAUSS, eps_scale=e), 100, 2, (1,), n_mc=80, seed=5
+            AssouadConfig(1, GAUSS, eps_scale=e), 100, 2, (1,), n_mc=80, seed=5
         ).mean
         for e in (0.5, 2.0, 8.0)
     ]
@@ -104,7 +113,7 @@ def test_affinity_decreases_with_eps():
 def test_affinity_symmetric_between_neighbor_corners():
     # the Hellinger distance between a corner and its flip is symmetric,
     # so both directions estimate the same quantity
-    cfg = standard_config(2, GAUSS, eps_scale=3.0)
+    cfg = AssouadConfig(2, GAUSS, eps_scale=3.0)
     a = affinity_detail(cfg, 60, 3, (0, 1), n_mc=400, seed=1)
     b = affinity_detail(cfg, 60, 3, (1, 1), n_mc=400, seed=2)
     assert abs(a.mean - b.mean) <= 4.0 * math.hypot(a.se, b.se)
@@ -117,7 +126,7 @@ def test_affinity_matches_quadrature_oracle(family, eps):
     # exact Hellinger distance between the corner at lambda = a z and its
     # flip, which moves lambda by -a z; a = eps * beta_2, z ~ N(0, theta_2)
     spec = get_family(family)
-    cfg = standard_config(1, spec, eps_scale=eps)
+    cfg = AssouadConfig(1, spec, eps_scale=eps)
     a = eps * cfg.beta_weights[0]
     sd = math.sqrt(cfg.theta_j[0])
 
@@ -131,7 +140,7 @@ def test_affinity_matches_quadrature_oracle(family, eps):
 
 
 def test_calibration_makes_affinity_n_free():
-    cfg = standard_config(2, GAUSS)
+    cfg = AssouadConfig(2, GAUSS)
     assert calibrated_eps(cfg, 100) == pytest.approx(
         1.0 / math.sqrt(100 * 3.0**-6.0 * 3.0**-2.0)
     )
@@ -146,36 +155,39 @@ def test_calibration_makes_affinity_n_free():
 
 
 def test_calibrated_eps_shrinks_like_root_n():
-    cfg = standard_config(3, GAUSS)
+    cfg = AssouadConfig(3, GAUSS)
     assert calibrated_eps(cfg, 400) == pytest.approx(calibrated_eps(cfg, 100) / 2.0)
     with pytest.raises(ValueError):
         calibrated_eps(cfg, 0)
 
 
 @pytest.mark.parametrize(
-    "beta_s, n_ok, n_refused",
+    "alpha, beta_s, n_ok, n_refused",
     [
-        # eps^2 ~ 3^(2 beta_s + 2) / n overflows below some n, which grows with beta_s
-        (324.0, 100, 10),
-        (325.0, 1000, 100),
+        # eps^2 ~ 3^(2 beta_s + alpha) / n overflows below some n, which grows with beta_s
+        pytest.param(2.0, 324.0, 100, 10, id="324.0-100-10"),
+        pytest.param(2.0, 325.0, 1000, 100, id="325.0-1000-100"),
         # beta_j^2 theta_j underflows to 0, so eps is 1/0 at every n
-        (340.0, None, 10**9),
+        pytest.param(2.0, 340.0, None, 10**9, id="340.0-None-1000000000"),
+        # theta_j = 3^-alpha alone underflows to 0
+        pytest.param(700.0, 3.0, None, 10**9, id="alpha700-3.0-None-1000000000"),
     ],
 )
-def test_a_cube_out_of_float_range_is_refused(monkeypatch, beta_s, n_ok, n_refused):
+def test_a_cube_out_of_float_range_is_refused(monkeypatch, alpha, beta_s, n_ok, n_refused):
     def no_draws(*args, **kwargs):
         raise AssertionError("an affinity was estimated")
 
     monkeypatch.setattr(lowerbound, "affinity_detail", no_draws)
-    cfg = standard_config(2, GAUSS, beta_s=beta_s)
+    cfg = AssouadConfig(2, GAUSS, alpha=alpha, beta_s=beta_s)
     message = (
-        f"beta_s={beta_s:g}, m=2 and n={n_refused} put the hypercube out of float range: "
-        "the calibrated eps and its square must be finite and positive"
+        f"alpha={alpha:g}, beta_s={beta_s:g}, m=2 and n={n_refused} put the hypercube out of "
+        "float range: the calibrated eps and its square must be finite and positive"
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused, not warned about
         if n_ok is not None:
-            assert math.isfinite(assouad_bound_value(calibrated_config(cfg, n_ok), 1.0))
+            scaled = dataclasses.replace(cfg, eps_scale=calibrated_eps(cfg, n_ok))
+            assert math.isfinite(assouad_bound_value(scaled, 1.0))
         with pytest.raises(ValueError) as refused:
             calibrated_eps(cfg, n_refused)
         assert str(refused.value) == message
@@ -187,7 +199,7 @@ def test_a_cube_out_of_float_range_is_refused(monkeypatch, beta_s, n_ok, n_refus
 
 
 def test_bound_value_closed_form():
-    cfg = standard_config(1, GAUSS, eps_scale=1.0)
+    cfg = AssouadConfig(1, GAUSS, eps_scale=1.0)
     # single bit at coordinate 2: (floor/8) * (1 * 2^-3)^2 with floor 1
     assert assouad_bound_value(cfg, 1.0) == pytest.approx(0.001953125, abs=1e-15)
     assert assouad_bound_value(cfg, 0.0) == 0.0
@@ -195,7 +207,7 @@ def test_bound_value_closed_form():
         assouad_bound_value(cfg, 1.5)
     # a library caller's huge eps squares to inf, refused rather than an OverflowError
     with pytest.raises(ValueError, match=r"eps_scale 1e\+200 makes the bound value infinite"):
-        assouad_bound_value(standard_config(1, GAUSS, eps_scale=1e200), 1.0)
+        assouad_bound_value(AssouadConfig(1, GAUSS, eps_scale=1e200), 1.0)
 
 
 def test_bound_value_matches_partial_sum():
@@ -203,7 +215,7 @@ def test_bound_value_matches_partial_sum():
     # which shrinks as the block moves deeper into the decay
     vals = []
     for m in (2, 4, 8, 16):
-        cfg = standard_config(m, GAUSS, eps_scale=1.0)
+        cfg = AssouadConfig(m, GAUSS, eps_scale=1.0)
         j = np.arange(m + 1, 2 * m + 1, dtype=float)
         expected = 0.5 / 8.0 * float(np.sum(j**-6.0))
         got = assouad_bound_value(cfg, 0.5)
@@ -213,7 +225,7 @@ def test_bound_value_matches_partial_sum():
 
 
 def test_study_recalibrates_per_n():
-    cfg = standard_config(1, GAUSS)
+    cfg = AssouadConfig(1, GAUSS)
     rows = affinity_study(cfg, (100, 400), n_mc=20, seed=0)
     assert rows[0]["eps"] == pytest.approx(2.0 * rows[1]["eps"])
     assert {row["j"] for row in rows} == {2}
@@ -232,7 +244,7 @@ def test_every_cell_draws_its_own_seed_up_to_m_1000(monkeypatch):
         return lowerbound.AffinityEstimate(mean=0.5, se=0.0)
 
     monkeypatch.setattr(lowerbound, "affinity_detail", record)
-    rows = affinity_study(standard_config(1000, GAUSS), (100, 200), n_mc=1, seed=6)
+    rows = affinity_study(AssouadConfig(1000, GAUSS), (100, 200), n_mc=1, seed=6)
     assert len(rows) == len(set(seeds)) == 2000
 
     def no_work(*args, **kwargs):
@@ -241,7 +253,7 @@ def test_every_cell_draws_its_own_seed_up_to_m_1000(monkeypatch):
     monkeypatch.setattr(lowerbound, "affinity_detail", no_work)
     monkeypatch.setattr(lowerbound, "calibrated_eps", no_work)
     with pytest.raises(ValueError) as refused:
-        affinity_study(standard_config(1001, GAUSS), (100, 200), n_mc=1, seed=6)
+        affinity_study(AssouadConfig(1001, GAUSS), (100, 200), n_mc=1, seed=6)
     assert str(refused.value) == (
         "m=1001 is above 1000: cell (n_idx, j_idx) is seeded seed + 1000 * n_idx + j_idx, "
         "so two cells would share a random stream"

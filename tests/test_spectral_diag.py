@@ -374,14 +374,26 @@ def test_fisher_needs_two_reps_for_a_standard_error(reps):
 
 
 @pytest.mark.parametrize(
-    "gamma, diag_scale", [([0.3, 0.5, -0.2], [1.0, 1.0]), ([0.3, 0.5], [1.0, 1.0, 0.35])]
+    "gamma, diag_scale",
+    [
+        ([0.3, 0.5, -0.2], [1.0, 1.0]),
+        ([0.3, 0.5], [1.0, 1.0, 0.35]),
+        # no slope, or not a vector: nothing to check, refused as the linearization does
+        ([], []),
+        ([0.3], [1.0]),
+        ([[0.3, 0.1]], [[1.0, 1.0]]),
+    ],
 )
 def test_fisher_refuses_unequal_lengths_before_any_draw(monkeypatch, gamma, diag_scale):
     def no_draws(*args, **kwargs):
         raise AssertionError("a generator was made")
 
     monkeypatch.setattr(spectral_diag.np.random, "default_rng", no_draws)
-    with pytest.raises(ValueError, match="gamma and diag_scale must be vectors of equal length"):
+    if len(gamma) < 2:
+        message = "gamma must be a vector of an intercept and at least one slope"
+    else:
+        message = "gamma and diag_scale must be vectors of equal length"
+    with pytest.raises(ValueError, match=message):
         check_fisher_expectation(50, POIS, gamma, diag_scale, reps=10)
 
 

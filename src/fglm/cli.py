@@ -182,7 +182,7 @@ def _cmd_generate(args) -> int:
     )
     ds = sample_dataset(gt, args.n, args.seed)
     header = ["y", "lambda"] + [f"x{k}" for k in range(1, ds.k_trunc + 1)]
-    write_csv(args.out, header, np.column_stack([ds.y, ds.lambda_true, ds.x]))
+    write_csv(args.out, header, (ds.y, ds.lambda_true, ds.x))
     print(f"wrote {args.out}: {ds.n} rows, {ds.k_trunc} coefficient columns")
     return 0
 
@@ -365,9 +365,11 @@ def _cmd_diagnostics(args) -> int:
     h_grid = np.arange(-1.0, 1.0 + 1e-9, 0.1)
     tau = np.arange(1, 51, dtype=float) ** -2.0
     x_grid = (1.0, 2.0, 4.0)
-    # The checks are independent (each seeds its own generator) and spend
-    # their time in numpy fills, ufuncs and BLAS, which release the GIL, so
-    # threads overlap them; every result keeps its bits at any thread count.
+    # The checks compute independently (each makes its own generator) and
+    # spend their time in numpy fills, ufuncs and BLAS, which release the GIL,
+    # so threads overlap them; every result keeps its bits at any thread count.
+    # Their draws are not independent: both maximal checks and fisher_study's
+    # n = 500 instance start from cfg.seed, so their normals overlap.
     # A thread does not inherit the caller's np.errstate: set any inside the task.
     tasks = [
         # the longest check first, so the others fill the remaining threads

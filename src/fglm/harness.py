@@ -13,7 +13,9 @@ each returns its own ReplicationRecord.  The pool leaves BLAS's thread
 count to the caller: the `fglm` command holds it to one thread (see
 `cli`), and a library caller sets its own, for instance with
 OPENBLAS_NUM_THREADS=1.  CSV floats are written with 17 significant
-digits to survive a parse round trip.
+digits to survive a parse round trip; a table of float columns, such as
+a `generate` sample, is written from its own column arrays a block of
+rows at a time, never stacked into a second copy.
 """
 from __future__ import annotations
 
@@ -316,29 +318,52 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_BLOCK_ROWS = 1024  # rows formatted per string operation in the matrix path
+_BLOCK_ROWS = 128  # rows stacked and formatted per string operation in the column path
+
+
+def _column_blocks(rows):
+    """`rows` as a tuple of float64 column blocks of one length, or None for row tuples."""
+    if isinstance(rows, np.ndarray):
+        rows = (rows,)
+    elif not (isinstance(rows, tuple) and rows and all(isinstance(b, np.ndarray) for b in rows)):
+        return None
+    for block in rows:
+        if block.dtype != np.float64 or block.ndim not in (1, 2):
+            raise ValueError(f"CSV column blocks must be 1-D or 2-D float64 arrays, "
+                             f"got {block.ndim}-D {block.dtype}")
+    lengths = sorted({block.shape[0] for block in rows})
+    if len(lengths) > 1:
+        raise ValueError(f"CSV column blocks must have one length, got lengths {lengths}")
+    return rows
 
 
 def write_csv(path: str, header, rows) -> None:
     """Plain CSV, LF newlines, floats at 17 significant digits.
 
-    `rows` is an iterable of rows, each value formatted by `_fmt`, or a
-    2-D float64 array, formatted a block of rows at a time from one
-    `%.17g` template; both give the same bytes for the same floats.
+    `rows` is an iterable of rows, each value formatted by `_fmt`, or the
+    float64 columns of the file: a tuple of column blocks of one length,
+    a 1-D array being one column and a 2-D array its columns, or a bare
+    array as the one block.  Blocks are stacked `_BLOCK_ROWS` rows at
+    a time and formatted from one `%.17g` template, so no copy of the
+    whole table is made; both paths give the same bytes for the same
+    floats.  Blocks of another dtype or ndim, or of unequal lengths, are
+    refused before the file is opened.
     """
+    blocks = _column_blocks(rows)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
-            template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            for start in range(0, rows.shape[0], _BLOCK_ROWS):
-                block = rows[start : start + _BLOCK_ROWS]
-                fh.write((template * block.shape[0]) % tuple(block.ravel().tolist()))
-        else:
+        if blocks is None:
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
+            return
+        width = sum(1 if block.ndim == 1 else block.shape[1] for block in blocks)
+        template = ",".join(["%.17g"] * width) + "\n"
+        for start in range(0, blocks[0].shape[0], _BLOCK_ROWS):
+            stacked = np.column_stack([block[start : start + _BLOCK_ROWS] for block in blocks])
+            fh.write((template * stacked.shape[0]) % tuple(stacked.ravel().tolist()))
 
 
 def map_in_order(fn, items, jobs: int):

@@ -355,6 +355,13 @@ def random_perturbation_suite(
         raise ValueError("max_dim must be at least 4")
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    # the PSD cap 0.9 * dim^-alpha must be a normal float at every dim, or eps underflows
+    if 0.9 * float(max_dim) ** -alpha < np.finfo(float).tiny:
+        raise ValueError(
+            f"alpha={alpha} is too large for dimensions up to {max_dim}: the perturbation size "
+            f"0.9 * {max_dim}^-alpha falls below the smallest normal float, so no instance "
+            "would be perturbed"
+        )
     rng = np.random.default_rng(seed)
     rows = []
     proj_id_fail = 0

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -176,6 +177,22 @@ def test_generate_then_estimate(tmp_path, capsys):
     grid = (tmp_path / "estimate_grid.csv").read_text().splitlines()
     assert grid[0] == "t,value"
     assert len(grid) == 202
+
+
+def test_generate_holds_one_copy_of_the_sample(tmp_path):
+    # the CSV is formatted from the sample's own columns, harness._BLOCK_ROWS
+    # rows at a time: a stacked copy of the whole sample, or a block of rows as
+    # large as one, would take the traced peak past twice the sample's bytes
+    n, k = 4000, 100  # 32 blocks; the peak was 1.35x the sample, 4.0x with a stacked copy
+    tracemalloc.start()
+    try:
+        assert main(["generate", "--family", "bernoulli", "--n", str(n), "--k-trunc", str(k),
+                     "--out", str(tmp_path / "data.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sample_bytes = n * (k + 2) * 8  # y, lambda and x as float64
+    assert peak < 2.0 * sample_bytes
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -527,6 +544,15 @@ def test_perturb_check_reports_no_rounding_violations_on_steep_spectra(tmp_path,
     assert "all bounds hold" in out
 
 
+def test_perturb_check_perturbs_every_instance_at_the_largest_alpha_it_accepts(tmp_path, capsys):
+    # 0.9 * 12^-285 is just above the smallest normal float
+    assert main(["perturb-check", "--alpha", "285", "--reps", "3", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "perturb_check.csv", newline="") as fh:
+        eps = [float(row["eps"]) for row in csv.DictReader(fh)]
+    assert len(eps) == 3 and min(eps) >= np.finfo(float).tiny
+
+
 def test_lower_bound_writes_affinity_csv(tmp_path, capsys):
     out = tmp_path / "lb"
     code = main(
@@ -715,6 +741,16 @@ def test_diagnostics_task_failure_is_the_command_error(
         # above 1000 the per-cell seeds seed + 1000 * n_idx + j_idx collide
         (["lower-bound", "--m", "1001"], "m=1001 is above 1000: cell (n_idx, j_idx) is seeded "
          "seed + 1000 * n_idx + j_idx, so two cells would share a random stream"),
+        # past these the PSD cap 0.9 * dim^-alpha underflows: every eps would be 0
+        (["perturb-check", "--alpha", "400"], "alpha=400.0 is too large for dimensions up to 12: "
+         "the perturbation size 0.9 * 12^-alpha falls below the smallest normal float, so no "
+         "instance would be perturbed"),
+        (["perturb-check", "--alpha", "286"], "alpha=286.0 is too large for dimensions up to 12: "
+         "the perturbation size 0.9 * 12^-alpha falls below the smallest normal float, so no "
+         "instance would be perturbed"),
+        (["perturb-check", "--alpha", "160", "--dim", "100", "--reps", "3"], "alpha=160.0 is too "
+         "large for dimensions up to 100: the perturbation size 0.9 * 100^-alpha falls below "
+         "the smallest normal float, so no instance would be perturbed"),
     ],
 )
 def test_certification_refuses_counts_that_certify_nothing(
@@ -722,7 +758,7 @@ def test_certification_refuses_counts_that_certify_nothing(
 ):
     monte_carlo_calls = []
     for module, name in ((cli, "check_chisq_maximal"), (cli, "fisher_study"),
-                         (lowerbound, "affinity_detail")):
+                         (lowerbound, "affinity_detail"), (np.random, "default_rng")):
         def record(*args, _name=name, _real=getattr(module, name), **kwargs):
             monte_carlo_calls.append(_name)
             return _real(*args, **kwargs)
@@ -736,7 +772,7 @@ def test_certification_refuses_counts_that_certify_nothing(
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""  # no verdict line
     assert not out_dir.exists()  # no CSV
-    assert monte_carlo_calls == []  # refused before any Monte Carlo started
+    assert monte_carlo_calls == []  # refused before any Monte Carlo started or generator was made
 
 
 @pytest.mark.parametrize("beta_s", ["326", "330", "336", "340", "400"])

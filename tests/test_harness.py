@@ -656,17 +656,53 @@ def _per_value_bytes(path, matrix):
     return path.read_bytes()
 
 
-@given(
-    arrays(
-        np.float64,
-        st.tuples(st.integers(0, 6), st.integers(0, 5)),
-        elements=st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)),
-    )
-)
-def test_write_csv_matrix_path_matches_per_value_path(tmp_path_factory, matrix):
+@st.composite
+def _column_blocks(draw):
+    """A bare 2-D array, or a tuple of 1-D and 2-D blocks of one length."""
+    block = harness._BLOCK_ROWS
+    rows = draw(st.one_of(st.integers(0, 6), st.sampled_from([block - 1, block, block + 1,
+                                                              2 * block + 3])))
+    widths = draw(st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=1, max_size=4))
+    floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+    blocks = tuple(draw(arrays(np.float64, (rows,) if w is None else (rows, w), elements=floats))
+                   for w in widths)
+    if len(blocks) == 1 and blocks[0].ndim == 2 and draw(st.booleans()):
+        return blocks[0]
+    return blocks
+
+
+@given(_column_blocks())
+def test_write_csv_matrix_path_matches_per_value_path(tmp_path_factory, blocks):
     d = tmp_path_factory.mktemp("csv")
-    write_csv(str(d / "matrix.csv"), ["c"] * matrix.shape[1], matrix)
+    matrix = np.column_stack(blocks if isinstance(blocks, tuple) else [blocks])
+    write_csv(str(d / "matrix.csv"), ["c"] * matrix.shape[1], blocks)
     assert (d / "matrix.csv").read_bytes() == _per_value_bytes(d / "values.csv", matrix)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ((np.zeros(3), np.zeros((4, 2))),
+         "CSV column blocks must have one length, got lengths [3, 4]"),
+        ((np.zeros(3), np.arange(3, dtype=np.int64)),
+         "CSV column blocks must be 1-D or 2-D float64 arrays, got 1-D int64"),
+        (np.zeros((3, 2), dtype=np.float32),
+         "CSV column blocks must be 1-D or 2-D float64 arrays, got 2-D float32"),
+        ((np.zeros(3), np.zeros((3, 2, 1))),
+         "CSV column blocks must be 1-D or 2-D float64 arrays, got 3-D float64"),
+    ],
+    ids=["unequal-lengths", "int-block", "float32-matrix", "3-d-block"],
+)
+def test_write_csv_refuses_bad_column_blocks_before_opening_the_file(tmp_path, rows, message):
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"keep these bytes\n")
+    fresh = tmp_path / "fresh" / "data.csv"
+    for path in (kept, fresh):
+        with pytest.raises(ValueError) as caught:
+            write_csv(str(path), ["c"], rows)
+        assert str(caught.value) == message
+    assert kept.read_bytes() == b"keep these bytes\n"  # not truncated
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]  # nothing created
 
 
 def test_write_csv_matrix_path_spans_row_blocks(tmp_path):

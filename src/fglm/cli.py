@@ -254,8 +254,7 @@ def _cmd_estimate(args) -> int:
     vals = evaluate_on_grid(fit.slope, args.grid_points)
     coef_path = os.path.join(args.out, "estimate_coefs.csv")
     grid_path = os.path.join(args.out, "estimate_grid.csv")
-    coeffs = fit.slope.coeffs
-    write_csv(coef_path, ["k", "coef"], ((k + 1, coeffs[k]) for k in range(coeffs.shape[0])))
+    write_csv(coef_path, ["k", "coef"], enumerate(fit.slope, start=1))
     write_csv(grid_path, ["t", "value"], zip(t, vals))
     status = "converged" if fit.converged else "NOT converged"
     print(

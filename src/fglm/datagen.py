@@ -7,7 +7,8 @@ parameter lam = a + <X, B>.  Truth objects carry the eigenvalue decay
 exponent alpha (theta_k = k^-alpha) and the slope decay exponent beta_s
 (|b_k| <= radius * k^-beta_s), with the class radius chosen so that all
 membership conditions hold by construction and are re-verified at build
-time.
+time.  The mean, the eigenvalues and the slope are read-only arrays of
+K coefficients each in the fixed cosine basis of `funcspace`.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfam import ExpFamilySpec, sample_response
-from .funcspace import FunctionRep
 
 __all__ = [
     "GroundTruth",
@@ -38,27 +38,23 @@ class GroundTruth:
     beta_s: float
     radius: float
     intercept: float
-    mean: FunctionRep
+    mean: np.ndarray
     eigvals: np.ndarray
     slope_coeffs: np.ndarray
     family: ExpFamilySpec
 
     def __post_init__(self):
-        for name in ("eigvals", "slope_coeffs"):
+        for name in ("mean", "eigvals", "slope_coeffs"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.slope_coeffs.shape != self.eigvals.shape:
-            raise ValueError("slope_coeffs and eigvals must have the same length")
+        if not self.mean.shape == self.slope_coeffs.shape == self.eigvals.shape:
+            raise ValueError("mean, slope_coeffs and eigvals must have the same length")
         _check_membership(self)
 
     @property
     def k_trunc(self) -> int:
         return self.eigvals.shape[0]
-
-    @property
-    def slope(self) -> FunctionRep:
-        return FunctionRep(self.slope_coeffs)
 
 
 def _check_membership(gt: GroundTruth) -> None:
@@ -71,7 +67,9 @@ def _check_membership(gt: GroundTruth) -> None:
         raise ValueError(f"class radius must be finite and positive, got {r}")
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(b))):
         raise ValueError("eigenvalues and slope coefficients must be finite")
-    k = np.arange(1, gt.k_trunc + 1)
+    if not np.all(np.isfinite(gt.mean)):
+        raise ValueError("mean coefficients must be finite")
+    k = np.arange(1, gt.k_trunc + 1, dtype=float)  # numpy refuses ints to negative int powers
     if np.any(theta <= 0) or np.any(np.diff(theta) >= 0):
         raise ValueError("eigenvalues must be positive and strictly decreasing")
     if np.any(theta > r * k ** -gt.alpha):
@@ -87,7 +85,7 @@ def _check_membership(gt: GroundTruth) -> None:
         raise ValueError("slope coefficients exceed the decay envelope")
     if abs(gt.intercept) > r:
         raise ValueError("intercept exceeds the class radius")
-    if np.sqrt(np.dot(gt.mean.coeffs, gt.mean.coeffs)) > r:
+    if np.sqrt(np.dot(gt.mean, gt.mean)) > r:
         raise ValueError("mean function exceeds the class radius")
 
 
@@ -134,7 +132,7 @@ def make_ground_truth(
         beta_s=beta_s,
         radius=radius,
         intercept=intercept,
-        mean=FunctionRep(mu),
+        mean=mu,
         eigvals=theta,
         slope_coeffs=b,
         family=family,
@@ -180,8 +178,8 @@ def sample_dataset(gt: GroundTruth, n: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, gt.k_trunc))
     x *= np.sqrt(gt.eigvals)  # scores of X - mu
-    lam = gt.intercept + float(np.dot(gt.mean.coeffs, gt.slope_coeffs)) + x @ gt.slope_coeffs
-    x += gt.mean.coeffs
+    lam = gt.intercept + float(np.dot(gt.mean, gt.slope_coeffs)) + x @ gt.slope_coeffs
+    x += gt.mean
     y = sample_response(gt.family, lam, rng)
     return Dataset(x=x, y=y, lambda_true=lam)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .datagen import Dataset, GroundTruth, check_smoothness
 from .expfam import ExpFamilySpec
 from .fpca import spectral_estimate
-from .funcspace import FunctionRep, norm_sq
+from .funcspace import norm_sq
 
 __all__ = [
     "TuningRule",
@@ -79,10 +79,14 @@ class MLEFit:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Slope estimate with the tuning and solver metadata that produced it."""
+    """Slope estimate with the tuning and solver metadata that produced it.
+
+    `slope` holds the K coefficients phi_tilde[:, :m] @ coefs[1 : m + 1] of
+    the estimated slope in the fixed basis, read-only.
+    """
 
     coefs: np.ndarray
-    slope: FunctionRep
+    slope: np.ndarray
     m: int
     n_components: int
     iterations: int
@@ -252,10 +256,11 @@ def estimate_slope(
     n_comp = min(n_comp, ds.k_trunc)
     est = spectral_estimate(ds, n_comp)
     fit = fit_mle(ds.y, est.scores, family, config)
-    slope_coeffs = est.phi_tilde[:, :m] @ fit.coefs[1 : m + 1]
+    slope = est.phi_tilde[:, :m] @ fit.coefs[1 : m + 1]
+    slope.flags.writeable = False
     return FitResult(
         coefs=fit.coefs,
-        slope=FunctionRep(slope_coeffs),
+        slope=slope,
         m=m,
         n_components=n_comp,
         iterations=fit.iterations,
@@ -265,6 +270,10 @@ def estimate_slope(
     )
 
 
-def loss(slope_hat: FunctionRep, gt: GroundTruth) -> float:
-    """Squared L2 distance between estimated and true slope."""
-    return norm_sq(slope_hat - gt.slope)
+def loss(slope_hat: np.ndarray, gt: GroundTruth) -> float:
+    """Squared L2 distance between estimated and true slope: by Parseval, the
+    squared distance between their coefficient arrays, which must both have
+    the truth's K entries."""
+    if np.shape(slope_hat) != gt.slope_coeffs.shape:
+        raise ValueError(f"slope estimate must have the truth's {gt.k_trunc} coefficients")
+    return norm_sq(slope_hat - gt.slope_coeffs)

@@ -4,7 +4,8 @@ Everything happens in coefficient space.  `spectral_estimate` centres
 the sample once, at the coefficient average, and takes both the
 covariance ((n - 1) divisor) and the scores from that centred sample.
 Its SpectralEstimate holds the eigenpairs and scores only; `sample_mean`
-and `sample_cov` give the mean and covariance on their own.
+(a 1-D coefficient array) and `sample_cov` give the mean and covariance
+on their own.
 Eigenvalues are sorted descending and clamped to be nonnegative.  The
 scores of the requested leading components (the slope estimator asks
 for the N it fits) have exact zero column means, and their Gram matrix
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Dataset
-from .funcspace import FunctionRep
 
 __all__ = [
     "SpectralEstimate",
@@ -51,8 +51,9 @@ class SpectralEstimate:
             object.__setattr__(self, name, arr)
 
 
-def sample_mean(ds: Dataset) -> FunctionRep:
-    return FunctionRep(ds.x.mean(axis=0))
+def sample_mean(ds: Dataset) -> np.ndarray:
+    """Coefficient average of the sample's predictors."""
+    return ds.x.mean(axis=0)
 
 
 def sample_cov(ds: Dataset) -> np.ndarray:
@@ -87,7 +88,7 @@ def compute_scores(ds: Dataset, phi_tilde: np.ndarray, n_components: int) -> np.
 def spectral_estimate(ds: Dataset, n_components: int) -> SpectralEstimate:
     """Spectral summary of a dataset; its scores cover the first
     n_components components."""
-    centred = Dataset(x=ds.x - sample_mean(ds).coeffs, y=ds.y, lambda_true=ds.lambda_true)
+    centred = Dataset(x=ds.x - sample_mean(ds), y=ds.y, lambda_true=ds.lambda_true)
     theta_tilde, phi_tilde = eigendecompose(sample_cov(centred))
     scores = compute_scores(centred, phi_tilde, n_components)
     return SpectralEstimate(theta_tilde=theta_tilde, phi_tilde=phi_tilde, scores=scores)

@@ -374,6 +374,8 @@ def map_in_order(fn, items, jobs: int):
     started are skipped, and the first exception in item order is raised here.
     BLAS runs at whatever thread count the process has.
     """
+    if not items:
+        return  # a pool needs at least one worker
     # pool.map cancels unstarted calls only when the caller sees a failure, after a
     # free worker took the next item.  Only appended to: failed[0] is a failed index.
     failed = []

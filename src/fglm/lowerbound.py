@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfam import ExpFamilySpec, hellinger_sq_exact
-from .funcspace import FunctionRep
 
 __all__ = [
     "AssouadConfig",
@@ -93,12 +92,12 @@ def _check_gamma(cfg: AssouadConfig, gamma) -> np.ndarray:
     return gamma
 
 
-def hypercube_slope(cfg: AssouadConfig, gamma) -> FunctionRep:
+def hypercube_slope(cfg: AssouadConfig, gamma) -> np.ndarray:
     """Slope at a hypercube corner: eps * gamma_j * beta_j on coordinate j."""
     gamma = _check_gamma(cfg, gamma)
     coeffs = np.zeros(2 * cfg.m)
     coeffs[cfg.m :] = cfg.eps_scale * gamma * cfg.beta_weights
-    return FunctionRep(coeffs)
+    return coeffs
 
 
 def flip(cfg: AssouadConfig, gamma, j: int) -> tuple[int, ...]:
@@ -138,10 +137,10 @@ def affinity_detail(
         raise ValueError("n must be positive")
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
-    weights = hypercube_slope(cfg, gamma).coeffs[cfg.m :]
+    weights = hypercube_slope(cfg, gamma)[cfg.m :]
     pos = j - cfg.m - 1
     # flipping bit j adds or removes eps*beta_j from the j-th coordinate
-    step = hypercube_slope(cfg, flip(cfg, gamma, j)).coeffs[j - 1] - weights[pos]
+    step = hypercube_slope(cfg, flip(cfg, gamma, j))[j - 1] - weights[pos]
     scale = np.sqrt(cfg.theta_j)
     rng = np.random.default_rng(seed)
     vals = np.empty(n_mc)

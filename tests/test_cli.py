@@ -455,7 +455,7 @@ def test_estimate_from_file_matches_in_memory_fit(tmp_path, capsys, family):
     fit = estimate_slope(sample_dataset(gt, 400, 11), get_family(family), 2.0, 3.0)
     rows = (tmp_path / "estimate_coefs.csv").read_text().splitlines()[1:]
     got = [float(row.split(",")[1]).hex() for row in rows]
-    assert got == [float(v).hex() for v in fit.slope.coeffs]
+    assert got == [float(v).hex() for v in fit.slope]
 
 
 # --- rate study ---

@@ -13,7 +13,6 @@ from fglm.datagen import (
     sample_dataset,
 )
 from fglm.expfam import get_family
-from fglm.funcspace import FunctionRep
 
 GAUSS = get_family("gaussian")
 
@@ -26,7 +25,7 @@ def test_canonical_truth_shape():
     # alternating signs starting positive
     assert gt.slope_coeffs[0] > 0 > gt.slope_coeffs[1]
     assert gt.intercept == 0.5
-    assert np.all(gt.mean.coeffs == 0.0)
+    assert np.all(gt.mean == 0.0)
     # radius max(2^3, 1 + 0.5 + 0) = 8 with plenty of slack over ||b|| ~ 1.01
     assert gt.radius == 8.0
 
@@ -41,8 +40,34 @@ def test_slope_norm_partial_sum():
 
 def test_bumps_mean_mode():
     gt = make_ground_truth(2.0, 3.0, GAUSS, mu_mode="bumps")
-    assert np.allclose(gt.mean.coeffs[:4], np.arange(1.0, 5.0) ** -2.0)
-    assert np.all(gt.mean.coeffs[4:] == 0.0)
+    assert np.allclose(gt.mean[:4], np.arange(1.0, 5.0) ** -2.0)
+    assert np.all(gt.mean[4:] == 0.0)
+
+
+def test_integer_exponents_build_the_float_truth_bit_for_bit():
+    ints, floats = make_ground_truth(2, 3, GAUSS), make_ground_truth(2.0, 3.0, GAUSS)
+    for name in ("mean", "eigvals", "slope_coeffs"):
+        assert getattr(ints, name).tobytes() == getattr(floats, name).tobytes()
+    assert (ints.alpha, ints.beta_s, ints.radius) == (floats.alpha, floats.beta_s, floats.radius)
+
+
+def test_truth_arrays_are_read_only_copies():
+    mu = np.zeros(10)
+    gt = dataclasses.replace(make_ground_truth(2.0, 3.0, GAUSS, k_trunc=10), mean=mu)
+    mu[0] = 5.0
+    assert gt.mean[0] == 0.0
+    for name in ("mean", "eigvals", "slope_coeffs"):
+        with pytest.raises(ValueError):
+            getattr(gt, name)[0] = 1.0
+
+
+@pytest.mark.parametrize("size", [9, 11])
+def test_truth_refuses_a_mean_of_another_length(size):
+    # a short mean would otherwise fail later, in sample_dataset's broadcast
+    gt = make_ground_truth(2.0, 3.0, GAUSS, k_trunc=10)
+    msg = "mean, slope_coeffs and eigvals must have the same length"
+    with pytest.raises(ValueError, match=msg):
+        dataclasses.replace(gt, mean=np.zeros(size))
 
 
 @pytest.mark.parametrize(
@@ -110,6 +135,8 @@ def _with_nan_at(name, index):
     [
         (_with_nan_at("eigvals", 5), "eigenvalues and slope coefficients must be finite"),
         (_with_nan_at("slope_coeffs", 3), "eigenvalues and slope coefficients must be finite"),
+        (_with_nan_at("mean", 2), "mean coefficients must be finite"),
+        (lambda gt: {"mean": np.full(gt.k_trunc, math.inf)}, "mean coefficients must be finite"),
         (lambda gt: {"radius": math.nan}, "class radius must be finite and positive, got nan"),
         (lambda gt: {"radius": math.inf}, "class radius must be finite and positive, got inf"),
         (lambda gt: {"radius": -1.0}, "class radius must be finite and positive, got -1.0"),
@@ -117,8 +144,8 @@ def _with_nan_at(name, index):
         (lambda gt: {"beta_s": math.nan}, r"beta_s must be finite and > \(alpha \+ 3\) / 2"),
         (lambda gt: {"intercept": math.nan}, "intercept must be finite"),
     ],
-    ids=["nan_eigval", "nan_slope", "nan_radius", "inf_radius", "negative_radius", "nan_alpha",
-         "nan_beta_s", "nan_intercept"],
+    ids=["nan_eigval", "nan_slope", "nan_mean", "inf_mean", "nan_radius", "inf_radius",
+         "negative_radius", "nan_alpha", "nan_beta_s", "nan_intercept"],
 )
 def test_membership_rejects_non_finite_fields(edit, msg):
     # every comparison with NaN is False and an infinite radius passes every envelope
@@ -156,7 +183,7 @@ def test_adjacent_gaps_imply_the_pairwise_gap_condition(alpha, radius, margins, 
         beta_s=(alpha + 3.0) / 2.0 + 1.0,
         radius=radius,
         intercept=0.0,
-        mean=FunctionRep(np.zeros(k.size)),
+        mean=np.zeros(k.size),
         eigvals=theta[::-1],
         slope_coeffs=np.zeros(k.size),
         family=GAUSS,

@@ -18,7 +18,6 @@ from fglm.estimator import (
 )
 from fglm.expfam import family_names, get_family
 from fglm.fpca import spectral_estimate
-from fglm.funcspace import FunctionRep
 
 GAUSS = get_family("gaussian")
 POIS = get_family("poisson")
@@ -197,7 +196,7 @@ def test_estimate_slope_metadata():
     res = estimate_slope(ds, GAUSS, 2.0, 3.0)
     assert isinstance(res, FitResult)
     assert (res.m, res.n_components) == tuning(300, 2.0, 3.0)
-    assert res.slope.basis_size == 50
+    assert res.slope.shape == (50,) and not res.slope.flags.writeable
     assert res.converged and not res.separated
     # kept slope coefficients are the fitted ones rotated back
     assert len(res.coefs) == res.n_components + 1
@@ -223,7 +222,7 @@ def test_lean_scores_match_the_full_k_path(family, n):
         est = spectral_estimate(ds, ds.k_trunc)
         assert est.scores.shape == (n, 200)
         full = fit_mle(ds.y, est.scores[:, :n_comp], fam)
-        full_loss = loss(FunctionRep(est.phi_tilde[:, :m] @ full.coefs[1 : m + 1]), gt)
+        full_loss = loss(est.phi_tilde[:, :m] @ full.coefs[1 : m + 1], gt)
         assert lean.iterations == full.iterations and lean.converged == full.converged
         assert abs(loss(lean.slope, gt) - full_loss) <= LEAN_LOSS_RTOL * full_loss
         scale = np.max(np.abs(full.coefs))
@@ -272,13 +271,19 @@ def test_slope_norm_bound_under_zero_signal():
 
 def test_loss_identities():
     gt = make_ground_truth(2.0, 3.0, GAUSS, k_trunc=30)
-    assert loss(gt.slope, gt) == pytest.approx(0.0, abs=1e-15)
-    assert loss(FunctionRep([]), gt) == pytest.approx(
-        float(np.dot(gt.slope_coeffs, gt.slope_coeffs))
-    )
+    assert loss(gt.slope_coeffs, gt) == 0.0
+    assert loss(np.zeros(30), gt) == float(np.dot(gt.slope_coeffs, gt.slope_coeffs))
     bumped = gt.slope_coeffs.copy()
     bumped[0] += 0.25
-    assert loss(FunctionRep(bumped), gt) == pytest.approx(0.0625)
+    assert loss(bumped, gt) == pytest.approx(0.0625)
+
+
+@pytest.mark.parametrize("shape", [(29,), (31,), (1,), (30, 1)])
+def test_loss_refuses_a_slope_of_another_length(shape):
+    # a shorter slope is not zero-padded, and a one-entry one is not broadcast
+    gt = make_ground_truth(2.0, 3.0, GAUSS, k_trunc=30)
+    with pytest.raises(ValueError, match="slope estimate must have the truth's 30 coefficients"):
+        loss(np.zeros(shape), gt)
 
 
 def test_estimate_slope_needs_min_sample():

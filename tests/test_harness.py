@@ -13,9 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 from fglm import cli, harness
 from fglm.datagen import make_ground_truth, sample_dataset
-from fglm.estimator import NewtonConfig, TuningRule, estimate_slope, fit_mle, loss, tuning
+from fglm.estimator import NewtonConfig, TuningRule, estimate_slope, fit_mle, tuning
 from fglm.expfam import family_names, get_family, sample_response
-from fglm.funcspace import FunctionRep
 from fglm.harness import (
     ExperimentConfig,
     fit_loglog_slope,
@@ -227,6 +226,13 @@ def test_ground_truth_is_built_once_per_study(monkeypatch):
     assert len(calls) == 1
 
 
+def test_integer_exponents_give_the_float_config():
+    ints, floats = ExperimentConfig(alpha=2, beta_s=3), ExperimentConfig(alpha=2.0, beta_s=3.0)
+    assert ints.levels == floats.levels
+    for name in ("mean", "eigvals", "slope_coeffs"):
+        assert getattr(ints.truth, name).tobytes() == getattr(floats.truth, name).tobytes()
+
+
 def _reference_replication(cfg, n, seed):
     """One replication computed the long way: the truth rebuilt, X = mu +
     scores rebuilt for every stage, each stage centering on its own, and
@@ -237,7 +243,7 @@ def _reference_replication(cfg, n, seed):
     )
     rng = np.random.default_rng(seed)
     scores = rng.standard_normal((n, cfg.K_trunc)) * np.sqrt(gt.eigvals)
-    mu = gt.mean.coeffs
+    mu = gt.mean
     lam = gt.intercept + float(np.dot(mu, gt.slope_coeffs)) + scores @ gt.slope_coeffs
     y = sample_response(family, lam, rng)
     xbar = (mu[None, :] + scores).mean(axis=0)
@@ -251,8 +257,8 @@ def _reference_replication(cfg, n, seed):
     m, n_comp = tuning(n, cfg.alpha, cfg.beta_s, TuningRule(c_m=cfg.c_m, c_N=cfg.c_N))
     config = NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
     fit = fit_mle(y, est_scores[:, :n_comp], family, config)
-    slope = FunctionRep(phi[:, :m] @ fit.coefs[1 : m + 1])
-    return loss(slope, gt), fit.iterations, fit.converged
+    d = phi[:, :m] @ fit.coefs[1 : m + 1] - gt.slope_coeffs
+    return float(d @ d), fit.iterations, fit.converged
 
 
 @pytest.mark.parametrize("mu_mode", ["zero", "bumps"])
@@ -368,6 +374,11 @@ def test_map_in_order_cancels_the_items_after_a_failure():
     with pytest.raises(RuntimeError, match="stop"):
         list(map_in_order(fn, range(5), jobs=1))
     assert called == [0, 1]  # one worker: items 2-4 were never started
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_map_in_order_of_no_items_yields_nothing(jobs):
+    assert list(map_in_order(lambda item: item, [], jobs)) == []
 
 
 def test_map_in_order_under_thread_switches_yields_nothing_past_the_first_failure(monkeypatch):

@@ -56,16 +56,16 @@ def test_theta_j_matches_the_full_spectrum_bit_for_bit(m, alpha):
 def test_corner_slopes():
     cfg = AssouadConfig(2, GAUSS, eps_scale=0.5)
     slope = hypercube_slope(cfg, (1, 0))
-    assert slope.basis_size == 4
-    assert np.allclose(slope.coeffs[:2], 0.0)
-    assert slope.coeffs[2] == pytest.approx(0.5 * 3.0**-3.0)
-    assert slope.coeffs[3] == 0.0
-    assert np.all(hypercube_slope(cfg, (0, 0)).coeffs == 0.0)
+    assert slope.shape == (4,)
+    assert np.allclose(slope[:2], 0.0)
+    assert slope[2] == pytest.approx(0.5 * 3.0**-3.0)
+    assert slope[3] == 0.0
+    assert np.all(hypercube_slope(cfg, (0, 0)) == 0.0)
     # smallest cube: the single active coefficient sits at the second basis
     # index with value eps * 2^-3
     one = hypercube_slope(AssouadConfig(1, GAUSS, eps_scale=1.0), (1,))
-    assert one.basis_size == 2
-    assert one.coeffs[1] == pytest.approx(0.125)
+    assert one.shape == (2,)
+    assert one[1] == pytest.approx(0.125)
     with pytest.raises(ValueError):
         hypercube_slope(cfg, (1, 2))
     with pytest.raises(ValueError):

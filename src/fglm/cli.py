@@ -21,14 +21,16 @@ below 0.1).  ``scripts/run_certifications.py`` only drives them.
 once, ``--seed`` and ``--out`` applied, so all three refuse the same configs.
 
 Exit codes: 0 success, 1 bad arguments/config/input, 2 runtime or
-certification failure; an output directory that is or lies below a file,
-and a ``generate`` CSV that is a directory or lies below a file, are
-refused before any work.  ``rate-study --jobs`` (default 1) and ``diagnostics``
-share the thread pool ``harness.map_in_order``; output never depends on
-either.  Every command runs with the OpenBLAS bundled with numpy held to one
-thread, and the count it had is restored when the command ends: the pool's
-threads, not BLAS's own, share the cores, and on kernels where a threaded
-BLAS call rounds differently (Nehalem) no output depends on the core count.
+certification failure.  Refused before any work: an output directory that
+is or lies below a file; a ``generate`` CSV that is a directory or lies
+below a file; an output below a dangling symbolic link; and an output that
+is a dangling link, when a directory or when the link target's directory
+is missing.  ``rate-study --jobs`` (default 1) and ``diagnostics`` share
+the thread pool ``harness.map_in_order``; output never depends on either.
+Every command runs with the OpenBLAS bundled with numpy held to one thread,
+and the count it had is restored when the command ends: the pool's threads,
+not BLAS's own, share the cores, and on kernels where a threaded BLAS call
+rounds differently (Nehalem) no output depends on the core count.
 """
 from __future__ import annotations
 
@@ -66,6 +68,8 @@ __all__ = ["main"]
 _AFFINITY_FLOOR = 0.1
 # Largest third-derivative envelope ratio `diagnostics` accepts.
 _ENVELOPE_BOUND = 1.0 + 1e-9
+# Largest |z| of an information-matrix entry `diagnostics` accepts.
+_INFORMATION_Z_BOUND = 4.0
 
 
 class _UsageError(Exception):
@@ -85,11 +89,13 @@ def _build_parser() -> _Parser:
     study.add_argument("--config", required=True)
     study.add_argument("--seed", type=int, default=None, help="override config seed")
     study.add_argument("--out", default=None, help="override config out_dir")
+    # the model options of `generate` and `estimate`
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--family", required=True, choices=family_names())
+    model.add_argument("--alpha", type=float, default=2.0)
+    model.add_argument("--beta", type=float, default=3.0)
 
-    gen = sub.add_parser("generate", help="write one simulated dataset to CSV")
-    gen.add_argument("--family", required=True, choices=family_names())
-    gen.add_argument("--alpha", type=float, default=2.0)
-    gen.add_argument("--beta", type=float, default=3.0)
+    gen = sub.add_parser("generate", parents=[model], help="write one simulated dataset to CSV")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--intercept", type=float, default=0.5)
@@ -98,11 +104,8 @@ def _build_parser() -> _Parser:
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.set_defaults(handler=_cmd_generate)
 
-    est = sub.add_parser("estimate", help="fit one dataset CSV")
+    est = sub.add_parser("estimate", parents=[model], help="fit one dataset CSV")
     est.add_argument("--data", required=True, help="CSV from `generate`")
-    est.add_argument("--family", required=True, choices=family_names())
-    est.add_argument("--alpha", type=float, default=2.0)
-    est.add_argument("--beta", type=float, default=3.0)
     est.add_argument("--grid-points", type=int, default=201)
     est.add_argument("--out", default=".", help="output directory")
     est.set_defaults(handler=_cmd_estimate)
@@ -138,39 +141,38 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require_out_dir(path: str) -> None:
-    """Refuse an output directory that is or lies below an existing file, before any work."""
-    if os.path.exists(path) and not os.path.isdir(path):
+def _require_output(path: str, kind: str) -> None:
+    """Refuse, before any work, an output `kind` ("file" or "directory") that cannot be made."""
+    if kind == "file" and os.path.isdir(path):
+        raise ValueError(f"output file {path} is an existing directory")
+    if kind == "directory" and os.path.exists(path) and not os.path.isdir(path):
         raise ValueError(f"output directory {path} is an existing file")
-    _refuse_below_file(path, "directory")
+    # nothing can be made below a file, nor through a dangling link (the nearest
+    # ancestor that is there must be a directory); a file can be written through
+    # a dangling link whose target's directory exists, a directory never
+    full = os.path.abspath(path)
+    ancestor = os.path.dirname(full)
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        what = "existing file" if os.path.exists(ancestor) else "dangling symbolic link"
+        raise ValueError(f"output {kind} {path} lies below the {what} {ancestor}")
+    if os.path.islink(full) and not os.path.exists(full):
+        target = os.path.realpath(full)
+        if kind == "directory" or not os.path.isdir(os.path.dirname(target)):
+            raise ValueError(f"output {kind} {path} is a dangling symbolic link to {target}")
 
 
 def _load_config(args) -> ExperimentConfig:
     """The --config study built once, with --seed and --out applied; its out_dir is checked."""
     overrides = {"seed": args.seed, "out_dir": args.out}
     cfg = load_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
-    _require_out_dir(cfg.out_dir)
+    _require_output(cfg.out_dir, "directory")
     return cfg
 
 
-def _require_out_file(path: str) -> None:
-    """Refuse an output file that is an existing directory or lies below an existing file."""
-    if os.path.isdir(path):
-        raise ValueError(f"output file {path} is an existing directory")
-    _refuse_below_file(path, "file")
-
-
-def _refuse_below_file(path: str, what: str) -> None:
-    # the nearest existing ancestor must be a directory, or nothing can be made below it
-    ancestor = os.path.dirname(os.path.abspath(path))
-    while not os.path.exists(ancestor):
-        ancestor = os.path.dirname(ancestor)
-    if not os.path.isdir(ancestor):
-        raise ValueError(f"output {what} {path} lies below the existing file {ancestor}")
-
-
 def _cmd_generate(args) -> int:
-    _require_out_file(args.out)
+    _require_output(args.out, "file")
     family = get_family(args.family)
     gt = make_ground_truth(
         args.alpha,
@@ -245,7 +247,7 @@ def _check_support(family: str, y: np.ndarray, path: str) -> None:
 
 
 def _cmd_estimate(args) -> int:
-    _require_out_dir(args.out)
+    _require_output(args.out, "directory")
     t = uniform_grid(args.grid_points)  # refuse a bad --grid-points before any output
     zeta_interval(args.alpha, args.beta)  # and a smoothness outside the model class
     ds = _read_dataset_csv(args.data)
@@ -298,7 +300,7 @@ def _cmd_rate_study(args) -> int:
 
 
 def _cmd_perturb_check(args) -> int:
-    _require_out_dir(args.out)
+    _require_output(args.out, "directory")
     summary = random_perturbation_suite(
         reps=args.reps, max_dim=args.dim, seed=args.seed, alpha=args.alpha
     )
@@ -381,34 +383,29 @@ def _cmd_diagnostics(args) -> int:
     maximal_100, reports, maximal_10, *ratios = map_in_order(
         lambda task: task(), tasks, jobs=len(tasks)
     )
-    envelopes = zip(family_names(), ratios)
-    maximal = [(10, maximal_10), (100, maximal_100)]
 
     rows = []  # check, n, x, statistic, bound, passed
-    for name, ratio in envelopes:
-        ok = ratio <= _ENVELOPE_BOUND
-        rows.append((f"envelope_{name}", "", "", ratio, _ENVELOPE_BOUND, ok))
-        print(f"envelope {name}: max third-derivative ratio {ratio:.6f} "
-              f"{'PASS' if ok else 'FAIL'}")
+
+    def verdict(line, *row):
+        rows.append(row)
+        print(f"{line} {'PASS' if row[-1] else 'FAIL'}")
+
+    for name, ratio in zip(family_names(), ratios):
+        verdict(f"envelope {name}: max third-derivative ratio {ratio:.6f}",
+                f"envelope_{name}", "", "", ratio, _ENVELOPE_BOUND, ratio <= _ENVELOPE_BOUND)
     for rep in reports:
-        ok = rep.max_abs_z <= 4.0
-        rows.append(("information_z", rep.n, "", rep.max_abs_z, 4.0, ok))
-        print(
-            f"information n={rep.n} N={rep.n_components}: max |z| {rep.max_abs_z:.2f}, "
-            f"mean sq deviation {rep.mean_sq_dev:.3e} {'PASS' if ok else 'FAIL'}"
-        )
-    shrinking = reports[-1].mean_sq_dev < reports[0].mean_sq_dev
-    rows.append(("information_shrinks", reports[-1].n, "", reports[-1].mean_sq_dev,
-                 reports[0].mean_sq_dev, shrinking))
-    print(f"information deviation shrinks with n: {'PASS' if shrinking else 'FAIL'}")
-    for n, points in maximal:
-        for point in points:
-            rows.append(("maximal", n, point.x, point.estimate, point.bound + 4.0 * point.se,
-                         point.passed))
-            print(
-                f"maximal n={n} x={point.x:.0f}: estimate {point.estimate:.2e} "
-                f"<= bound {point.bound:.2e} + 4se {'PASS' if point.passed else 'FAIL'}"
-            )
+        verdict(f"information n={rep.n} N={rep.n_components}: max |z| {rep.max_abs_z:.2f}, "
+                f"mean sq deviation {rep.mean_sq_dev:.3e}",
+                "information_z", rep.n, "", rep.max_abs_z, _INFORMATION_Z_BOUND,
+                rep.max_abs_z <= _INFORMATION_Z_BOUND)
+    first, last = reports[0], reports[-1]
+    verdict("information deviation shrinks with n:", "information_shrinks", last.n, "",
+            last.mean_sq_dev, first.mean_sq_dev, last.mean_sq_dev < first.mean_sq_dev)
+    for n, points in ((10, maximal_10), (100, maximal_100)):
+        for p in points:
+            verdict(f"maximal n={n} x={p.x:.0f}: estimate {p.estimate:.2e} "
+                    f"<= bound {p.bound:.2e} + 4se",
+                    "maximal", n, p.x, p.estimate, p.bound + 4.0 * p.se, p.passed)
 
     path = os.path.join(cfg.out_dir, "diagnostics.csv")
     write_csv(path, ["check", "n", "x", "statistic", "bound", "passed"], rows)

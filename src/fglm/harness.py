@@ -41,7 +41,6 @@ __all__ = [
     "RatePoint",
     "ReplicationRecord",
     "RateStudyResult",
-    "run_rate_points",
     "run_rate_study",
     "fit_loglog_slope",
     "write_csv",
@@ -230,17 +229,17 @@ def _replication_task(cfg: ExperimentConfig, n: int, rep: int, seed: int) -> Rep
     )
 
 
-def run_rate_points(
-    cfg: ExperimentConfig, jobs: int = 1
-) -> tuple[tuple[RatePoint, ...], tuple[ReplicationRecord, ...]]:
-    """All replications of the study, aggregated per sample size.
+def run_rate_study(cfg: ExperimentConfig, jobs: int = 1) -> RateStudyResult:
+    """All replications of the study, aggregated per sample size, and the log-log slope fit.
 
-    Every replication shares the config's ground truth and solver
-    settings; the truncation levels are the config's too.  Tasks run on
-    up to `jobs` threads but are collected in (n, rep) order, so the
-    output is identical for every jobs setting.  A failed replication
-    aborts the study with its coordinates.
+    Needs at least 3 sample sizes.  Every replication shares the config's
+    ground truth, solver settings and truncation levels.  Tasks run on up
+    to `jobs` threads but are collected in (n, rep) order, so the result
+    is identical for every jobs setting.  A failed replication aborts the
+    study with its coordinates.
     """
+    if len(cfg.n_grid) < 3:
+        raise ValueError("slope regression needs at least 3 sample sizes in n_grid")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     meta = [
@@ -272,18 +271,10 @@ def run_rate_points(
                 nonconverged=sum(1 for r in chunk if not r.converged),
             )
         )
-    return tuple(points), tuple(records)
-
-
-def run_rate_study(cfg: ExperimentConfig, jobs: int = 1) -> RateStudyResult:
-    """Rate study plus the log-log slope fit (needs >= 3 sample sizes)."""
-    if len(cfg.n_grid) < 3:
-        raise ValueError("slope regression needs at least 3 sample sizes in n_grid")
-    points, records = run_rate_points(cfg, jobs=jobs)
     slope, se = fit_loglog_slope([(p.n, p.mise_mean) for p in points])
     return RateStudyResult(
-        points=points,
-        replications=records,
+        points=tuple(points),
+        replications=tuple(records),
         fitted_slope=slope,
         slope_se=se,
         theoretical=theoretical_exponent(cfg.alpha, cfg.beta_s),

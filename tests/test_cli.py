@@ -796,26 +796,30 @@ def test_lower_bound_refuses_a_cube_out_of_float_range(tmp_path, capsys, monkeyp
     assert monte_carlo_calls == []
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["rate-study", "--config", "CFG"],
-        ["lower-bound", "--config", "CFG"],
-        ["diagnostics", "--config", "CFG"],
-        ["perturb-check"],
-        ["estimate", "--data", "data.csv", "--family", "gaussian"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_an_out_that_names_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
+def _forbid_work(monkeypatch):
+    """Make every command's first piece of work fail the test."""
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for target in ("fglm.harness.sample_dataset", "fglm.cli.affinity_study",
-                   "fglm.cli.check_chisq_maximal", "fglm.cli.fisher_study",
-                   "fglm.cli.verify_envelope", "fglm.cli.random_perturbation_suite",
-                   "fglm.cli._read_dataset_csv"):
+    for target in ("fglm.harness.sample_dataset", "fglm.cli.sample_dataset",
+                   "fglm.cli.affinity_study", "fglm.cli.check_chisq_maximal",
+                   "fglm.cli.fisher_study", "fglm.cli.verify_envelope",
+                   "fglm.cli.random_perturbation_suite", "fglm.cli._read_dataset_csv"):
         monkeypatch.setattr(target, no_work)
+
+
+_OUT_DIR_COMMANDS = [
+    ["rate-study", "--config", "CFG"],
+    ["lower-bound", "--config", "CFG"],
+    ["diagnostics", "--config", "CFG"],
+    ["perturb-check"],
+    ["estimate", "--data", "data.csv", "--family", "gaussian"],
+]
+
+
+@pytest.mark.parametrize("argv", _OUT_DIR_COMMANDS, ids=lambda argv: argv[0])
+def test_an_out_that_names_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    _forbid_work(monkeypatch)
     cfg = _write_cfg(tmp_path)
     taken = tmp_path / "taken"
     taken.write_bytes(b"keep these bytes\n")
@@ -831,6 +835,41 @@ def test_an_out_that_names_a_file_is_refused_before_any_work(tmp_path, capsys, m
         assert captured.err == f"error: {message}\n"
         assert taken.read_bytes() == b"keep these bytes\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["study.cfg", "taken"]
+
+
+@pytest.mark.parametrize(
+    "argv", _OUT_DIR_COMMANDS + [["generate", "--family", "gaussian", "--n", "20000"]],
+    ids=lambda argv: argv[0],
+)
+def test_an_out_through_a_dangling_link_is_refused_before_any_work(tmp_path, capsys,
+                                                                   monkeypatch, argv):
+    # os.makedirs cannot make a directory through a dangling link, nor open() a
+    # file whose target directory is missing, so neither may wait for the work
+    _forbid_work(monkeypatch)
+    kind = "file" if argv[0] == "generate" else "directory"
+    cfg = _write_cfg(tmp_path)
+    argv = [cfg if arg == "CFG" else arg for arg in argv]
+    missing = tmp_path / "missing"
+    link = tmp_path / "link"
+    link.symlink_to(missing / "data.csv" if kind == "file" else missing)
+    below = link / "sub"
+    for out, message in [
+        (link, f"output {kind} {link} is a dangling symbolic link to {os.path.realpath(link)}"),
+        (below, f"output {kind} {below} lies below the dangling symbolic link {link}"),
+    ]:
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "study.cfg"]
+
+
+def test_generate_writes_through_a_dangling_link_into_an_existing_directory(tmp_path, capsys):
+    target, link = tmp_path / "data.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["generate", "--family", "gaussian", "--n", "20", "--out", str(link)]) == 0
+    assert capsys.readouterr().out == f"wrote {link}: 20 rows, 200 coefficient columns\n"
+    assert link.is_symlink() and target.read_text().startswith("y,lambda,x1,")
 
 
 def test_generate_refuses_an_unwritable_out_before_drawing(tmp_path, capsys, monkeypatch):

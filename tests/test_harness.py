@@ -23,7 +23,6 @@ from fglm.harness import (
     map_in_order,
     parse_config,
     replication_seed,
-    run_rate_points,
     run_rate_study,
     theoretical_exponent,
     write_csv,
@@ -64,8 +63,8 @@ def test_solver_settings_are_built_once_at_load(monkeypatch):
     built = []
     for name in ("TuningRule", "NewtonConfig", "make_ground_truth", "tuning"):
         monkeypatch.setattr(harness, name, lambda *args, _name=name, **kwargs: built.append(_name))
-    _, records = run_rate_points(cfg, jobs=2)
-    assert len(records) == 9 and built == []
+    result = run_rate_study(cfg, jobs=2)
+    assert len(result.replications) == 9 and built == []
 
 
 def test_parse_ignores_comments_and_blanks():
@@ -193,7 +192,8 @@ def test_slope_fit_validation():
 
 
 def test_rate_points_shape_and_seeds():
-    points, records = run_rate_points(TINY)
+    result = run_rate_study(TINY)
+    points, records = result.points, result.replications
     assert [p.n for p in points] == [40, 80, 160]
     assert all(p.reps == 3 for p in points)
     assert len(records) == 9
@@ -206,9 +206,9 @@ def test_rate_points_shape_and_seeds():
 
 
 def test_rate_points_deterministic_and_jobs_invariant():
-    a = run_rate_points(TINY, jobs=1)
-    b = run_rate_points(TINY, jobs=1)
-    c = run_rate_points(TINY, jobs=2)
+    a = run_rate_study(TINY, jobs=1)
+    b = run_rate_study(TINY, jobs=1)
+    c = run_rate_study(TINY, jobs=2)
     assert a == b == c
 
 
@@ -222,7 +222,7 @@ def test_ground_truth_is_built_once_per_study(monkeypatch):
     monkeypatch.setattr(harness, "make_ground_truth", counting)
     cfg = dataclasses.replace(TINY)
     assert len(calls) == 1
-    run_rate_points(cfg, jobs=1)
+    run_rate_study(cfg, jobs=1)
     assert len(calls) == 1
 
 
@@ -287,7 +287,7 @@ def test_replication_failure_names_its_coordinates(monkeypatch, jobs):
 
     monkeypatch.setattr(harness, "sample_dataset", sample)
     with pytest.raises(RuntimeError) as info:
-        run_rate_points(cfg, jobs=jobs)
+        run_rate_study(cfg, jobs=jobs)
     assert str(info.value) == f"replication failed at n=80, rep=5, seed={failing}: simulated"
     assert info.value.__cause__ is cause
 
@@ -316,7 +316,7 @@ def test_replication_threads_are_capped(monkeypatch, jobs, cpus, threads):
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
-    assert run_rate_points(TINY, jobs=jobs) == run_rate_points(TINY, jobs=1)
+    assert run_rate_study(TINY, jobs=jobs) == run_rate_study(TINY, jobs=1)
     assert workers == [threads, 1]  # TINY has 9 replications
 
 
@@ -627,13 +627,14 @@ def test_estimate_keeps_every_byte_from_any_blas_thread_count(tmp_path):
 
 def test_single_rep_has_zero_se():
     cfg = ExperimentConfig(K_trunc=20, n_grid=(40, 80, 160), reps=1, seed=0)
-    points, _ = run_rate_points(cfg)
-    assert all(p.mise_se == 0.0 for p in points)
+    assert all(p.mise_se == 0.0 for p in run_rate_study(cfg).points)
 
 
 def test_rate_study_needs_three_points():
-    with pytest.raises(ValueError):
-        run_rate_study(ExperimentConfig(n_grid=(40, 80), reps=1))
+    with pytest.raises(ValueError, match="at least 3 sample sizes"):
+        run_rate_study(ExperimentConfig(n_grid=(40, 80), reps=1), jobs=0)  # sizes first
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_rate_study(TINY, jobs=0)
 
 
 def test_rate_study_slope_is_negative():

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -533,21 +534,36 @@ def test_perturb_check_passes_and_writes_rows(tmp_path, capsys):
     assert rows[0].startswith("instance,dim,eps,delta_op")
 
 
-@pytest.mark.parametrize("alpha, reps", [("10", "500"), ("20", "100"), ("40", "100")])
-def test_perturb_check_reports_no_rounding_violations_on_steep_spectra(tmp_path, capsys, alpha, reps):
+@pytest.mark.parametrize(
+    "alpha, reps, projections",
+    [("10", "500", 500), ("20", "100", 0), ("40", "100", 0)],
+    ids=["10-500", "20-100", "40-100"],
+)
+def test_perturb_check_reports_no_rounding_violations_on_steep_spectra(tmp_path, capsys, alpha,
+                                                                       reps, projections):
     # tail eigenvalues of k^-alpha sink below the eigensolver's accuracy;
-    # their indices are skipped, not reported as violations
+    # their indices are skipped, not reported as violations; from alpha = 18
+    # no projection is left to check, and a run that checks none fails
     code = main(["perturb-check", "--alpha", alpha, "--reps", reps, "--out", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert code == 0, out
-    assert "eigenvalue violations 0, eigenvector 0/" in out
-    assert "all bounds hold" in out
+    captured = capsys.readouterr()
+    assert "eigenvalue violations 0, eigenvector 0/" in captured.out
+    assert f"projection: {projections} checked, 0 identity failures" in captured.out
+    if projections:
+        assert code == 0, captured.err
+        assert "all bounds hold" in captured.out
+    else:
+        assert code == 2
+        assert "all bounds hold" not in captured.out
+        assert captured.err == f"FAIL: no projection checked in {reps} instances\n"
 
 
 def test_perturb_check_perturbs_every_instance_at_the_largest_alpha_it_accepts(tmp_path, capsys):
-    # 0.9 * 12^-285 is just above the smallest normal float
-    assert main(["perturb-check", "--alpha", "285", "--reps", "3", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
+    # 0.9 * 12^-285 is just above the smallest normal float; no projection is
+    # left to check there, so the run fails
+    assert main(["perturb-check", "--alpha", "285", "--reps", "3", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "eigenvalue violations 0, eigenvector 0/3 checked, remainder 0/3" in captured.out
+    assert captured.err == "FAIL: no projection checked in 3 instances\n"
     with open(tmp_path / "perturb_check.csv", newline="") as fh:
         eps = [float(row["eps"]) for row in csv.DictReader(fh)]
     assert len(eps) == 3 and min(eps) >= np.finfo(float).tiny
@@ -864,6 +880,34 @@ def test_an_out_through_a_dangling_link_is_refused_before_any_work(tmp_path, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "study.cfg"]
 
 
+@pytest.mark.parametrize(
+    "argv", _OUT_DIR_COMMANDS + [["generate", "--family", "gaussian", "--n", "20000"]],
+    ids=lambda argv: argv[0],
+)
+def test_an_out_through_a_link_loop_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                               argv):
+    # nothing can be made through a loop of links: resolving it fails with ELOOP
+    _forbid_work(monkeypatch)
+    kind = "file" if argv[0] == "generate" else "directory"
+    cfg = _write_cfg(tmp_path)
+    argv = [cfg if arg == "CFG" else arg for arg in argv]
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.symlink_to(b)
+    b.symlink_to(a)
+    into = tmp_path / "into"
+    into.symlink_to(a / "data")
+    for out, message in [
+        (a, f"output {kind} {a} is a symbolic-link loop"),
+        (into, f"output {kind} {into} is a symbolic-link loop"),
+        (a / "sub", f"output {kind} {a / 'sub'} lies below the symbolic-link loop {a}"),
+    ]:
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "into", "study.cfg"]
+
+
 def test_generate_writes_through_a_dangling_link_into_an_existing_directory(tmp_path, capsys):
     target, link = tmp_path / "data.csv", tmp_path / "link.csv"
     link.symlink_to(target)
@@ -1034,3 +1078,30 @@ def test_rate_study_script_refuses_an_out_below_a_file_before_any_draw(
     message = f"output directory {below} lies below the existing file {taken}"
     assert captured.err == f"error: {message}\n"
     assert taken.read_bytes() == b"keep these bytes\n"
+
+
+# --- freed heap kept between replications ---
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the malloc thresholds are glibc's",
+)
+@pytest.mark.parametrize("jobs", ["1", "2"])  # 2: glibc gives each pool thread its own arena
+def test_a_replication_faults_in_no_fresh_pages(tmp_path, jobs):
+    import resource
+
+    grid = (500, 600, 700)  # each n x 200 sample is far above glibc's 128 KiB mmap default
+
+    def minor_faults(reps):
+        cfg = tmp_path / f"reps{reps}.cfg"
+        cfg.write_text(harness.format_config(harness.ExperimentConfig(n_grid=grid, reps=reps)))
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run([sys.executable, "-m", "fglm", "rate-study", "--config", str(cfg),
+                        "--jobs", jobs, "--out", str(tmp_path / f"out{reps}")],
+                       check=True, stdout=subprocess.DEVNULL, env=_script_env(), timeout=120)
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    # without the thresholds each extra replication faults in about 600 pages here
+    per_replication = (minor_faults(8) - minor_faults(2)) / (6 * len(grid))
+    assert per_replication <= 100

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import math
 import sys
@@ -623,6 +624,40 @@ def test_estimate_keeps_every_byte_from_any_blas_thread_count(tmp_path):
     finally:
         put(before)
     assert outputs[1] == outputs[2]
+
+
+# --- freed heap kept in the process ---
+
+
+@pytest.fixture
+def fresh_heap_policy():
+    cli._keep_freed_heap.cache_clear()
+    yield
+    cli._keep_freed_heap.cache_clear()
+
+
+def test_every_command_sets_both_malloc_thresholds_once_per_process(monkeypatch,
+                                                                    fresh_heap_policy):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli, "_process_symbols", lambda: types.SimpleNamespace(mallopt=mallopt))
+    for command in _COMMAND_ARGV:
+        assert _main_with_handler(monkeypatch, command, lambda: 0) == 0
+    # M_TRIM_THRESHOLD to 64 MiB, M_MMAP_THRESHOLD to 32 MiB
+    assert calls == [(-1, 64 << 20), (-3, 32 << 20)]
+    assert mallopt.argtypes == [ctypes.c_int, ctypes.c_int]
+
+
+@pytest.mark.parametrize(
+    "symbols", [None, types.SimpleNamespace()], ids=["no_library", "no_symbol"]
+)
+def test_a_c_library_without_mallopt_is_left_alone(monkeypatch, fresh_heap_policy, symbols):
+    monkeypatch.setattr(cli, "_process_symbols", lambda: symbols)
+    assert _main_with_handler(monkeypatch, "rate-study", lambda: 0) == 0
 
 
 def test_single_rep_has_zero_se():

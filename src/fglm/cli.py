@@ -22,7 +22,8 @@ below 0.1); ``perturb-check`` also fails when it checked no projection.
 once, ``--seed`` and ``--out`` applied, so all three refuse the same configs.
 
 Exit codes: 0 success, 1 bad arguments/config/input, 2 runtime or
-certification failure.  Refused before any work: an output directory that
+certification failure.  Refused before any work: a ``--seed`` outside
+[0, 2**64 - 1], by every command that takes one; an output directory that
 is or lies below a file; a ``generate`` CSV that is a directory or lies
 below a file; an output that is or lies below a loop of symbolic links;
 an output below a dangling symbolic link; and an output that is a dangling
@@ -37,7 +38,7 @@ Every command also keeps the memory it frees inside the process: glibc's
 trim threshold is set to 64 MiB and its mmap threshold to 32 MiB, once per
 process and never restored.  A replication then reuses the pages of the
 last one; without the thresholds it faults its sample in again, about
-1,050 minor faults a replication of the stock gaussian study.
+280 minor faults a replication of the stock gaussian study.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ from .estimator import estimate_slope, zeta_interval
 from .expfam import family_names, get_family, verify_envelope
 from .funcspace import evaluate_on_grid, uniform_grid
 from .harness import ExperimentConfig, load_config, map_in_order
-from .harness import parse_sample_sizes, run_rate_study, write_csv
+from .harness import parse_sample_sizes, require_seed, run_rate_study, write_csv
 from .lowerbound import AssouadConfig, affinity_study
 from .spectral_diag import (
     check_chisq_maximal,
@@ -195,6 +196,7 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_generate(args) -> int:
+    require_seed(args.seed)
     _require_output(args.out, "file")
     family = get_family(args.family)
     gt = make_ground_truth(
@@ -212,14 +214,33 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _count_line_ends(path: str) -> int:
+    """How many line-feed and carriage-return bytes the file at `path` holds."""
+    count = 0
+    with open(path, "rb") as fh:
+        for block in iter(partial(fh.read, 1 << 20), b""):
+            count += block.count(b"\n") + block.count(b"\r")
+    return count
+
+
+# bytes of rows moved at a time when x is compacted to the front of the parse
+_COMPACT_BLOCK_BYTES = 1 << 18
+
+
 def _read_dataset_csv(path: str) -> Dataset:
     """Parse a `generate`-style CSV: a header row, then one numeric row per sample.
 
     Only the y, lambda and x1..xK columns are parsed, and a repeated column
     name is refused; fields may be quoted and lines may end in CRLF.
     loadtxt converts through the same routine as `float`, so every value
-    keeps its bits.
+    keeps its bits.  The sample is held once: y and lambda are copied out,
+    and x is a C-contiguous view of loadtxt's own buffer, with each row's
+    K values moved to the front of it in place.
     """
+    # every data row but the last ends in a line end, and so does the header
+    # when a row follows it: an upper bound on the rows, so that loadtxt
+    # allocates its result once instead of regrowing it
+    max_rows = _count_line_ends(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline()
         if not first:
@@ -240,24 +261,37 @@ def _read_dataset_csv(path: str) -> Dataset:
         if [int(s[1:]) for s in x_names] != list(range(1, len(x_names) + 1)):
             raise ValueError(f"{path}: coefficient columns must be consecutive x1..xK")
         lead = ["y", "lambda"] if "lambda" in cols else ["y"]
-        usecols = [cols[name] for name in lead + x_names]
+        # x1..xK first, so that x can be moved to the front of the buffer
+        usecols = [cols[name] for name in x_names + lead]
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
                 body = np.loadtxt(
-                    fh, delimiter=",", quotechar='"', comments=None, usecols=usecols, ndmin=2
+                    fh, delimiter=",", quotechar='"', comments=None, usecols=usecols, ndmin=2,
+                    max_rows=max_rows,
                 )
         except ValueError as exc:
             raise ValueError(f"{path}: malformed numeric row: {exc}") from None
-    if body.shape[0] == 0:
+    n, k = body.shape[0], len(x_names)
+    if n == 0:
         raise ValueError(f"{path}: no data rows")
-    y = np.ascontiguousarray(body[:, 0])
-    lam = np.ascontiguousarray(body[:, 1]) if len(lead) == 2 else np.zeros(body.shape[0])
-    # C order, as `sample_dataset` makes it: BLAS results depend on the layout
-    x = np.ascontiguousarray(body[:, len(lead) :])
-    for where, values in (("column y", y), ("column lambda", lam), ("columns x1..xK", x)):
+    y = body[:, k].copy()
+    lam = body[:, k + 1].copy() if len(lead) == 2 else np.zeros(n)
+    for where, values in (("column y", y), ("column lambda", lam)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{path}: non-finite value in {where}")
+    # C order, as `sample_dataset` makes it: BLAS results depend on the layout.
+    # Row i's values move from i * (k + len(lead)) to i * k, never forward, so
+    # moving the rows in order overwrites only values already moved; numpy
+    # buffers a block whose source and target overlap.  Each block is checked
+    # on its way, so no mask of the whole of x is made
+    x = body.reshape(-1)[: n * k].reshape(n, k)
+    step = max(1, _COMPACT_BLOCK_BYTES // body[0].nbytes)
+    for start in range(0, n, step):
+        block = body[start : start + step, :k]
+        if not np.all(np.isfinite(block)):
+            raise ValueError(f"{path}: non-finite value in columns x1..xK")
+        x[start : start + step] = block
     return Dataset(x=x, y=y, lambda_true=lam)
 
 
@@ -275,7 +309,8 @@ def _cmd_estimate(args) -> int:
     zeta_interval(args.alpha, args.beta)  # and a smoothness outside the model class
     ds = _read_dataset_csv(args.data)
     _check_support(args.family, ds.y, args.data)
-    fit = estimate_slope(ds, get_family(args.family), args.alpha, args.beta)
+    # the sample is dropped after the fit, so it is centred in its own memory
+    fit = estimate_slope(ds, get_family(args.family), args.alpha, args.beta, overwrite_x=True)
     vals = evaluate_on_grid(fit.slope, args.grid_points)
     coef_path = os.path.join(args.out, "estimate_coefs.csv")
     grid_path = os.path.join(args.out, "estimate_grid.csv")
@@ -323,6 +358,7 @@ def _cmd_rate_study(args) -> int:
 
 
 def _cmd_perturb_check(args) -> int:
+    require_seed(args.seed)
     _require_output(args.out, "directory")
     summary = random_perturbation_suite(
         reps=args.reps, max_dim=args.dim, seed=args.seed, alpha=args.alpha
@@ -500,11 +536,11 @@ def _process_symbols():
 def _keep_freed_heap() -> None:
     """Keep the memory a command frees inside the process, once per process.
 
-    Without this, glibc hands each replication's freed sample and its
-    centred copy back to the kernel and the next replication faults the
-    pages in again: about 1,050 minor faults a replication.  Both
-    thresholds are needed: the trim threshold alone leaves the sample's
-    blocks on mmap, the mmap threshold alone lets the heap's top be trimmed.
+    Without this, glibc hands each replication's freed sample back to the
+    kernel and the next replication faults the pages in again: about 280
+    minor faults a replication.  Both thresholds are needed: the trim
+    threshold alone leaves the sample's blocks on mmap, the mmap threshold
+    alone lets the heap's top be trimmed.
     glibc cannot report the settings, so unlike the BLAS thread count they
     are not restored.  Does nothing where the C library has no `mallopt`
     (macOS, Windows, musl).  Library callers of `run_rate_study` keep

@@ -246,15 +246,22 @@ def estimate_slope(
     beta_s: float,
     rule: TuningRule | None = None,
     config: NewtonConfig | None = None,
+    *,
+    overwrite_x: bool = False,
 ) -> FitResult:
-    """Full pipeline: spectral estimate, tuning, GLM fit, slope rebuild."""
+    """Full pipeline: spectral estimate, tuning, GLM fit, slope rebuild.
+
+    `overwrite_x=True` lets `spectral_estimate` centre the sample in
+    `ds.x`'s own memory, so afterwards `ds.x` holds the centred sample;
+    pass it only for a sample that is not used again.
+    """
     if ds.n < MIN_OBSERVATIONS:
         raise ValueError(f"estimation needs at least {MIN_OBSERVATIONS} observations")
     m, n_comp = tuning(ds.n, alpha, beta_s, rule)
     # the truncated basis cannot supply more components than it has
     m = min(m, ds.k_trunc)
     n_comp = min(n_comp, ds.k_trunc)
-    est = spectral_estimate(ds, n_comp)
+    est = spectral_estimate(ds, n_comp, overwrite_x=overwrite_x)
     fit = fit_mle(ds.y, est.scores, family, config)
     slope = est.phi_tilde[:, :m] @ fit.coefs[1 : m + 1]
     slope.flags.writeable = False

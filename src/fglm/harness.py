@@ -36,6 +36,7 @@ __all__ = [
     "load_config",
     "format_config",
     "parse_sample_sizes",
+    "require_seed",
     "replication_seed",
     "theoretical_exponent",
     "RatePoint",
@@ -86,8 +87,7 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError("seed must fit in 64 bits")
+        require_seed(self.seed)
         truth = make_ground_truth(
             self.alpha,
             self.beta_s,
@@ -175,10 +175,15 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def require_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2**64 - 1], the seeds every command accepts."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError("seed must fit in 64 bits")
+
+
 def replication_seed(master_seed: int, n_index: int, rep: int) -> int:
     """Per-replication seed: master XOR splitmix64 of the (n, rep) pair."""
-    if not 0 <= master_seed <= _MASK64:
-        raise ValueError("master seed must fit in 64 bits")
+    require_seed(master_seed)
     if n_index < 0 or rep < 0 or n_index >= (1 << 32) or rep >= (1 << 32):
         raise ValueError("n_index and rep must be 32-bit nonnegative integers")
     return (master_seed ^ _splitmix64((n_index << 32) | rep)) & _MASK64
@@ -222,7 +227,10 @@ class RateStudyResult:
 def _replication_task(cfg: ExperimentConfig, n: int, rep: int, seed: int) -> ReplicationRecord:
     gt = cfg.truth
     ds = sample_dataset(gt, n, seed)
-    fit = estimate_slope(ds, gt.family, cfg.alpha, cfg.beta_s, rule=cfg.rule, config=cfg.newton)
+    # the sample is dropped after the fit, so it is centred in its own memory
+    fit = estimate_slope(
+        ds, gt.family, cfg.alpha, cfg.beta_s, rule=cfg.rule, config=cfg.newton, overwrite_x=True
+    )
     return ReplicationRecord(
         n=n, rep=rep, seed=seed, loss=loss(fit.slope, gt), iterations=fit.iterations,
         converged=fit.converged,

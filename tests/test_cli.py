@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import importlib.util
+import io
 import math
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -12,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fglm import cli, harness, lowerbound
 from fglm.cli import _read_dataset_csv, main
@@ -393,10 +398,28 @@ def _trailing_blank_lines(text):
     return text + "\n\n\r\n"
 
 
+def _reversed_columns(text):
+    return "\n".join(",".join(reversed(line.split(","))) for line in text.split("\n"))
+
+
+def _cr_only(text):
+    return text.replace("\n", "\r")
+
+
+def _no_final_line_end(text):
+    return text.rstrip("\n")
+
+
+def _blank_lines_between_rows(text):
+    return text.replace("\n", "\n\n")
+
+
 @pytest.mark.parametrize(
     "variant",
-    [_quote_fields, _crlf, _trailing_blank_lines],
-    ids=["quoted-fields", "crlf", "trailing-blank-lines"],
+    [_quote_fields, _crlf, _trailing_blank_lines, _reversed_columns, _cr_only,
+     _no_final_line_end, _blank_lines_between_rows],
+    ids=["quoted-fields", "crlf", "trailing-blank-lines", "reversed-columns", "cr-only",
+         "no-final-line-end", "blank-lines-between-rows"],
 )
 def test_reader_accepts_what_csv_reader_accepted(tmp_path, variant):
     data = tmp_path / "data.csv"
@@ -409,6 +432,40 @@ def test_reader_accepts_what_csv_reader_accepted(tmp_path, variant):
     want = np.column_stack([plain.y, plain.lambda_true, plain.x])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(got.view(np.uint64), _read_with_csv_reader(data).view(np.uint64))
+    assert ds.x.flags.c_contiguous
+
+
+def test_reader_without_a_lambda_column_keeps_every_bit(tmp_path):
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--family", "bernoulli", "--n", "30", "--seed", "4",
+                 "--k-trunc", "6", "--out", str(data)]) == 0
+    plain = _read_dataset_csv(str(data))
+    lines = data.read_text().split("\n")
+    data.write_text("\n".join(",".join(line.split(",")[:1] + line.split(",")[2:])
+                              for line in lines))
+    ds = _read_dataset_csv(str(data))
+    assert np.array_equal(ds.x.view(np.uint64), plain.x.view(np.uint64))
+    assert np.array_equal(ds.y.view(np.uint64), plain.y.view(np.uint64))
+    assert np.array_equal(ds.lambda_true, np.zeros(30))
+    assert ds.x.flags.c_contiguous
+
+
+def test_reader_holds_the_sample_once(tmp_path):
+    # x is a view of loadtxt's own buffer, which loadtxt allocates once: a copy
+    # of x, or a regrown buffer, would take the traced peak to about 2.1x the
+    # sample's bytes; it reads 1.10x
+    n, k = 2000, 200
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--family", "bernoulli", "--n", str(n), "--k-trunc", str(k),
+                 "--out", str(data)]) == 0
+    tracemalloc.start()
+    try:
+        ds = _read_dataset_csv(str(data))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.x.shape == (n, k)
+    assert peak <= 1.5 * n * (k + 2) * 8  # y, lambda and x as float64
 
 
 @pytest.mark.parametrize(
@@ -555,6 +612,54 @@ def test_perturb_check_reports_no_rounding_violations_on_steep_spectra(tmp_path,
         assert code == 2
         assert "all bounds hold" not in captured.out
         assert captured.err == f"FAIL: no projection checked in {reps} instances\n"
+
+
+@given(alpha=st.floats(min_value=2.0, max_value=7.0), seed=st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_perturb_check_checks_every_projection_on_the_resolved_alphas(alpha, seed):
+    # below alpha = 8 the projection ratio is resolved above rounding, and
+    # every instance leaves a projection to check
+    with tempfile.TemporaryDirectory() as out:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["perturb-check", "--alpha", repr(alpha), "--reps", "12", "--dim", "12",
+                         "--seed", str(seed), "--out", out])
+    assert code == 0, stderr.getvalue()
+    assert stderr.getvalue() == ""
+    lines = stdout.getvalue().splitlines()
+    assert lines[0].startswith("12 instances: eigenvalue violations 0, eigenvector 0/")
+    assert ", remainder 0/" in lines[0]
+    assert lines[1].startswith("projection: 12 checked, 0 identity failures")
+    assert lines[-1] == "all bounds hold"
+
+
+def _seeded_argv(command, out, seed):
+    if command == "generate":
+        return ["generate", "--family", "gaussian", "--n", "10", "--seed", seed,
+                "--out", str(out / "data.csv")]
+    return ["perturb-check", "--reps", "3", "--seed", seed, "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["generate", "perturb-check"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_a_seed_outside_64_bits_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           command, seed):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was started")
+
+    monkeypatch.setattr(cli, "sample_dataset", no_work)
+    monkeypatch.setattr(cli, "random_perturbation_suite", no_work)
+    assert main(_seeded_argv(command, tmp_path / "out", seed)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must fit in 64 bits\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "perturb-check"])
+def test_the_largest_seed_is_accepted(tmp_path, capsys, command):
+    assert main(_seeded_argv(command, tmp_path, str(2**64 - 1))) == 0
+    capsys.readouterr()
 
 
 def test_perturb_check_perturbs_every_instance_at_the_largest_alpha_it_accepts(tmp_path, capsys):
@@ -1102,6 +1207,7 @@ def test_a_replication_faults_in_no_fresh_pages(tmp_path, jobs):
                        check=True, stdout=subprocess.DEVNULL, env=_script_env(), timeout=120)
         return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
 
-    # without the thresholds each extra replication faults in about 600 pages here
+    # without the thresholds each extra replication faults in about 530 pages
+    # here at --jobs 1 and 230 at --jobs 2
     per_replication = (minor_faults(8) - minor_faults(2)) / (6 * len(grid))
     assert per_replication <= 100

@@ -229,6 +229,39 @@ def test_lean_scores_match_the_full_k_path(family, n):
         assert np.max(np.abs(lean.coefs - full.coefs)) <= LEAN_COEF_RTOL * scale
 
 
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+@pytest.mark.parametrize("mu_mode", ["zero", "bumps"])
+@pytest.mark.parametrize("family", family_names())
+def test_overwrite_x_keeps_every_bit(family, mu_mode):
+    # centring in the sample's own memory must not move a bit of any result;
+    # the default must leave the sample as it was drawn
+    fam = get_family(family)
+    gt = make_ground_truth(2.0, 3.0, fam, k_trunc=200, intercept=0.5, mu_mode=mu_mode)
+    n, seed = 500, 3
+
+    ds = sample_dataset(gt, n, seed)
+    drawn = ds.x.copy()
+    want = spectral_estimate(ds, 7)
+    assert np.array_equal(_bits(ds.x), _bits(drawn))
+    ds = sample_dataset(gt, n, seed)
+    got = spectral_estimate(ds, 7, overwrite_x=True)
+    for name in ("theta_tilde", "phi_tilde", "scores"):
+        assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
+    assert np.array_equal(_bits(ds.x), _bits(drawn - drawn.mean(axis=0)))  # centred in place
+
+    ds = sample_dataset(gt, n, seed)
+    want = estimate_slope(ds, fam, 2.0, 3.0)
+    assert np.array_equal(_bits(ds.x), _bits(drawn))
+    got = estimate_slope(sample_dataset(gt, n, seed), fam, 2.0, 3.0, overwrite_x=True)
+    assert np.array_equal(_bits(got.coefs), _bits(want.coefs))
+    assert np.array_equal(_bits(got.slope), _bits(want.slope))
+    assert (got.m, got.n_components, got.iterations) == (want.m, want.n_components,
+                                                         want.iterations)
+
+
 def test_estimate_slope_loss_shrinks_with_n():
     gt = make_ground_truth(2.0, 3.0, GAUSS, k_trunc=100)
     small = np.mean(

@@ -147,6 +147,30 @@ def test_centring_once_keeps_every_bit_of_a_shifted_sample():
     assert np.array_equal(est.scores, centred @ phi_tilde[:, :n_comp])
 
 
+def _owner_read_only(x):
+    x = np.array(x)
+    x.flags.writeable = False
+    return x
+
+
+@pytest.mark.parametrize(
+    "hold",
+    [_owner_read_only, lambda x: np.frombuffer(x.tobytes()).reshape(x.shape),
+     lambda x: np.repeat(x, 2, axis=1)[:, ::2]],
+    ids=["read-only-owner", "frombuffer-bytes", "strided"],
+)
+def test_overwrite_x_copies_memory_it_may_not_write(hold):
+    # numpy refuses a writable view of these, or (strided) the memory is not
+    # one block: the sample is centred into a copy and left as it was
+    drawn = _dataset(n=50, k=8).x
+    ds = Dataset(x=hold(drawn), y=np.zeros(50), lambda_true=np.zeros(50))
+    want = spectral_estimate(Dataset(x=drawn, y=ds.y, lambda_true=ds.lambda_true), 3)
+    got = spectral_estimate(ds, 3, overwrite_x=True)
+    assert np.array_equal(ds.x, drawn)
+    for name in ("theta_tilde", "phi_tilde", "scores"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_mean_norm_obeys_root_n_bound():
     # ||xbar|| <= 4 sqrt(trace(cov) / n) holds with overwhelming probability;
     # with the top eigenvalue at 1 a violation would be a >4.9 sigma event

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -273,6 +274,19 @@ def test_replication_matches_the_long_way_bit_for_bit(family, mu_mode):
         assert (got.n, got.rep, got.seed) == (2000, rep, seed)
         assert float.hex(got.loss) == float.hex(want[0])
         assert (got.iterations, got.converged) == want[1:]
+
+
+def test_a_replication_holds_its_sample_once():
+    # the sample is centred in its own memory: a centred copy of it would take
+    # the traced peak to about 2.16x its bytes; it reads 1.20x
+    cfg = ExperimentConfig(K_trunc=200, n_grid=(4000,), reps=1)
+    tracemalloc.start()
+    try:
+        harness._replication_task(cfg, 4000, 0, replication_seed(cfg.seed, 0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 4000 * 200 * 8
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Numerically certify the supporting bounds behind the rate analysis.
 
-Runs three `fglm` commands, each printing its own checks with PASS/FAIL
-verdicts and exiting 2 when a bound fails:
+Runs three `fglm` commands, each exiting 2 when one of its verdicts fails:
 
 1. ``perturb-check``: randomized eigen-perturbation suite (eigenvalue,
    eigenvector, and remainder bounds plus the projection-error identity);

@@ -12,11 +12,12 @@ Subcommands:
 * ``diagnostics``   envelope, information-matrix, and maximal-inequality checks,
                     write diagnostics.csv
 
-The three certification commands own their verdicts: each prints a
-``FAIL:`` line to stderr and exits 2 when a bound it checks is broken
-(``lower-bound`` when the smallest calibrated affinity at any n falls
-below 0.1); ``perturb-check`` also fails when it checked no projection.
-``scripts/run_certifications.py`` only drives them.
+The certification commands judge by one rule, ``_conclude``: a ``Verdict``
+fails when it did not pass or checked nothing; each failing one prints
+``FAIL: <check>[ n=<n>][ x=<x>]: <statistic> against bound <bound>`` (or
+``...: nothing checked``) to stderr and the command exits 2, else it
+prints its pass line and exits 0.  ``scripts/run_certifications.py`` only
+drives them.
 
 ``rate-study``, ``lower-bound`` and ``diagnostics`` build their ``--config``
 once, ``--seed`` and ``--out`` applied, so all three refuse the same configs.
@@ -61,8 +62,9 @@ from .expfam import family_names, get_family, verify_envelope
 from .funcspace import evaluate_on_grid, uniform_grid
 from .harness import ExperimentConfig, load_config, map_in_order
 from .harness import parse_sample_sizes, require_seed, run_rate_study, write_csv
-from .lowerbound import AssouadConfig, affinity_study
+from .lowerbound import AssouadConfig, affinity_study, require_affinity_draws
 from .spectral_diag import (
+    Verdict,
     check_chisq_maximal,
     fisher_study,
     random_perturbation_suite,
@@ -360,47 +362,34 @@ def _cmd_rate_study(args) -> int:
 def _cmd_perturb_check(args) -> int:
     require_seed(args.seed)
     _require_output(args.out, "directory")
-    summary = random_perturbation_suite(
-        reps=args.reps, max_dim=args.dim, seed=args.seed, alpha=args.alpha
-    )
+    rows, verdicts = random_perturbation_suite(args.reps, args.dim, args.seed, args.alpha)
     path = os.path.join(args.out, "perturb_check.csv")
-    header = list(summary.rows[0].keys())
-    write_csv(path, header, (tuple(row.values()) for row in summary.rows))
-    violations = (
-        summary.eigenvalue_violations
-        + summary.eigenvector_violations
-        + summary.remainder_violations
-        + summary.projection_identity_failures
+    write_csv(path, list(rows[0].keys()), (tuple(row.values()) for row in rows))
+    eigenvalue, eigenvector, remainder, identity = verdicts
+    skipped = sum(row["dim"] for row in rows) - eigenvector.checked
+    max_ratio = max([0.0] + [row["proj_ratio"] for row in rows if row["proj_admissible"]])
+    print(
+        f"{eigenvalue.checked} instances: eigenvalue violations {eigenvalue.statistic}, "
+        f"eigenvector {eigenvector.statistic}/{eigenvector.checked} checked, "
+        f"remainder {remainder.statistic}/{remainder.checked} checked, skipped pairs {skipped}"
     )
     print(
-        f"{summary.instances} instances: eigenvalue violations {summary.eigenvalue_violations}, "
-        f"eigenvector {summary.eigenvector_violations}/{summary.checked} checked, "
-        f"remainder {summary.remainder_violations}/{summary.checked} checked, "
-        f"skipped pairs {summary.skipped_pairs}"
-    )
-    print(
-        f"projection: {summary.projection_checked} checked, "
-        f"{summary.projection_identity_failures} identity failures, "
-        f"max ratio {summary.max_projection_ratio:.4g}"
+        f"projection: {identity.checked} checked, {identity.statistic} identity failures, "
+        f"max ratio {max_ratio:.4g}"
     )
     print(f"wrote {path}")
-    if violations:
-        print(f"FAIL: {violations} bound violations", file=sys.stderr)
-    if not summary.projection_checked:  # a bound checked on no instance holds nothing
-        print(f"FAIL: no projection checked in {summary.instances} instances", file=sys.stderr)
-    if violations or not summary.projection_checked:
-        return 2
-    print("all bounds hold")
-    return 0
+    return _conclude(verdicts, "all bounds hold")
 
 
 def _cmd_lower_bound(args) -> int:
     cfg = _load_config(args)
     n_grid = list(parse_sample_sizes(args.n_grid, "--n-grid"))
+    require_affinity_draws(args.n_mc)
     cube = AssouadConfig(args.m, get_family(cfg.family), alpha=cfg.alpha, beta_s=cfg.beta_s)
     rows = affinity_study(cube, n_grid, n_mc=args.n_mc, seed=cfg.seed)
     path = os.path.join(cfg.out_dir, "affinity.csv")
     write_csv(path, list(rows[0].keys()), (tuple(row.values()) for row in rows))
+    verdicts = []
     for n in n_grid:
         sub = [r for r in rows if r["n"] == n]
         worst = min(sub, key=lambda r: r["affinity"])
@@ -408,15 +397,12 @@ def _cmd_lower_bound(args) -> int:
             f"n={n:6d} eps={worst['eps']:.6g} min affinity {worst['affinity']:.4f} "
             f"(j={worst['j']}), bound value {worst['bound_value']:.6g}"
         )
-    print(f"wrote {path}")
-    lowest = min(r["affinity"] for r in rows)
-    if not lowest >= _AFFINITY_FLOOR:  # a NaN affinity fails too
-        print(
-            f"FAIL: min calibrated affinity {lowest:.4f} below the floor {_AFFINITY_FLOOR}",
-            file=sys.stderr,
+        lowest = float(np.min([r["affinity"] for r in sub]))  # NaN if any is, and then fails
+        verdicts.append(
+            Verdict("affinity", lowest, _AFFINITY_FLOOR, len(sub), lowest >= _AFFINITY_FLOOR, n)
         )
-        return 2
-    return 0
+    print(f"wrote {path}")
+    return _conclude(verdicts)
 
 
 def _cmd_diagnostics(args) -> int:
@@ -446,37 +432,47 @@ def _cmd_diagnostics(args) -> int:
         lambda task: task(), tasks, jobs=len(tasks)
     )
 
-    rows = []  # check, n, x, statistic, bound, passed
+    verdicts = []
 
-    def verdict(line, *row):
-        rows.append(row)
-        print(f"{line} {'PASS' if row[-1] else 'FAIL'}")
+    def judge(line, *fields):  # the fields of a Verdict
+        verdicts.append(Verdict(*fields))
+        print(f"{line} {'PASS' if verdicts[-1].passed else 'FAIL'}")
 
     for name, ratio in zip(family_names(), ratios):
-        verdict(f"envelope {name}: max third-derivative ratio {ratio:.6f}",
-                f"envelope_{name}", "", "", ratio, _ENVELOPE_BOUND, ratio <= _ENVELOPE_BOUND)
+        judge(f"envelope {name}: max third-derivative ratio {ratio:.6f}", f"envelope_{name}",
+              ratio, _ENVELOPE_BOUND, lam_grid.size * h_grid.size, ratio <= _ENVELOPE_BOUND)
     for rep in reports:
-        verdict(f"information n={rep.n} N={rep.n_components}: max |z| {rep.max_abs_z:.2f}, "
-                f"mean sq deviation {rep.mean_sq_dev:.3e}",
-                "information_z", rep.n, "", rep.max_abs_z, _INFORMATION_Z_BOUND,
-                rep.max_abs_z <= _INFORMATION_Z_BOUND)
+        judge(f"information n={rep.n} N={rep.n_components}: max |z| {rep.max_abs_z:.2f}, "
+              f"mean sq deviation {rep.mean_sq_dev:.3e}", "information_z", rep.max_abs_z,
+              _INFORMATION_Z_BOUND, args.fisher_reps, rep.max_abs_z <= _INFORMATION_Z_BOUND, rep.n)
     first, last = reports[0], reports[-1]
-    verdict("information deviation shrinks with n:", "information_shrinks", last.n, "",
-            last.mean_sq_dev, first.mean_sq_dev, last.mean_sq_dev < first.mean_sq_dev)
+    judge("information deviation shrinks with n:", "information_shrinks", last.mean_sq_dev,
+          first.mean_sq_dev, args.fisher_reps, last.mean_sq_dev < first.mean_sq_dev, last.n)
     for n, points in ((10, maximal_10), (100, maximal_100)):
         for p in points:
-            verdict(f"maximal n={n} x={p.x:.0f}: estimate {p.estimate:.2e} "
-                    f"<= bound {p.bound:.2e} + 4se",
-                    "maximal", n, p.x, p.estimate, p.bound + 4.0 * p.se, p.passed)
+            judge(f"maximal n={n} x={p.x:.0f}: estimate {p.estimate:.2e} "
+                  f"<= bound {p.bound:.2e} + 4se", "maximal", p.estimate,
+                  p.bound + 4.0 * p.se, args.chisq_reps, p.passed, n, p.x)
 
     path = os.path.join(cfg.out_dir, "diagnostics.csv")
-    write_csv(path, ["check", "n", "x", "statistic", "bound", "passed"], rows)
+    write_csv(path, ["check", "n", "x", "statistic", "bound", "passed"],
+              ((v.check, v.n, v.x, v.statistic, v.bound, v.passed) for v in verdicts))
     print(f"wrote {path}", file=sys.stderr)  # stdout stays the verdicts alone
-    failures = sum(1 for row in rows if not row[-1])
-    if failures:
-        print(f"FAIL: {failures} diagnostic checks failed", file=sys.stderr)
+    return _conclude(verdicts, "all diagnostics pass")
+
+
+def _conclude(verdicts, passed_line=None) -> int:
+    """2 and a `FAIL:` line per verdict that failed or checked nothing, else `passed_line` and 0."""
+    failed = [v for v in verdicts if not v.passed or v.checked == 0]
+    for v in failed:
+        where = (f" n={v.n}" if v.n != "" else "") + (f" x={v.x:g}" if v.x != "" else "")
+        judged = f"{v.statistic:.10g} against bound {v.bound:.10g}"
+        print(f"FAIL: {v.check}{where}: {judged if v.checked else 'nothing checked'}",
+              file=sys.stderr)
+    if failed:
         return 2
-    print("all diagnostics pass")
+    if passed_line is not None:
+        print(passed_line)
     return 0
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "hypercube_slope",
     "flip",
     "AffinityEstimate",
+    "require_affinity_draws",
     "affinity_detail",
     "calibrated_eps",
     "assouad_bound_value",
@@ -117,6 +118,12 @@ class AffinityEstimate:
     se: float
 
 
+def require_affinity_draws(n_mc: int) -> None:
+    """Refuse fewer than 2 affinity draws: a standard error needs two."""
+    if n_mc < 2:
+        raise ValueError(f"affinity draws n_mc must be at least 2, got {n_mc}")
+
+
 def affinity_detail(
     cfg: AssouadConfig,
     n: int,
@@ -135,8 +142,7 @@ def affinity_detail(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n_mc < 1:
-        raise ValueError("n_mc must be positive")
+    require_affinity_draws(n_mc)
     weights = hypercube_slope(cfg, gamma)[cfg.m :]
     pos = j - cfg.m - 1
     # flipping bit j adds or removes eps*beta_j from the j-th coordinate
@@ -151,7 +157,7 @@ def affinity_detail(
         s = min(2.0, float(np.sum(hellinger_sq_exact(cfg.family, lam, delta))))
         vals[d] = 1.0 - math.sqrt(s)
     mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
+    se = float(np.std(vals, ddof=1) / math.sqrt(n_mc))
     return AffinityEstimate(mean=mean, se=se)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +49,7 @@ __all__ = [
     "check_eigenvector_remainder",
     "ProjectionReport",
     "check_projection_bound",
-    "SuiteSummary",
+    "Verdict",
     "random_perturbation_suite",
     "LinearizationReport",
     "check_mle_linearization",
@@ -321,18 +322,16 @@ def _haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-@dataclass(frozen=True)
-class SuiteSummary:
-    rows: list
-    instances: int
-    eigenvalue_violations: int
-    checked: int  # admissible indices, each judged by the eigenvector and remainder checks
-    eigenvector_violations: int
-    remainder_violations: int
-    skipped_pairs: int
-    projection_checked: int
-    projection_identity_failures: int
-    max_projection_ratio: float
+class Verdict(NamedTuple):
+    """`statistic` against `bound`, judged on `checked` items; `n` and `x` locate the check."""
+
+    check: str
+    statistic: float
+    bound: float
+    checked: int
+    passed: bool
+    n: int | str = ""
+    x: float | str = ""
 
 
 def random_perturbation_suite(
@@ -340,14 +339,15 @@ def random_perturbation_suite(
     max_dim: int = 12,
     seed: int = 0,
     alpha: float = 2.0,
-) -> SuiteSummary:
+) -> tuple[list[dict], list[Verdict]]:
     """Randomized certification suite over rotated decaying spectra.
 
     Each instance draws a dimension in [4, max_dim], a Haar-rotated base
     matrix with eigenvalues k^-alpha, and a normalized symmetric
     perturbation at a size cycling through {0.001, 0.01, 0.05 * min
     adjacent gap}, capped so the perturbed matrix stays PSD.  Indices
-    failing the gap hypothesis are skipped and counted.
+    failing the gap hypothesis are skipped and counted.  Returns one row
+    per instance and four verdicts, each a violation count against bound 0.
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
@@ -411,19 +411,16 @@ def random_perturbation_suite(
     def total(key):
         return sum(row[key] for row in rows)
 
+    def count(check, violations, checked):
+        return Verdict(check, violations, 0, checked, violations == 0)
+
     checked = total("evec_checked")
-    return SuiteSummary(
-        rows=rows,
-        instances=reps,
-        eigenvalue_violations=reps - total("eval_passed"),
-        checked=checked,
-        eigenvector_violations=total("evec_violations"),
-        remainder_violations=total("rem_violations"),
-        skipped_pairs=total("dim") - checked,
-        projection_checked=total("proj_admissible"),
-        projection_identity_failures=proj_id_fail,
-        max_projection_ratio=max([0.0] + [r["proj_ratio"] for r in rows if r["proj_admissible"]]),
-    )
+    return rows, [
+        count("eigenvalue", reps - total("eval_passed"), reps),
+        count("eigenvector", total("evec_violations"), checked),
+        count("remainder", total("rem_violations"), checked),
+        count("projection_identity", proj_id_fail, total("proj_admissible")),
+    ]
 
 
 @dataclass(frozen=True)

@@ -102,27 +102,31 @@ def test_criterion_03_hellinger_certification():
 
 
 def test_criterion_04_perturbation_suites(perturb_suite):
-    s = perturb_suite
-    assert s.instances == 500
-    assert s.eigenvalue_violations == 0
-    assert s.eigenvector_violations == 0
-    assert s.remainder_violations == 0
+    rows, verdicts = perturb_suite
+    v = {verdict.check: verdict for verdict in verdicts}
+    assert len(rows) == v["eigenvalue"].checked == 500
+    assert v["eigenvalue"].statistic == 0
+    assert v["eigenvector"].statistic == 0
+    assert v["remainder"].statistic == 0
+    skipped = sum(row["dim"] for row in rows) - v["eigenvector"].checked
     print(
         "criterion 4: PASS — 500 instances, 0 violations "
-        f"(eigenvector checks {s.checked}, remainder {s.checked}, "
-        f"skipped by gap hypothesis {s.skipped_pairs})"
+        f"(eigenvector checks {v['eigenvector'].checked}, remainder {v['remainder'].checked}, "
+        f"skipped by gap hypothesis {skipped})"
     )
 
 
 def test_criterion_05_projection_decomposition(perturb_suite):
-    s = perturb_suite
-    assert s.projection_checked > 0
-    assert s.projection_identity_failures == 0
-    assert math.isfinite(s.max_projection_ratio)
-    assert s.max_projection_ratio <= 1e3
+    rows, verdicts = perturb_suite
+    identity = {verdict.check: verdict for verdict in verdicts}["projection_identity"]
+    max_ratio = max([0.0] + [row["proj_ratio"] for row in rows if row["proj_admissible"]])
+    assert identity.checked > 0
+    assert identity.statistic == 0
+    assert math.isfinite(max_ratio)
+    assert max_ratio <= 1e3
     print(
-        f"criterion 5: PASS — identity exact to 1e-12 on {s.projection_checked} "
-        f"admissible instances; max envelope ratio {s.max_projection_ratio:.4f} <= 1e3"
+        f"criterion 5: PASS — identity exact to 1e-12 on {identity.checked} "
+        f"admissible instances; max envelope ratio {max_ratio:.4f} <= 1e3"
     )
 
 

@@ -611,7 +611,7 @@ def test_perturb_check_reports_no_rounding_violations_on_steep_spectra(tmp_path,
     else:
         assert code == 2
         assert "all bounds hold" not in captured.out
-        assert captured.err == f"FAIL: no projection checked in {reps} instances\n"
+        assert captured.err == "FAIL: projection_identity: nothing checked\n"
 
 
 @given(alpha=st.floats(min_value=2.0, max_value=7.0), seed=st.integers(0, 3))
@@ -668,7 +668,7 @@ def test_perturb_check_perturbs_every_instance_at_the_largest_alpha_it_accepts(t
     assert main(["perturb-check", "--alpha", "285", "--reps", "3", "--out", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert "eigenvalue violations 0, eigenvector 0/3 checked, remainder 0/3" in captured.out
-    assert captured.err == "FAIL: no projection checked in 3 instances\n"
+    assert captured.err == "FAIL: projection_identity: nothing checked\n"
     with open(tmp_path / "perturb_check.csv", newline="") as fh:
         eps = [float(row["eps"]) for row in csv.DictReader(fh)]
     assert len(eps) == 3 and min(eps) >= np.finfo(float).tiny
@@ -715,8 +715,93 @@ def test_lower_bound_fails_below_the_affinity_floor(tmp_path, capsys, monkeypatc
     assert code == 2
     captured = capsys.readouterr()
     assert "min affinity 0.0500" in captured.out
-    assert "FAIL" in captured.err
+    assert captured.err == (
+        "FAIL: affinity n=50: 0.05 against bound 0.1\nFAIL: affinity n=500: 0.05 against bound 0.1\n"
+    )
     assert (tmp_path / "affinity.csv").exists()
+
+
+def test_lower_bound_fails_on_a_nan_affinity(tmp_path, capsys, monkeypatch):
+    def nan_beside_the_worst(cfg, n_grid, **kwargs):
+        rows = _affinity_below_floor(cfg, n_grid)
+        for row in rows:
+            row["affinity"] = 0.5 if row["j"] == 3 else math.nan
+        return rows
+
+    monkeypatch.setattr("fglm.cli.affinity_study", nan_beside_the_worst)
+    argv = ["lower-bound", "--config", _write_cfg(tmp_path), "--out", str(tmp_path),
+            "--n-grid", "50"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "FAIL: affinity n=50: nan against bound 0.1\n"
+
+
+def _verdict_commands(tmp_path):
+    """argv, verdict count and pass line of each certification command at a small size."""
+    cfg = _write_cfg(tmp_path, "family = gaussian\nseed = 0\n")
+    return {
+        "perturb-check": (["perturb-check", "--reps", "12"], 4, "all bounds hold"),
+        "lower-bound": (["lower-bound", "--config", cfg, "--n-grid", "50,500", "--n-mc", "10"],
+                        2, None),
+        "diagnostics": (["diagnostics", "--config", cfg, "--fisher-reps", "40",
+                         "--chisq-reps", "2000"], 13, "all diagnostics pass"),
+    }
+
+
+@pytest.mark.parametrize("broken", ["fails", "checks-nothing"])
+@pytest.mark.parametrize("command", ["perturb-check", "lower-bound", "diagnostics"])
+def test_every_failing_verdict_fails_its_command(tmp_path, capsys, monkeypatch, command, broken):
+    argv, count, pass_line = _verdict_commands(tmp_path)[command]
+    argv = argv + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    passing = capsys.readouterr().out.splitlines()
+    if pass_line is not None:
+        assert passing.pop() == pass_line
+
+    conclude = cli._conclude
+
+    def break_every_verdict(verdicts, *args):
+        change = {"passed": False} if broken == "fails" else {"checked": 0}
+        return conclude([v._replace(**change) for v in verdicts], *args)
+
+    monkeypatch.setattr(cli, "_conclude", break_every_verdict)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL: ")]
+    assert len(fails) == count
+    ending = " against bound " if broken == "fails" else ": nothing checked"
+    assert all(ending in line for line in fails)
+    assert captured.out.splitlines() == passing
+
+
+def test_conclude_prints_one_line_per_failing_verdict(capsys):
+    verdicts = [
+        cli.Verdict("envelope_gaussian", 0.5, 1.000000001, 273, True),
+        cli.Verdict("maximal", 0.25, 0.125, 2000, False, 10, 4.0),
+        cli.Verdict("information_z", 1.5, 4.0, 0, True, 500),
+    ]
+    assert cli._conclude(verdicts, "all pass") == 2
+    assert capsys.readouterr() == (
+        "", "FAIL: maximal n=10 x=4: 0.25 against bound 0.125\n"
+        "FAIL: information_z n=500: nothing checked\n"
+    )
+    assert cli._conclude(verdicts[:1], "all pass") == 0
+    assert capsys.readouterr() == ("all pass\n", "")
+    assert cli._conclude(verdicts[:1]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_diagnostics_fails_the_information_check_at_two_reps(tmp_path, capsys):
+    # two Fisher draws give a standard error too rough for |z| <= 4
+    argv = ["diagnostics", "--config", _write_cfg(tmp_path, "family = gaussian\nseed = 0\n"),
+            "--fisher-reps", "2", "--chisq-reps", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL: ")]
+    assert [line.split(":")[1] for line in fails] == [
+        " information_z n=500", " information_z n=2000", " information_z n=8000"
+    ]
+    assert captured.out.count(" FAIL\n") == 3
+    assert not captured.out.endswith("all diagnostics pass\n")
 
 
 def test_lower_bound_refuses_an_empty_n_grid(tmp_path, capsys):
@@ -872,6 +957,9 @@ def test_diagnostics_task_failure_is_the_command_error(
         (["perturb-check", "--alpha", "160", "--dim", "100", "--reps", "3"], "alpha=160.0 is too "
          "large for dimensions up to 100: the perturbation size 0.9 * 100^-alpha falls below "
          "the smallest normal float, so no instance would be perturbed"),
+        # one draw has no standard error
+        (["lower-bound", "--n-grid", "100", "--n-mc", "1"],
+         "affinity draws n_mc must be at least 2, got 1"),
     ],
 )
 def test_certification_refuses_counts_that_certify_nothing(
@@ -1110,7 +1198,7 @@ def test_certification_script_fails_when_a_command_fails(monkeypatch, capsys):
     assert script.main(SCRIPT_SMOKE_ARGS) == 1
     captured = capsys.readouterr()
     assert "2/3 commands passed" in captured.out
-    assert "FAIL: min calibrated affinity" in captured.err
+    assert "FAIL: affinity n=100: 0.05 against bound 0.1\n" in captured.err
 
 
 # --- rate-study script ---

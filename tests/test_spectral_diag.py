@@ -306,16 +306,16 @@ def test_projection_input_validation():
 
 
 def test_random_suite_has_no_violations():
-    summary = random_perturbation_suite(reps=120, max_dim=10, seed=0)
-    assert summary.instances == 120
-    assert len(summary.rows) == 120
-    assert summary.eigenvalue_violations == 0
-    assert summary.eigenvector_violations == 0
-    assert summary.remainder_violations == 0
-    assert summary.projection_identity_failures == 0
-    assert summary.checked > 0
-    assert summary.projection_checked > 0
-    assert summary.max_projection_ratio < 10.0
+    rows, verdicts = random_perturbation_suite(reps=120, max_dim=10, seed=0)
+    assert len(rows) == 120
+    assert [v.check for v in verdicts] == [
+        "eigenvalue", "eigenvector", "remainder", "projection_identity"
+    ]
+    for v in verdicts:  # a violation count against bound 0, over what it judged
+        assert (v.statistic, v.bound, v.passed) == (0, 0, True)
+        assert v.checked > 0
+    assert verdicts[0].checked == 120  # every instance
+    assert max(row["proj_ratio"] for row in rows if row["proj_admissible"]) < 10.0
 
 
 @pytest.mark.parametrize("reps", [0, -3])

@@ -392,12 +392,13 @@ def _cmd_lower_bound(args) -> int:
     verdicts = []
     for n in n_grid:
         sub = [r for r in rows if r["n"] == n]
-        worst = min(sub, key=lambda r: r["affinity"])
+        # argmin picks the first NaN if there is one, and a NaN verdict fails
+        worst = sub[int(np.argmin([r["affinity"] for r in sub]))]
+        lowest = float(worst["affinity"])
         print(
-            f"n={n:6d} eps={worst['eps']:.6g} min affinity {worst['affinity']:.4f} "
+            f"n={n:6d} eps={worst['eps']:.6g} min affinity {lowest:.4f} "
             f"(j={worst['j']}), bound value {worst['bound_value']:.6g}"
         )
-        lowest = float(np.min([r["affinity"] for r in sub]))  # NaN if any is, and then fails
         verdicts.append(
             Verdict("affinity", lowest, _AFFINITY_FLOOR, len(sub), lowest >= _AFFINITY_FLOOR, n)
         )

@@ -78,21 +78,17 @@ class MLEFit:
 
 
 @dataclass(frozen=True)
-class FitResult:
-    """Slope estimate with the tuning and solver metadata that produced it.
+class FitResult(MLEFit):
+    """The Newton fit of the N + 1 coefficients plus the truncation levels
+    (m, N = n_components) and the slope they give.
 
     `slope` holds the K coefficients phi_tilde[:, :m] @ coefs[1 : m + 1] of
     the estimated slope in the fixed basis, read-only.
     """
 
-    coefs: np.ndarray
     slope: np.ndarray
     m: int
     n_components: int
-    iterations: int
-    grad_norm: float
-    converged: bool
-    separated: bool
 
 
 def zeta_interval(alpha: float, beta_s: float) -> tuple[float, float]:
@@ -109,9 +105,8 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def tuning(n: int, alpha: float, beta_s: float, rule: TuningRule | None = None) -> tuple[int, int]:
+def tuning(n: int, alpha: float, beta_s: float, rule: TuningRule = TuningRule()) -> tuple[int, int]:
     """Truncation levels (m, N) for sample size n."""
-    rule = rule or TuningRule()
     if n < MIN_OBSERVATIONS:
         raise ValueError(f"tuning needs n >= {MIN_OBSERVATIONS}")
     lo, hi = zeta_interval(alpha, beta_s)
@@ -153,7 +148,7 @@ def fit_mle(
     y: np.ndarray,
     scores: np.ndarray,
     family: ExpFamilySpec,
-    config: NewtonConfig | None = None,
+    config: NewtonConfig = NewtonConfig(),
 ) -> MLEFit:
     """Maximize the exponential-family log likelihood by damped Newton.
 
@@ -169,7 +164,6 @@ def fit_mle(
     starts from the intercept `family.init_natural(mean(y), n)` and
     zero slopes.
     """
-    cfg = config or NewtonConfig()
     y = np.asarray(y, dtype=float)
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[0] != y.shape[0]:
@@ -191,13 +185,13 @@ def fit_mle(
     if not np.isfinite(obj):
         raise RuntimeError("log likelihood not finite at the initial point")
 
-    tol = cfg.tol * n
+    tol = config.tol * n
     iterations = 0
     separated = False
     grad = design.T @ (y - family.dpsi(eta))
     grad_norm = float(np.max(np.abs(grad)))
 
-    for _ in range(cfg.max_iter):
+    for _ in range(config.max_iter):
         if grad_norm <= tol:
             break
         weights = family.d2psi(eta)
@@ -244,8 +238,8 @@ def estimate_slope(
     family: ExpFamilySpec,
     alpha: float,
     beta_s: float,
-    rule: TuningRule | None = None,
-    config: NewtonConfig | None = None,
+    rule: TuningRule = TuningRule(),
+    config: NewtonConfig = NewtonConfig(),
     *,
     overwrite_x: bool = False,
 ) -> FitResult:
@@ -265,16 +259,7 @@ def estimate_slope(
     fit = fit_mle(ds.y, est.scores, family, config)
     slope = est.phi_tilde[:, :m] @ fit.coefs[1 : m + 1]
     slope.flags.writeable = False
-    return FitResult(
-        coefs=fit.coefs,
-        slope=slope,
-        m=m,
-        n_components=n_comp,
-        iterations=fit.iterations,
-        grad_norm=fit.grad_norm,
-        converged=fit.converged,
-        separated=fit.separated,
-    )
+    return FitResult(**vars(fit), slope=slope, m=m, n_components=n_comp)
 
 
 def loss(slope_hat: np.ndarray, gt: GroundTruth) -> float:

@@ -322,9 +322,7 @@ _BLOCK_ROWS = 128  # rows stacked and formatted per string operation in the colu
 
 def _column_blocks(rows):
     """`rows` as a tuple of float64 column blocks of one length, or None for row tuples."""
-    if isinstance(rows, np.ndarray):
-        rows = (rows,)
-    elif not (isinstance(rows, tuple) and rows and all(isinstance(b, np.ndarray) for b in rows)):
+    if not (isinstance(rows, tuple) and rows and all(isinstance(b, np.ndarray) for b in rows)):
         return None
     for block in rows:
         if block.dtype != np.float64 or block.ndim not in (1, 2):
@@ -341,12 +339,11 @@ def write_csv(path: str, header, rows) -> None:
 
     `rows` is an iterable of rows, each value formatted by `_fmt`, or the
     float64 columns of the file: a tuple of column blocks of one length,
-    a 1-D array being one column and a 2-D array its columns, or a bare
-    array as the one block.  Blocks are stacked `_BLOCK_ROWS` rows at
-    a time and formatted from one `%.17g` template, so no copy of the
-    whole table is made; both paths give the same bytes for the same
-    floats.  Blocks of another dtype or ndim, or of unequal lengths, are
-    refused before the file is opened.
+    a 1-D array being one column and a 2-D array its columns.  Blocks are
+    stacked `_BLOCK_ROWS` rows at a time and formatted from one `%.17g`
+    template, so no copy of the whole table is made; both paths give the
+    same bytes for the same floats.  Blocks of another dtype or ndim, or
+    of unequal lengths, are refused before the file is opened.
     """
     blocks = _column_blocks(rows)
     parent = os.path.dirname(path)

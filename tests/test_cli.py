@@ -732,7 +732,10 @@ def test_lower_bound_fails_on_a_nan_affinity(tmp_path, capsys, monkeypatch):
     argv = ["lower-bound", "--config", _write_cfg(tmp_path), "--out", str(tmp_path),
             "--n-grid", "50"]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "FAIL: affinity n=50: nan against bound 0.1\n"
+    captured = capsys.readouterr()
+    # the printed worst row is the one the verdict fails on, not the finite 0.5 at j=3
+    assert "n=    50 eps=1 min affinity nan (j=4), bound value 0\n" in captured.out
+    assert captured.err == "FAIL: affinity n=50: nan against bound 0.1\n"
 
 
 def _verdict_commands(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fglm.datagen import GroundTruth, make_ground_truth, sample_dataset
 from fglm.estimator import (
     FitResult,
+    MLEFit,
     NewtonConfig,
     TuningRule,
     estimate_slope,
@@ -200,6 +201,19 @@ def test_estimate_slope_metadata():
     assert res.converged and not res.separated
     # kept slope coefficients are the fitted ones rotated back
     assert len(res.coefs) == res.n_components + 1
+
+
+@pytest.mark.parametrize("family", family_names())
+def test_estimate_slope_returns_its_whole_newton_fit(family):
+    fam = get_family(family)
+    gt = make_ground_truth(2.0, 3.0, fam, k_trunc=50, intercept=0.5)
+    ds = sample_dataset(gt, 300, seed=0)
+    res = estimate_slope(ds, fam, 2.0, 3.0)
+    want = fit_mle(ds.y, spectral_estimate(ds, res.n_components).scores, fam)
+    assert isinstance(res, MLEFit)
+    assert np.array_equal(res.coefs, want.coefs)
+    for name in ("iterations", "grad_norm", "converged", "separated", "objective"):
+        assert getattr(res, name) == getattr(want, name), name
 
 
 # Scoring only the N fitted columns instead of all K moves the last bits of

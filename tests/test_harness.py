@@ -719,23 +719,20 @@ def _per_value_bytes(path, matrix):
 
 @st.composite
 def _column_blocks(draw):
-    """A bare 2-D array, or a tuple of 1-D and 2-D blocks of one length."""
+    """A tuple of 1-D and 2-D blocks of one length."""
     block = harness._BLOCK_ROWS
     rows = draw(st.one_of(st.integers(0, 6), st.sampled_from([block - 1, block, block + 1,
                                                               2 * block + 3])))
     widths = draw(st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=1, max_size=4))
     floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
-    blocks = tuple(draw(arrays(np.float64, (rows,) if w is None else (rows, w), elements=floats))
-                   for w in widths)
-    if len(blocks) == 1 and blocks[0].ndim == 2 and draw(st.booleans()):
-        return blocks[0]
-    return blocks
+    return tuple(draw(arrays(np.float64, (rows,) if w is None else (rows, w), elements=floats))
+                 for w in widths)
 
 
 @given(_column_blocks())
 def test_write_csv_matrix_path_matches_per_value_path(tmp_path_factory, blocks):
     d = tmp_path_factory.mktemp("csv")
-    matrix = np.column_stack(blocks if isinstance(blocks, tuple) else [blocks])
+    matrix = np.column_stack(blocks)
     write_csv(str(d / "matrix.csv"), ["c"] * matrix.shape[1], blocks)
     assert (d / "matrix.csv").read_bytes() == _per_value_bytes(d / "values.csv", matrix)
 
@@ -747,7 +744,7 @@ def test_write_csv_matrix_path_matches_per_value_path(tmp_path_factory, blocks):
          "CSV column blocks must have one length, got lengths [3, 4]"),
         ((np.zeros(3), np.arange(3, dtype=np.int64)),
          "CSV column blocks must be 1-D or 2-D float64 arrays, got 1-D int64"),
-        (np.zeros((3, 2), dtype=np.float32),
+        ((np.zeros((3, 2), dtype=np.float32),),
          "CSV column blocks must be 1-D or 2-D float64 arrays, got 2-D float32"),
         ((np.zeros(3), np.zeros((3, 2, 1))),
          "CSV column blocks must be 1-D or 2-D float64 arrays, got 3-D float64"),
@@ -772,7 +769,7 @@ def test_write_csv_matrix_path_spans_row_blocks(tmp_path):
     matrix = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
     matrix[::97, 1] = -0.0
     matrix[-1] = [math.nan, math.inf, -math.inf, 5e-324]
-    write_csv(str(tmp_path / "matrix.csv"), ["c"] * 4, matrix)
+    write_csv(str(tmp_path / "matrix.csv"), ["c"] * 4, (matrix,))
     text = (tmp_path / "matrix.csv").read_bytes()
     assert text == _per_value_bytes(tmp_path / "values.csv", matrix)
     assert text.count(b"\n") == matrix.shape[0] + 1

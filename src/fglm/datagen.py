@@ -144,7 +144,8 @@ def make_ground_truth(
 class Dataset:
     """One sample: predictor coefficients x (n x K), responses, true parameters.
 
-    The arrays are read-only views of the ones passed in, not copies.
+    A sample is its maker's: the arrays passed in are held as they are,
+    converted to float64 only where they are not float64 already.
     """
 
     x: np.ndarray
@@ -153,9 +154,7 @@ class Dataset:
 
     def __post_init__(self):
         for name in ("x", "y", "lambda_true"):
-            arr = np.asarray(getattr(self, name), dtype=float).view()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.x.ndim != 2:
             raise ValueError("x must be an n x K matrix")
         n = self.x.shape[0]

@@ -245,9 +245,9 @@ def estimate_slope(
 ) -> FitResult:
     """Full pipeline: spectral estimate, tuning, GLM fit, slope rebuild.
 
-    `overwrite_x=True` lets `spectral_estimate` centre the sample in
-    `ds.x`'s own memory, so afterwards `ds.x` holds the centred sample;
-    pass it only for a sample that is not used again.
+    A sample is its maker's: `overwrite_x=True` lends `ds.x` to
+    `spectral_estimate`, which centres it in place where it is writable and
+    contiguous; pass it only for a sample that is not used again.
     """
     if ds.n < MIN_OBSERVATIONS:
         raise ValueError(f"estimation needs at least {MIN_OBSERVATIONS} observations")

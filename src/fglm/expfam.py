@@ -134,7 +134,12 @@ def sample_response(family: ExpFamilySpec, lam, rng: np.random.Generator):
     arr = np.asarray(lam, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("natural parameter must be finite")
-    out = family.sample(arr, rng)
+    try:
+        with np.errstate(over="ignore"):  # exp(lam) = inf is refused by numpy below
+            out = family.sample(arr, rng)
+    except ValueError as exc:  # numpy samples Poisson intensities up to about 9e18 only
+        top = f"{family.name} responses at natural parameters up to {float(np.max(arr)):.6g}"
+        raise ValueError(f"cannot draw {top}: numpy refuses the intensity ({exc})") from None
     return float(out) if np.isscalar(lam) or arr.ndim == 0 else out
 
 

@@ -7,13 +7,13 @@ Its SpectralEstimate holds the eigenpairs and scores only; `sample_mean`
 (a 1-D coefficient array) and `sample_cov` give the mean and covariance
 on their own.
 
-By default the centred sample is a fresh copy and `ds` is left as it
-was.  With `overwrite_x=True` (after scipy's `overwrite_a`) the caller
-hands over `ds.x`'s memory: the centred values are written into it, so
-afterwards `ds.x` holds the centred sample, not the one drawn.  Where
-numpy will not make that memory writable (a read-only owner, or
-`np.frombuffer` of bytes) or it is not one contiguous block, the copy
-is made anyway.  Either way every result keeps its bits.
+Shared truth is read-only, a sample is its maker's.  By default the
+centred sample is a fresh copy and `ds` is left as it was.  With
+`overwrite_x=True` (after scipy's `overwrite_a`) the maker lends `ds.x`
+to the fit, and the centred values are written into it.  Where `ds.x`
+is read-only (its write flag is off, as for any read-only view or
+`np.frombuffer` of bytes) or not one contiguous block, the copy is made
+anyway.  Either way every result keeps its bits.
 
 Eigenvalues are sorted descending and clamped to be nonnegative.  The
 scores of the requested leading components (the slope estimator asks
@@ -94,30 +94,18 @@ def compute_scores(ds: Dataset, phi_tilde: np.ndarray, n_components: int) -> np.
     return ds.x @ phi_tilde[:, :n_components]
 
 
-def _writable_block(x: np.ndarray) -> np.ndarray | None:
-    """A writable view of `x`'s own memory, or None where numpy refuses
-    one or the memory is not one contiguous block."""
-    if not (x.flags.c_contiguous or x.flags.f_contiguous):
-        return None
-    view = x.view()
-    try:
-        view.flags.writeable = True
-    except ValueError:  # a read-only owner, or bytes
-        return None
-    return view
-
-
 def spectral_estimate(
     ds: Dataset, n_components: int, *, overwrite_x: bool = False
 ) -> SpectralEstimate:
     """Spectral summary of a dataset; its scores cover the first
     n_components components.
 
-    With `overwrite_x=True` the sample is centred in `ds.x`'s own memory
-    where numpy allows it, and `ds.x` then holds the centred sample.
+    With `overwrite_x=True` a writable, contiguous `ds.x` is centred in
+    its own memory, and then holds the centred sample.
     """
-    out = _writable_block(ds.x) if overwrite_x else None
-    centred_x = np.subtract(ds.x, sample_mean(ds), out=out)
+    x = ds.x
+    in_place = overwrite_x and x.flags.writeable and (x.flags.c_contiguous or x.flags.f_contiguous)
+    centred_x = np.subtract(x, sample_mean(ds), out=x if in_place else None)
     centred = Dataset(x=centred_x, y=ds.y, lambda_true=ds.lambda_true)
     theta_tilde, phi_tilde = eigendecompose(sample_cov(centred))
     scores = compute_scores(centred, phi_tilde, n_components)

@@ -229,9 +229,9 @@ def check_eigenvector_remainder(pair: PerturbationPair) -> RemainderReport:
     err_sq = np.einsum("jk,jk->k", pair.err, pair.err)
     diag_abs_err = np.abs(np.diagonal(pair.rem) + 0.5 * err_sq)
     lead_norm = np.linalg.norm(pair.lead, axis=0)
-    with np.errstate(divide="ignore"):  # a tie gives an infinite budget
+    with np.errstate(divide="ignore", invalid="ignore"):  # a tie gives an inf or NaN budget
         budget = 5.0 * pair.delta_op * lead_norm / pair.gap_table
-    excess = np.abs(pair.rem) - budget
+        excess = np.abs(pair.rem) - budget
     np.fill_diagonal(excess, -np.inf)
     max_off_excess = excess.max(axis=0)
     passed = ~pair.admissible | ((diag_abs_err <= _DIAG_TOL) & (max_off_excess <= _SLACK))
@@ -248,6 +248,8 @@ class ProjectionReport:
     identity_passed: bool
 
 
+# a tie makes `lead` inf or NaN, only at indices the gap hypothesis rejects
+@np.errstate(divide="ignore", invalid="ignore")
 def check_projection_bound(pair: PerturbationPair, j_set, b) -> ProjectionReport:
     """Spectral-projection error applied to a fixed coefficient vector.
 

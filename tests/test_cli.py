@@ -591,6 +591,21 @@ def test_perturb_check_passes_and_writes_rows(tmp_path, capsys):
     assert rows[0].startswith("instance,dim,eps,delta_op")
 
 
+@pytest.mark.parametrize("alpha", ["1e-14", "2e-15", "1e-16", "1e-300"])
+def test_perturb_check_on_a_tied_spectrum_reports_nothing_checked(tmp_path, capsys, alpha):
+    # k^-alpha rounds to ties; the tied indices fail the gap hypothesis, and
+    # their 0/0 and inf - inf must not stop the run before its verdicts
+    code = main(["perturb-check", "--alpha", alpha, "--reps", "30", "--dim", "12",
+                 "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "FAIL: eigenvector: nothing checked\n"
+        "FAIL: remainder: nothing checked\n"
+        "FAIL: projection_identity: nothing checked\n"
+    )
+
+
 @pytest.mark.parametrize(
     "alpha, reps, projections",
     [("10", "500", 500), ("20", "100", 0), ("40", "100", 0)],
@@ -1147,6 +1162,17 @@ def test_generate_refuses_an_alpha_whose_radius_overflows_before_drawing(tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: class radius must be finite and positive, got inf\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("intercept", ["50", "800"])
+def test_generate_refuses_a_poisson_intensity_numpy_cannot_draw(tmp_path, capsys, intercept):
+    out = tmp_path / "data.csv"
+    assert main(["generate", "--family", "poisson", "--n", "10", "--intercept", intercept,
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot draw poisson responses at natural parameters")
     assert list(tmp_path.iterdir()) == []
 
 

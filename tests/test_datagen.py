@@ -13,6 +13,7 @@ from fglm.datagen import (
     sample_dataset,
 )
 from fglm.expfam import get_family
+from fglm.fpca import spectral_estimate
 
 GAUSS = get_family("gaussian")
 
@@ -199,16 +200,33 @@ def test_dataset_validation_and_views():
     )
     assert ds.n == 2 and ds.k_trunc == 2
     assert np.array_equal(ds.x, [[1.5, -0.5], [1.0, 2.0]])
+    assert ds.x.dtype == ds.y.dtype == ds.lambda_true.dtype == np.float64
     with pytest.raises(ValueError):
         Dataset(x=[0.0, 1.0], y=[1.0], lambda_true=[0.0])
     with pytest.raises(ValueError):
         Dataset(x=[[0.0, 1.0]], y=[1.0, 2.0], lambda_true=[0.0])
 
 
-def test_dataset_arrays_frozen():
-    ds = sample_dataset(make_ground_truth(2.0, 3.0, GAUSS, k_trunc=8), 5, seed=0)
-    with pytest.raises(ValueError):
-        ds.y[0] = 99.0
+def test_dataset_holds_the_callers_arrays():
+    # a sample is its maker's: float64 arrays are held as given, write flag
+    # included, and overwrite_x centres a writable C-contiguous x in place
+    drawn = sample_dataset(make_ground_truth(2.0, 3.0, GAUSS, k_trunc=8), 40, seed=0)
+    x, y, lam = drawn.x.copy(), drawn.y.copy(), drawn.lambda_true.copy()
+    ds = Dataset(x=x, y=y, lambda_true=lam)
+    assert ds.x is x and ds.y is y and ds.lambda_true is lam
+    assert x.flags.writeable and x.flags.c_contiguous
+    want = spectral_estimate(Dataset(x=drawn.x, y=y, lambda_true=lam), 3)
+    got = spectral_estimate(ds, 3, overwrite_x=True)
+    assert ds.x is x and np.shares_memory(ds.x, x)
+    centred = drawn.x - drawn.x.mean(axis=0)
+    assert x.tobytes() == centred.tobytes()
+    for name in ("theta_tilde", "phi_tilde", "scores"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert not getattr(got, name).flags.writeable
+
+    frozen = drawn.x.copy()
+    frozen.flags.writeable = False
+    assert Dataset(x=frozen, y=y, lambda_true=lam).x is frozen
 
 
 def test_sampling_deterministic_and_seed_sensitive():

@@ -170,6 +170,14 @@ def test_sampler_moments():
     assert y_b.mean() == pytest.approx(p, abs=0.01)
 
 
+@pytest.mark.parametrize("lam", [50.0, 800.0])
+def test_poisson_sampler_refuses_an_intensity_numpy_cannot_draw(lam):
+    # exp(800) overflows to inf and exp(50) exceeds numpy's largest Poisson
+    # intensity; both are refused by name, with no overflow warning
+    with pytest.raises(ValueError, match=f"poisson responses at natural parameters up to {lam:g}"):
+        sample_response(get_family("poisson"), np.array([0.0, lam]), np.random.default_rng(0))
+
+
 def test_sampler_is_deterministic_in_seed():
     for name in family_names():
         fam = get_family(name)

@@ -147,21 +147,22 @@ def test_centring_once_keeps_every_bit_of_a_shifted_sample():
     assert np.array_equal(est.scores, centred @ phi_tilde[:, :n_comp])
 
 
-def _owner_read_only(x):
-    x = np.array(x)
+def _read_only(x):
     x.flags.writeable = False
     return x
 
 
 @pytest.mark.parametrize(
     "hold",
-    [_owner_read_only, lambda x: np.frombuffer(x.tobytes()).reshape(x.shape),
+    [lambda x: _read_only(np.array(x)), lambda x: _read_only(np.array(x).view()),
+     lambda x: np.frombuffer(x.tobytes()).reshape(x.shape),
      lambda x: np.repeat(x, 2, axis=1)[:, ::2]],
-    ids=["read-only-owner", "frombuffer-bytes", "strided"],
+    ids=["read-only-owner", "read-only-view", "frombuffer-bytes", "strided"],
 )
 def test_overwrite_x_copies_memory_it_may_not_write(hold):
-    # numpy refuses a writable view of these, or (strided) the memory is not
-    # one block: the sample is centred into a copy and left as it was
+    # these are not writable (a read-only view of a writable owner included),
+    # or (strided) the memory is not one block: the sample is centred into
+    # a copy and left as it was
     drawn = _dataset(n=50, k=8).x
     ds = Dataset(x=hold(drawn), y=np.zeros(50), lambda_true=np.zeros(50))
     want = spectral_estimate(Dataset(x=drawn, y=ds.y, lambda_true=ds.lambda_true), 3)

@@ -189,10 +189,13 @@ def _equivalence_pairs():
 def test_array_checks_match_the_per_index_checks():
     seen = np.zeros((2, 2), dtype=int)  # [admissible?, remainder passed?]
     for pair in _equivalence_pairs():
-        # a tie puts 0/0 and inf - inf into the budget of inadmissible columns
+        vec = check_eigenvector_bound(pair)
+        rem = check_eigenvector_remainder(pair)
+        proj = check_projection_bound(pair, (0, 1), np.ones(pair.dim))
+        assert proj.admissible == bool(pair.admissible[:2].all())
+        # a tie puts 0/0 and inf - inf into the budget of inadmissible columns;
+        # the checks silence that themselves, the per-index oracle does not
         with np.errstate(invalid="ignore"):
-            vec = check_eigenvector_bound(pair)
-            rem = check_eigenvector_remainder(pair)
             want = np.array([_per_index_checks(pair, k) for k in range(pair.dim)]).T
         # diag_abs_err is a cancellation residual of ||f_k||^2 <= 4, so the
         # norms' summation order moves it by up to an ulp of 4, not relatively

@@ -57,6 +57,8 @@ _SEPARATION_THRESHOLD = 1e3  # see fit_mle
 
 @dataclass(frozen=True)
 class NewtonConfig:
+    """Newton stopping rule: step-size tolerance `tol` and at most `max_iter` steps."""
+
     tol: float = 1e-10
     max_iter: int = 100
 

@@ -12,10 +12,13 @@ package's one thread pool, on at most --jobs threads (default 1), and
 each returns its own ReplicationRecord.  The pool leaves BLAS's thread
 count to the caller: the `fglm` command holds it to one thread (see
 `cli`), and a library caller sets its own, for instance with
-OPENBLAS_NUM_THREADS=1.  CSV floats are written with 17 significant
-digits to survive a parse round trip; a table of float columns, such as
-a `generate` sample, is written from its own column arrays a block of
-rows at a time, never stacked into a second copy.
+OPENBLAS_NUM_THREADS=1.  CSV floats are written as `%.17g`, 17
+significant digits, to survive a parse round trip.  A table of float
+columns, such as a `generate` sample, is written from its own column
+arrays a block of rows at a time, never stacked into a second copy, and
+formatted in numpy to the same bytes: exactly, by integer arithmetic, for
+zeros and for 2e-6 <= |v| < 1e15; every other value (smaller ones,
+subnormals, larger ones, inf and nan) goes through `%` one at a time.
 """
 from __future__ import annotations
 
@@ -196,6 +199,8 @@ def theoretical_exponent(alpha: float, beta_s: float) -> float:
 
 @dataclass(frozen=True)
 class RatePoint:
+    """One sample size of a rate study: its truncation levels and mean loss over reps."""
+
     n: int
     reps: int
     m: int
@@ -207,6 +212,8 @@ class RatePoint:
 
 @dataclass(frozen=True)
 class ReplicationRecord:
+    """One replication: its (n, rep) cell, seed, slope loss and Newton outcome."""
+
     n: int
     rep: int
     seed: int
@@ -217,6 +224,8 @@ class ReplicationRecord:
 
 @dataclass(frozen=True)
 class RateStudyResult:
+    """A rate study: its points, every replication and the fitted log-log slope."""
+
     points: tuple[RatePoint, ...]
     replications: tuple[ReplicationRecord, ...]
     fitted_slope: float
@@ -317,7 +326,136 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_BLOCK_ROWS = 128  # rows stacked and formatted per string operation in the column path
+_BLOCK_ROWS = 128  # rows stacked per block in the column path
+
+
+# --- `%.17g` of float64 columns, vectorised ---
+#
+# A value v with 2e-6 <= |v| < 1e15 has decimal exponent x in [-6, 14], so
+# q = 16 - x <= 22 and 10**q is an exact double.  Dekker's two-product (a
+# Veltkamp split, no FMA) gives |v| * 10**q = p + err exactly; p is then an
+# integer, and rounding p + err half-even gives the 17 significant digits D,
+# 10**16 <= D < 10**17, that `%.17g` prints.  Each value gets one row of six
+# 8-byte words, a superset of the fixed and scientific layouts of `%g`:
+#
+#   "-0.000" + d0 + "."   then "d.d.d.d." for each 4-digit group of the
+#   16 digits after d0, then "e-056" + separator + 2 unused bytes,
+#
+# and a mask row, looked up by (sign, x, digits left after stripping trailing
+# zeros), picks that value's characters.  Zeros take a mask row of their own;
+# every other value (|v| < 2e-6, subnormals, |v| >= 1e15, inf and nan) is
+# formatted by `%` and spliced in.
+
+_CHUNK = 4096  # values formatted per pass: a larger chunk raises the peak RSS, not the speed
+_EXACT = (2e-6, 1e15)
+_ZERO, _OTHER = 21, 22  # exponent slots of the mask table after x + 6 in [0, 20]
+_SPLIT = 134217729.0  # 2**27 + 1
+_TAILS = np.frombuffer(b"e-056,\0\0e-056\n\0\0", dtype=np.uint64)  # within a line, ending it
+
+
+def _selection_masks():
+    """Mask rows over a formatted row, indexed by (sign * 23 + x + 6) * 18 + digits."""
+    sign, slot, digits, col = np.ogrid[:2, :23, :18, :48]
+    x = slot - 6
+    finite = slot < _ZERO
+    fixed = finite & (x >= 0)
+    small = finite & (x < 0) & (x >= -4)  # 0.000ddd
+    sci = finite & (x < -4)
+    i = (col - 6) // 2  # the digit at or just before column col
+    digit_col = (col >= 6) & (col < 40) & (col % 2 == 0)
+    dot_col = (col >= 6) & (col < 40) & (col % 2 == 1)
+    shown = np.where(fixed, np.maximum(digits, x + 1), digits)  # whole part kept in full
+    return (
+        (col == 45)
+        | ((col == 0) & (sign == 1) & (slot != _OTHER))
+        | ((col == 1) & (small | (slot == _ZERO)))
+        | ((col == 2) & small)
+        | ((col >= 3) & (col < 6) & small & (col - 3 < -x - 1))
+        | (digit_col & finite & (i < shown))
+        | (dot_col & fixed & (i == x) & (digits > x + 1))
+        | (dot_col & sci & (i == 0) & (digits > 1))
+        | ((col >= 40) & (col < 43) & sci)
+        | ((col == 43) & sci & (x == -5))
+        | ((col == 44) & sci & (x == -6))
+    ).reshape(-1, 48)
+
+
+class _Format17g:
+    """`%.17g` of float64 values in numpy, from the lookup tables it builds (about 1 ms)."""
+
+    def __init__(self):
+        self.pow10 = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))  # every product exact
+        self.pow10_hi = self.pow10 * _SPLIT - (self.pow10 * _SPLIT - self.pow10)
+        self.pow10_lo = self.pow10 - self.pow10_hi
+        digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # row g: the digits of g
+        # "d.d.d.d." for every 4-digit group, and its trailing zeros (4 for 0000)
+        dotted = np.full((10**4, 8), ord("."), dtype=np.uint8)
+        dotted[:, ::2] = digits + ord("0")
+        self.dotted = dotted.view(np.uint64).ravel()
+        self.group_zeros = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
+        # "-0.000" + d0 + "." for every leading digit d0
+        lead = np.tile(np.frombuffer(b"-0.000d.", dtype=np.uint8), (10, 1))
+        lead[:, 6] = np.arange(10) + ord("0")
+        self.lead = lead.view(np.uint64).ravel()
+        self.masks = _selection_masks()
+        self.lengths = self.masks.sum(axis=1)
+
+    def scaled(self, a, q):
+        """floor(a * 10**q) as int64 and its fractional part, both exact."""
+        p = a * self.pow10[q]
+        t = a * _SPLIT
+        a_hi = t - (t - a)
+        a_lo = a - a_hi
+        hi, lo = self.pow10_hi[q], self.pow10_lo[q]
+        err = ((a_hi * hi - p) + a_hi * lo + a_lo * hi) + a_lo * lo
+        whole = np.floor(err)
+        return p.astype(np.int64) + whole.astype(np.int64), err - whole
+
+    def __call__(self, values, ends):
+        """Buffers of `b"%.17g" % v` for each value, then "\\n" where `ends` is set, else ","."""
+        a = np.abs(values)
+        exact = (a >= _EXACT[0]) & (a < _EXACT[1])
+        a = np.where(exact, a, 1.0)
+        x = np.floor(np.log10(a)).astype(np.int64)
+        floor, frac = self.scaled(a, 16 - x)
+        wrong = np.flatnonzero((floor < 10**16) | (floor >= 10**17))
+        while wrong.size:  # log10 rounded across a power of ten
+            x[wrong] += np.where(floor[wrong] < 10**16, -1, 1)
+            floor[wrong], frac[wrong] = self.scaled(a[wrong], 16 - x[wrong])
+            wrong = wrong[(floor[wrong] < 10**16) | (floor[wrong] >= 10**17)]
+        sig = floor + ((frac > 0.5) | ((frac == 0.5) & (floor % 2 == 1)))
+        carry = sig == 10**17
+        sig[carry] = 10**16
+        x += carry
+        top, low = np.divmod(sig, 10**8)
+        lead, mid = np.divmod(top, 10**8)
+        groups = np.divmod(mid, 10**4) + np.divmod(low, 10**4)
+        rows = np.empty((values.size, 6), dtype=np.uint64)
+        rows[:, 0] = self.lead.take(lead)
+        for k, group in enumerate(groups, start=1):
+            rows[:, k] = self.dotted.take(group)
+        rows[:, 5] = np.where(ends, _TAILS[1], _TAILS[0])
+        zeros = self.group_zeros.take(groups[3])  # trailing zeros of the 16 digits after d0
+        short = np.flatnonzero(groups[3] == 0)  # few, but for short decimals such as 1.0 or 0.5
+        if short.size:
+            tail = self.group_zeros.take(groups[0][short])
+            for group in groups[1:3]:
+                group = group[short]
+                tail = np.where(group == 0, tail + 4, self.group_zeros.take(group))
+            zeros[short] = tail + 4
+        slot = np.where(exact, x + 6, np.where(values == 0, _ZERO, _OTHER))
+        key = (np.signbit(values) * 23 + slot) * 18 + (17 - zeros)
+        out = np.compress(self.masks.take(key, axis=0).ravel(), rows.view(np.uint8).ravel())
+        other = np.flatnonzero(slot == _OTHER)
+        if not other.size:
+            return [out]
+        ends_at = np.cumsum(self.lengths.take(key))[other] - 1  # each one's separator
+        pieces, start = [], 0
+        for v, end in zip(values[other].tolist(), ends_at.tolist()):
+            pieces += [out[start:end], b"%.17g" % v]
+            start = end
+        pieces.append(out[start:])
+        return pieces
 
 
 def _column_blocks(rows):
@@ -335,31 +473,47 @@ def _column_blocks(rows):
 
 
 def write_csv(path: str, header, rows) -> None:
-    """Plain CSV, LF newlines, floats at 17 significant digits.
+    """Plain CSV, LF newlines, floats at 17 significant digits (`%.17g`).
 
     `rows` is an iterable of rows, each value formatted by `_fmt`, or the
     float64 columns of the file: a tuple of column blocks of one length,
     a 1-D array being one column and a 2-D array its columns.  Blocks are
-    stacked `_BLOCK_ROWS` rows at a time and formatted from one `%.17g`
-    template, so no copy of the whole table is made; both paths give the
-    same bytes for the same floats.  Blocks of another dtype or ndim, or
-    of unequal lengths, are refused before the file is opened.
+    stacked `_BLOCK_ROWS` rows at a time, so no copy of the whole table is
+    made, and formatted by numpy `_CHUNK` values at a time, each value to
+    exactly the bytes of `%.17g`.  Zeros and values with 2e-6 <= |v| < 1e15
+    are formatted in numpy; the rest (smaller values, subnormals, larger
+    values, inf and nan) one at a time by `%`.  Both paths give the same
+    bytes for the same floats.  Blocks of another dtype or ndim, or of
+    unequal lengths, are refused before the file is opened.
     """
     blocks = _column_blocks(rows)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         if blocks is None:
             for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write((",".join(_fmt(v) for v in row) + "\n").encode())
             return
         width = sum(1 if block.ndim == 1 else block.shape[1] for block in blocks)
-        template = ",".join(["%.17g"] * width) + "\n"
+        if width == 0:
+            fh.write(b"\n" * blocks[0].shape[0])
+            return
+        ends = np.zeros((_BLOCK_ROWS, width), dtype=bool)
+        ends[:, -1] = True
+        ends = ends.ravel()
+        # built per call, not cached: kept for the process, its tables would sit on
+        # the heap above the sample's freed blocks, and whether `estimate` after
+        # `generate` in one process could reuse them then hung on the heap's
+        # layout (a peak of 48.5 or 52.7 MB RSS by the checkout's path)
+        format_17g = _Format17g()
         for start in range(0, blocks[0].shape[0], _BLOCK_ROWS):
             stacked = np.column_stack([block[start : start + _BLOCK_ROWS] for block in blocks])
-            fh.write((template * stacked.shape[0]) % tuple(stacked.ravel().tolist()))
+            values = stacked.ravel()
+            for lo in range(0, values.size, _CHUNK):
+                hi = min(lo + _CHUNK, values.size)
+                fh.writelines(format_17g(values[lo:hi], ends[lo:hi]))
 
 
 def map_in_order(fn, items, jobs: int):

@@ -114,6 +114,8 @@ def flip(cfg: AssouadConfig, gamma, j: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class AffinityEstimate:
+    """Monte Carlo mean of an affinity and its standard error."""
+
     mean: float
     se: float
 

@@ -178,6 +178,8 @@ def aligned_eigen_data(perturbed, theta, vecs, vecs_tilde, delta_op: float) -> d
 
 @dataclass(frozen=True)
 class EigenvalueReport:
+    """Largest eigenvalue move against the perturbation norms."""
+
     max_abs_err: float
     passed: bool
 
@@ -191,6 +193,8 @@ def check_eigenvalue_bound(pair: PerturbationPair) -> EigenvalueReport:
 
 @dataclass(frozen=True)
 class EigenvectorReport:
+    """Per-index eigenvector error and its first-order size."""
+
     err_norm: np.ndarray
     lead_norm: np.ndarray
     passed: np.ndarray
@@ -211,6 +215,8 @@ def check_eigenvector_bound(pair: PerturbationPair) -> EigenvectorReport:
 
 @dataclass(frozen=True)
 class RemainderReport:
+    """Per-index errors of the second-order eigenvector remainder."""
+
     diag_abs_err: np.ndarray
     max_off_excess: np.ndarray
     passed: np.ndarray
@@ -240,6 +246,8 @@ def check_eigenvector_remainder(pair: PerturbationPair) -> RemainderReport:
 
 @dataclass(frozen=True)
 class ProjectionReport:
+    """Projection identity error and the remainder-to-envelope ratio for one instance."""
+
     admissible: bool
     identity_err: float
     rho_sq: float
@@ -427,6 +435,8 @@ def random_perturbation_suite(
 
 @dataclass(frozen=True)
 class LinearizationReport:
+    """Counts and rates of the linearization check over its replications."""
+
     reps: int
     design_ok: int
     satisfied: int
@@ -596,6 +606,8 @@ def require_chisq_reps(reps: int) -> None:
 
 @dataclass(frozen=True)
 class FisherReport:
+    """Monte Carlo information matrix against its expectation at one n."""
+
     n: int
     n_components: int
     max_abs_z: float
@@ -690,6 +702,8 @@ _CHISQ_SLAB_BYTES = 128 * 1024
 
 @dataclass(frozen=True)
 class ChisqTailPoint:
+    """Estimated tail probability of the weighted chi-square maximum at one x."""
+
     x: float
     threshold: float
     bound: float

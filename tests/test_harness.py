@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -708,7 +708,19 @@ def test_write_csv_formatting(tmp_path):
     assert float(lines[2].split(",")[1]) == 1 / 3
 
 
-_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308]
+_SPECIAL_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+    # the edges of the column path's numpy formatter, exact on 2e-6 <= |v| < 1e15
+    # ties at the 18th digit round half-even: 2.98023223876953125e-08 (outside
+    # that range), 0.100009918212890625, 0.100002288818359375,
+    # 0.00100040435791015625, 123456789012345.625 and 123456789012345.375
+    2.0**-25, 26217 / 2**18, 26215 / 2**18, 1049 / 2**20, 123456789012345.625, 123456789012345.375,
+    1e-7, 1e-6,  # print with exponents -8 and -7
+    2e-6, 1e15, 9.999999999999999e14, 0.5,
+    *(float(np.nextafter(edge, side)) for edge in (2e-6, 1e15) for side in (-math.inf, math.inf)),
+    *(float(np.nextafter(10.0**k, side))
+      for k in (-6, -5, -4, -1, 0, 1, 14, 15, 16, 17) for side in (-math.inf, math.inf)),
+]
 
 
 def _per_value_bytes(path, matrix):
@@ -730,6 +742,8 @@ def _column_blocks(draw):
 
 
 @given(_column_blocks())
+@example((np.zeros((1, 0)),))  # zero-width rows
+@example((np.array(_SPECIAL_FLOATS), -np.array(_SPECIAL_FLOATS)[:, None]))
 def test_write_csv_matrix_path_matches_per_value_path(tmp_path_factory, blocks):
     d = tmp_path_factory.mktemp("csv")
     matrix = np.column_stack(blocks)

@@ -233,7 +233,8 @@ def _read_dataset_csv(path: str) -> Dataset:
     """Parse a `generate`-style CSV: a header row, then one numeric row per sample.
 
     Only the y, lambda and x1..xK columns are parsed, and a repeated column
-    name is refused; fields may be quoted and lines may end in CRLF.
+    name is refused; fields may be quoted, lines may end in CRLF and the file
+    may start with a UTF-8 byte-order mark, as Excel's "CSV UTF-8" files do.
     loadtxt converts through the same routine as `float`, so every value
     keeps its bits.  The sample is held once: y and lambda are copied out,
     and x is a C-contiguous view of loadtxt's own buffer, with each row's
@@ -243,7 +244,7 @@ def _read_dataset_csv(path: str) -> Dataset:
     # when a row follows it: an upper bound on the rows, so that loadtxt
     # allocates its result once instead of regrowing it
     max_rows = _count_line_ends(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         first = fh.readline()
         if not first:
             raise ValueError(f"{path}: empty file")

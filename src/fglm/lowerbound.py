@@ -31,8 +31,6 @@ from .expfam import ExpFamilySpec, hellinger_sq_exact
 __all__ = [
     "AssouadConfig",
     "hypercube_slope",
-    "flip",
-    "AffinityEstimate",
     "require_affinity_draws",
     "affinity_detail",
     "calibrated_eps",
@@ -101,25 +99,6 @@ def hypercube_slope(cfg: AssouadConfig, gamma) -> np.ndarray:
     return coeffs
 
 
-def flip(cfg: AssouadConfig, gamma, j: int) -> tuple[int, ...]:
-    """Corner with bit j (1-indexed coordinate in J) flipped."""
-    gamma = _check_gamma(cfg, gamma)
-    if j not in cfg.j_set:
-        raise ValueError(f"flip index {j} outside coordinates {cfg.j_set}")
-    out = gamma.astype(int).tolist()
-    pos = j - cfg.m - 1
-    out[pos] = 1 - out[pos]
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class AffinityEstimate:
-    """Monte Carlo mean of an affinity and its standard error."""
-
-    mean: float
-    se: float
-
-
 def require_affinity_draws(n_mc: int) -> None:
     """Refuse fewer than 2 affinity draws: a standard error needs two."""
     if n_mc < 2:
@@ -133,22 +112,25 @@ def affinity_detail(
     gamma,
     n_mc: int = 200,
     seed: int = 0,
-) -> AffinityEstimate:
+) -> tuple[float, float]:
     """Monte Carlo lower bound on the overlap of one-bit neighbors.
 
     Each draw samples a fresh n-row design with independent scores
     z_ik ~ N(0, theta_k) on the hypercube coordinates, computes the
     exact per-observation squared Hellinger distance between the
     responses under gamma and under gamma with bit j flipped, and
-    evaluates 1 - sqrt(min(2, sum_i h_i^2)).
+    evaluates 1 - sqrt(min(2, sum_i h_i^2)).  Returns the mean over the
+    `n_mc` draws and its standard error.  j must lie in `cfg.j_set`.
     """
     if n < 1:
         raise ValueError("n must be positive")
     require_affinity_draws(n_mc)
     weights = hypercube_slope(cfg, gamma)[cfg.m :]
+    if j not in cfg.j_set:
+        raise ValueError(f"flip index {j} outside coordinates {cfg.j_set}")
     pos = j - cfg.m - 1
-    # flipping bit j adds or removes eps*beta_j from the j-th coordinate
-    step = hypercube_slope(cfg, flip(cfg, gamma, j))[j - 1] - weights[pos]
+    # flipping bit j removes or adds eps*beta_j on the j-th coordinate
+    step = -weights[pos] if gamma[pos] else cfg.eps_scale * cfg.beta_weights[pos]
     scale = np.sqrt(cfg.theta_j)
     rng = np.random.default_rng(seed)
     vals = np.empty(n_mc)
@@ -158,9 +140,7 @@ def affinity_detail(
         delta = step * z[:, pos]
         s = min(2.0, float(np.sum(hellinger_sq_exact(cfg.family, lam, delta))))
         vals[d] = 1.0 - math.sqrt(s)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_mc))
-    return AffinityEstimate(mean=mean, se=se)
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_mc))
 
 
 def calibrated_eps(cfg: AssouadConfig, n: int) -> float:
@@ -228,7 +208,7 @@ def affinity_study(
     rows = []
     for n_idx, (n, scaled) in enumerate(zip(n_grid, cubes)):
         for j_idx, j in enumerate(scaled.j_set):
-            detail = affinity_detail(
+            mean, se = affinity_detail(
                 scaled,
                 n,
                 j,
@@ -241,9 +221,9 @@ def affinity_study(
                     "n": n,
                     "j": j,
                     "eps": scaled.eps_scale,
-                    "affinity": detail.mean,
-                    "se": detail.se,
-                    "bound_value": assouad_bound_value(scaled, max(detail.mean, 0.0)),
+                    "affinity": mean,
+                    "se": se,
+                    "bound_value": assouad_bound_value(scaled, max(mean, 0.0)),
                 }
             )
     return rows

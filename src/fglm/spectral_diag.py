@@ -21,10 +21,12 @@ descending.  Ties in the base spectrum make first-order terms undefined,
 so checks gate on a minimum gap relative to the perturbation size
 (`gap > 5 * delta`) and on a floor below which the eigensolver's own
 rounding swamps the eigenvectors (`eigensolver_gap_floor`).  A
-`PerturbationPair` computes f_k, L_k and r_k once, when it is built.  The
-eigenvector and remainder checks judge every index k of an instance at
-once and return arrays over k; an index that fails the gap hypothesis
-passes by convention and is counted as skipped.
+`PerturbationPair` computes f_k, L_k and r_k once, when it is built.  Each
+check returns plain values: `(max_abs_err, passed)` for the eigenvalues, a
+boolean array over k for the eigenvectors and the remainders (an index
+that fails the gap hypothesis passes by convention and is counted as
+skipped), and `(admissible, identity_err, identity_passed, ratio)` for a
+projection.
 """
 from __future__ import annotations
 
@@ -41,13 +43,9 @@ __all__ = [
     "PerturbationPair",
     "eigensolver_gap_floor",
     "aligned_eigen_data",
-    "EigenvalueReport",
     "check_eigenvalue_bound",
-    "EigenvectorReport",
     "check_eigenvector_bound",
-    "RemainderReport",
     "check_eigenvector_remainder",
-    "ProjectionReport",
     "check_projection_bound",
     "Verdict",
     "random_perturbation_suite",
@@ -176,60 +174,31 @@ def aligned_eigen_data(perturbed, theta, vecs, vecs_tilde, delta_op: float) -> d
     )
 
 
-@dataclass(frozen=True)
-class EigenvalueReport:
-    """Largest eigenvalue move against the perturbation norms."""
-
-    max_abs_err: float
-    passed: bool
-
-
-def check_eigenvalue_bound(pair: PerturbationPair) -> EigenvalueReport:
-    """Each eigenvalue moves by at most the operator norm of the change."""
+def check_eigenvalue_bound(pair: PerturbationPair) -> tuple[float, bool]:
+    """Each eigenvalue moves by at most the change's norms: (largest move, passed)."""
     err = float(np.max(np.abs(pair.theta - pair.theta_tilde)))
-    passed = err <= pair.delta_op + _SLACK and err <= pair.delta_hs + _SLACK
-    return EigenvalueReport(max_abs_err=err, passed=passed)
+    return err, err <= pair.delta_op + _SLACK and err <= pair.delta_hs + _SLACK
 
 
-@dataclass(frozen=True)
-class EigenvectorReport:
-    """Per-index eigenvector error and its first-order size."""
-
-    err_norm: np.ndarray
-    lead_norm: np.ndarray
-    passed: np.ndarray
-
-
-def check_eigenvector_bound(pair: PerturbationPair) -> EigenvectorReport:
+def check_eigenvector_bound(pair: PerturbationPair) -> np.ndarray:
     """Aligned eigenvector error within 3x its first-order size.
 
-    Every index k is judged at once and each report field is an array
-    over k.  An index without the gap hypothesis (`admissible`) passes by
-    convention.
+    Returns a boolean array over k: whether ||f_k|| <= 3 ||L_k||.  An
+    index without the gap hypothesis (`admissible`) passes by convention.
     """
     err_norm = np.linalg.norm(pair.err, axis=0)
     lead_norm = np.linalg.norm(pair.lead, axis=0)
-    passed = ~pair.admissible | (err_norm <= 3.0 * lead_norm + _SLACK)
-    return EigenvectorReport(err_norm=err_norm, lead_norm=lead_norm, passed=passed)
+    return ~pair.admissible | (err_norm <= 3.0 * lead_norm + _SLACK)
 
 
-@dataclass(frozen=True)
-class RemainderReport:
-    """Per-index errors of the second-order eigenvector remainder."""
-
-    diag_abs_err: np.ndarray
-    max_off_excess: np.ndarray
-    passed: np.ndarray
-
-
-def check_eigenvector_remainder(pair: PerturbationPair) -> RemainderReport:
+def check_eigenvector_remainder(pair: PerturbationPair) -> np.ndarray:
     """Remainder after removing the first-order eigenvector error.
 
     Its coordinate along e_k equals -||f_k||^2 / 2 exactly (a sign-
     alignment identity), and the coordinate along e_j is bounded by
-    5 delta ||L_k|| / |theta_k - theta_j|.  Each report field is an
-    array over k; `max_off_excess[k]` is the largest overshoot of that
-    bound over j != k.  An index without the gap hypothesis passes by
+    5 delta ||L_k|| / |theta_k - theta_j|.  Returns a boolean array over
+    k: whether the identity holds within `_DIAG_TOL` and no j != k
+    overshoots its bound.  An index without the gap hypothesis passes by
     convention.
     """
     err_sq = np.einsum("jk,jk->k", pair.err, pair.err)
@@ -239,35 +208,23 @@ def check_eigenvector_remainder(pair: PerturbationPair) -> RemainderReport:
         budget = 5.0 * pair.delta_op * lead_norm / pair.gap_table
         excess = np.abs(pair.rem) - budget
     np.fill_diagonal(excess, -np.inf)
-    max_off_excess = excess.max(axis=0)
-    passed = ~pair.admissible | ((diag_abs_err <= _DIAG_TOL) & (max_off_excess <= _SLACK))
-    return RemainderReport(diag_abs_err=diag_abs_err, max_off_excess=max_off_excess, passed=passed)
-
-
-@dataclass(frozen=True)
-class ProjectionReport:
-    """Projection identity error and the remainder-to-envelope ratio for one instance."""
-
-    admissible: bool
-    identity_err: float
-    rho_sq: float
-    envelope: float
-    ratio: float
-    identity_passed: bool
+    return ~pair.admissible | ((diag_abs_err <= _DIAG_TOL) & (excess.max(axis=0) <= _SLACK))
 
 
 # a tie makes `lead` inf or NaN, only at indices the gap hypothesis rejects
 @np.errstate(divide="ignore", invalid="ignore")
-def check_projection_bound(pair: PerturbationPair, j_set, b) -> ProjectionReport:
+def check_projection_bound(pair: PerturbationPair, j_set, b) -> tuple[bool, float, bool, float]:
     """Spectral-projection error applied to a fixed coefficient vector.
 
     With J the projected index set and B = sum_k b_k e_k, the exact
     difference D = (H~_J - H_J) B splits as D = M + rho where M collects
     the first-order cross terms between J and its complement and rho is
-    built from the aligned remainder quantities.  The report carries the
-    exact identity error and the ratio of ||rho||^2 to its envelope
-    R1 + delta^2 R2; the envelope holds up to a universal constant, so
-    the ratio is reported rather than asserted.
+    built from the aligned remainder quantities.  Returns
+    `(admissible, identity_err, identity_passed, ratio)`: whether every
+    index in J has the gap hypothesis, the exact identity's error and
+    whether it is within `_IDENTITY_TOL`, and the ratio of ||rho||^2 to
+    its envelope R1 + delta^2 R2.  The envelope holds up to a universal
+    constant, so the ratio is reported rather than asserted.
     """
     d = pair.dim
     j_idx = np.asarray(sorted(set(int(j) for j in j_set)), dtype=int)
@@ -316,14 +273,7 @@ def check_projection_bound(pair: PerturbationPair, j_set, b) -> ProjectionReport
         ratio = rho_sq / envelope
     else:
         ratio = 0.0 if rho_sq == 0.0 else math.inf
-    return ProjectionReport(
-        admissible=admissible,
-        identity_err=identity_err,
-        rho_sq=rho_sq,
-        envelope=envelope,
-        ratio=ratio,
-        identity_passed=identity_err <= _IDENTITY_TOL,
-    )
+    return admissible, identity_err, identity_err <= _IDENTITY_TOL, ratio
 
 
 def _haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -390,15 +340,17 @@ def random_perturbation_suite(
         eps = min(eps, 0.9 * spectrum[-1])  # keep the perturbed matrix PSD
         pair = PerturbationPair.from_matrices(base, base + eps * sym)
 
-        ev_rep = check_eigenvalue_bound(pair)
+        eval_err, eval_passed = check_eigenvalue_bound(pair)
         checked = int(np.count_nonzero(pair.admissible))
-        vec_viol = int(np.count_nonzero(~check_eigenvector_bound(pair).passed))
-        rem_viol = int(np.count_nonzero(~check_eigenvector_remainder(pair).passed))
+        vec_viol = int(np.count_nonzero(~check_eigenvector_bound(pair)))
+        rem_viol = int(np.count_nonzero(~check_eigenvector_remainder(pair)))
         coeff = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0) * np.arange(
             1, dim + 1, dtype=float
         ) ** -3.0
-        proj = check_projection_bound(pair, (0, 1), coeff)
-        proj_id_fail += int(proj.admissible and not proj.identity_passed)
+        proj_admissible, proj_err, proj_passed, proj_ratio = check_projection_bound(
+            pair, (0, 1), coeff
+        )
+        proj_id_fail += int(proj_admissible and not proj_passed)
         rows.append(
             {
                 "instance": idx,
@@ -406,15 +358,15 @@ def random_perturbation_suite(
                 "eps": eps,
                 "delta_op": pair.delta_op,
                 "delta_hs": pair.delta_hs,
-                "eval_max_err": ev_rep.max_abs_err,
-                "eval_passed": int(ev_rep.passed),
+                "eval_max_err": eval_err,
+                "eval_passed": int(eval_passed),
                 "evec_checked": checked,
                 "evec_violations": vec_viol,
                 "rem_checked": checked,
                 "rem_violations": rem_viol,
-                "proj_admissible": int(proj.admissible),
-                "proj_identity_err": proj.identity_err,
-                "proj_ratio": proj.ratio if proj.admissible else float("nan"),
+                "proj_admissible": int(proj_admissible),
+                "proj_identity_err": proj_err,
+                "proj_ratio": proj_ratio if proj_admissible else float("nan"),
             }
         )
 

@@ -358,7 +358,7 @@ def test_estimate_refuses_smoothness_outside_the_class_before_reading(
 
 def _read_with_csv_reader(path):
     """The reader's former row-by-row parse: [y, lambda, x1..xK] per row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         body = [row for row in reader if row]
@@ -414,12 +414,16 @@ def _blank_lines_between_rows(text):
     return text.replace("\n", "\n\n")
 
 
+def _byte_order_mark(text):
+    return "\ufeff" + text  # as Excel's "CSV UTF-8" writes it
+
+
 @pytest.mark.parametrize(
     "variant",
     [_quote_fields, _crlf, _trailing_blank_lines, _reversed_columns, _cr_only,
-     _no_final_line_end, _blank_lines_between_rows],
+     _no_final_line_end, _blank_lines_between_rows, _byte_order_mark],
     ids=["quoted-fields", "crlf", "trailing-blank-lines", "reversed-columns", "cr-only",
-         "no-final-line-end", "blank-lines-between-rows"],
+         "no-final-line-end", "blank-lines-between-rows", "byte-order-mark"],
 )
 def test_reader_accepts_what_csv_reader_accepted(tmp_path, variant):
     data = tmp_path / "data.csv"

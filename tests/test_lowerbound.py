@@ -17,7 +17,6 @@ from fglm.lowerbound import (
     affinity_study,
     assouad_bound_value,
     calibrated_eps,
-    flip,
     hypercube_slope,
 )
 
@@ -77,34 +76,34 @@ bits = st.lists(st.integers(min_value=0, max_value=1), min_size=3, max_size=3)
 
 @given(gamma=bits, j=st.sampled_from([4, 5, 6]))
 @settings(max_examples=60)
-def test_flip_involution_and_separation(gamma, j):
+def test_one_bit_neighbors_are_eps_beta_j_apart(gamma, j):
     cfg = AssouadConfig(3, GAUSS, eps_scale=0.7)
-    flipped = flip(cfg, gamma, j)
-    assert flip(cfg, flipped, j) == tuple(gamma)
-    assert sum(a != b for a, b in zip(gamma, flipped)) == 1
-    # flipping bit j moves the corner slope by exactly eps * beta_j
+    flipped = list(gamma)
+    flipped[j - 4] = 1 - flipped[j - 4]
+    # corners that differ only in bit j are exactly eps * beta_j apart
     gap = norm_sq(hypercube_slope(cfg, gamma) - hypercube_slope(cfg, flipped))
     beta_j = float(j) ** -cfg.beta_s
     assert gap == pytest.approx((0.7 * beta_j) ** 2, rel=1e-12)
 
 
-def test_flip_rejects_outside_coordinates():
+def test_affinity_detail_rejects_outside_coordinates():
     cfg = AssouadConfig(2, GAUSS)
-    with pytest.raises(ValueError):
-        flip(cfg, (0, 1), 2)  # coordinate 2 is below the perturbed block
+    with pytest.raises(ValueError) as refused:
+        affinity_detail(cfg, 10, 2, (0, 1))  # coordinate 2 is below the perturbed block
+    assert str(refused.value) == "flip index 2 outside coordinates (3, 4)"
 
 
 def test_zero_eps_gives_perfect_affinity():
     cfg = AssouadConfig(2, GAUSS, eps_scale=0.0)
-    est = affinity_detail(cfg, 50, 3, (1, 1), n_mc=10, seed=0)
-    assert est.mean == 1.0 and est.se == 0.0
+    mean, se = affinity_detail(cfg, 50, 3, (1, 1), n_mc=10, seed=0)
+    assert mean == 1.0 and se == 0.0
 
 
 def test_affinity_decreases_with_eps():
     vals = [
         affinity_detail(
             AssouadConfig(1, GAUSS, eps_scale=e), 100, 2, (1,), n_mc=80, seed=5
-        ).mean
+        )[0]
         for e in (0.5, 2.0, 8.0)
     ]
     assert vals[0] > vals[1] > vals[2]
@@ -114,9 +113,9 @@ def test_affinity_symmetric_between_neighbor_corners():
     # the Hellinger distance between a corner and its flip is symmetric,
     # so both directions estimate the same quantity
     cfg = AssouadConfig(2, GAUSS, eps_scale=3.0)
-    a = affinity_detail(cfg, 60, 3, (0, 1), n_mc=400, seed=1)
-    b = affinity_detail(cfg, 60, 3, (1, 1), n_mc=400, seed=2)
-    assert abs(a.mean - b.mean) <= 4.0 * math.hypot(a.se, b.se)
+    a_mean, a_se = affinity_detail(cfg, 60, 3, (0, 1), n_mc=400, seed=1)
+    b_mean, b_se = affinity_detail(cfg, 60, 3, (1, 1), n_mc=400, seed=2)
+    assert abs(a_mean - b_mean) <= 4.0 * math.hypot(a_se, b_se)
 
 
 @pytest.mark.parametrize("eps", [0.8, 20.0])
@@ -135,8 +134,8 @@ def test_affinity_matches_quadrature_oracle(family, eps):
         return (1.0 - math.sqrt(min(2.0, h2))) * stats.norm.pdf(z, scale=sd)
 
     exact, _ = integrate.quad(f, -10 * sd, 10 * sd)
-    est = affinity_detail(cfg, 1, 2, (1,), n_mc=4000, seed=3)
-    assert abs(est.mean - exact) <= 4.0 * est.se
+    mean, se = affinity_detail(cfg, 1, 2, (1,), n_mc=4000, seed=3)
+    assert abs(mean - exact) <= 4.0 * se
 
 
 def test_calibration_makes_affinity_n_free():
@@ -241,7 +240,7 @@ def test_every_cell_draws_its_own_seed_up_to_m_1000(monkeypatch):
 
     def record(cfg, n, j, gamma, n_mc, seed):
         seeds.append(seed)
-        return lowerbound.AffinityEstimate(mean=0.5, se=0.0)
+        return 0.5, 0.0
 
     monkeypatch.setattr(lowerbound, "affinity_detail", record)
     rows = affinity_study(AssouadConfig(1000, GAUSS), (100, 200), n_mc=1, seed=6)

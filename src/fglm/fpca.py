@@ -75,12 +75,14 @@ def sample_cov(ds: Dataset) -> np.ndarray:
 def eigendecompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending, clamped >= 0) and eigenvectors of `cov`.
 
-    Accepts any numerically symmetric PSD matrix; small negative
+    Accepts any finite, numerically symmetric PSD matrix; small negative
     eigenvalues from roundoff are clamped to zero.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("covariance must be square")
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("covariance is not finite")
     if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-10:
         raise ValueError("covariance is not symmetric within 1e-10")
     vals, vecs = np.linalg.eigh(cov)  # ascending
@@ -105,8 +107,11 @@ def spectral_estimate(
     """
     x = ds.x
     in_place = overwrite_x and x.flags.writeable and (x.flags.c_contiguous or x.flags.f_contiguous)
-    centred_x = np.subtract(x, sample_mean(ds), out=x if in_place else None)
-    centred = Dataset(x=centred_x, y=ds.y, lambda_true=ds.lambda_true)
-    theta_tilde, phi_tilde = eigendecompose(sample_cov(centred))
+    # huge predictors overflow to inf here, and eigendecompose refuses that covariance
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred_x = np.subtract(x, sample_mean(ds), out=x if in_place else None)
+        centred = Dataset(x=centred_x, y=ds.y, lambda_true=ds.lambda_true)
+        cov = sample_cov(centred)
+    theta_tilde, phi_tilde = eigendecompose(cov)
     scores = compute_scores(centred, phi_tilde, n_components)
     return SpectralEstimate(theta_tilde=theta_tilde, phi_tilde=phi_tilde, scores=scores)

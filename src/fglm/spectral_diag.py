@@ -26,7 +26,9 @@ check returns plain values: `(max_abs_err, passed)` for the eigenvalues, a
 boolean array over k for the eigenvectors and the remainders (an index
 that fails the gap hypothesis passes by convention and is counted as
 skipped), and `(admissible, identity_err, identity_passed, ratio)` for a
-projection.
+projection.  The other checks return tuples of numbers too, named in
+their docstrings; the maximal inequality's `(estimate, se, bound)` per x
+is judged by its caller.
 """
 from __future__ import annotations
 
@@ -49,16 +51,13 @@ __all__ = [
     "check_projection_bound",
     "Verdict",
     "random_perturbation_suite",
-    "LinearizationReport",
     "check_mle_linearization",
     "fisher_weight_moments",
     "expected_fisher",
     "require_fisher_reps",
-    "FisherReport",
     "check_fisher_expectation",
     "fisher_study",
     "require_chisq_reps",
-    "ChisqTailPoint",
     "check_chisq_maximal",
 ]
 
@@ -113,6 +112,8 @@ class PerturbationPair:
         for name, mat in (("base", base), ("perturbed", perturbed)):
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"{name} matrix must be square")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"{name} matrix is not finite")
             if np.max(np.abs(mat - mat.T), initial=0.0) > 1e-10:
                 raise ValueError(f"{name} matrix is not symmetric within 1e-10")
         if base.shape != perturbed.shape:
@@ -385,19 +386,6 @@ def random_perturbation_suite(
     ]
 
 
-@dataclass(frozen=True)
-class LinearizationReport:
-    """Counts and rates of the linearization check over its replications."""
-
-    reps: int
-    design_ok: int
-    satisfied: int
-    violations: int
-    violation_rate: float
-    allowance: float
-    max_residual_all: float
-
-
 # Tolerances of the linearization check: the residual bound eps1 and the
 # probability budget eps2.
 _EPS1 = 0.5
@@ -420,7 +408,7 @@ def check_mle_linearization(
     reps: int = 300,
     score_scale: float = 1.0,
     score_dist: str = "gaussian",
-) -> LinearizationReport:
+) -> tuple[int, int, int, float, float]:
     """Monte Carlo check of the one-step likelihood linearization.
 
     The truth `gamma` holds the intercept and N >= 1 slopes.  Per
@@ -431,10 +419,13 @@ def check_mle_linearization(
     eps1 * eps2 / (2 G(1) (N+1)).  On replications where that and the
     score-norm event |W| <= sqrt((N+1)/eps2) both hold, the distance
     between J^{1/2}(g_hat - gamma) and the score W must not exceed eps1;
-    the rate of violations is compared with the probability allowance
+    the rate of violations is to stay within the probability allowance
     2 * eps2 plus binomial slack.  eps1 and eps2 are `_EPS1` and `_EPS2`.
-    If no replication satisfies the hypotheses (small samples), the
-    report is informational.
+    Returns `(design_ok, satisfied, violations, allowance, max_residual)`,
+    the counts of replications with the design hypothesis, with both and
+    with a violation among those, the allowance of violations / satisfied,
+    and the largest residual of all.  With no replication satisfying the
+    hypotheses (small samples) the result is informational.
     """
     gamma = _intercept_and_slopes(gamma)
     n_components = gamma.shape[0] - 1
@@ -446,7 +437,7 @@ def check_mle_linearization(
     score_budget = math.sqrt((n_components + 1) / _EPS2)
 
     design_ok = satisfied = violations = 0
-    max_res_all = 0.0
+    max_residual = 0.0
     for _ in range(reps):
         if score_dist == "gaussian":
             z = rng.standard_normal((n, n_components)) * score_scale
@@ -469,28 +460,17 @@ def check_mle_linearization(
 
         fit = fit_mle(y, z, family)
         residual = float(np.linalg.norm(half @ (fit.coefs - gamma) - score))
-        max_res_all = max(max_res_all, residual)
+        max_residual = max(max_residual, residual)
         design_ok += int(hyp_design)
         if hyp_design and hyp_score:
             satisfied += 1
             if residual > _EPS1:
                 violations += 1
 
+    allowance = 2.0 * _EPS2
     if satisfied:
-        rate = violations / satisfied
-        allowance = 2.0 * _EPS2 + 4.0 * math.sqrt(2.0 * _EPS2 * (1.0 - 2.0 * _EPS2) / satisfied)
-    else:
-        rate = 0.0
-        allowance = 2.0 * _EPS2
-    return LinearizationReport(
-        reps=reps,
-        design_ok=design_ok,
-        satisfied=satisfied,
-        violations=violations,
-        violation_rate=rate,
-        allowance=allowance,
-        max_residual_all=max_res_all,
-    )
+        allowance += 4.0 * math.sqrt(2.0 * _EPS2 * (1.0 - 2.0 * _EPS2) / satisfied)
+    return design_ok, satisfied, violations, allowance, max_residual
 
 
 _HERMITE_NODES = 64
@@ -556,16 +536,6 @@ def require_chisq_reps(reps: int) -> None:
         raise ValueError(f"maximal-inequality reps must be at least 1, got {reps}")
 
 
-@dataclass(frozen=True)
-class FisherReport:
-    """Monte Carlo information matrix against its expectation at one n."""
-
-    n: int
-    n_components: int
-    max_abs_z: float
-    mean_sq_dev: float
-
-
 def check_fisher_expectation(
     n: int,
     family: ExpFamilySpec,
@@ -573,11 +543,14 @@ def check_fisher_expectation(
     diag_scale,
     reps: int = 200,
     seed: int = 0,
-) -> FisherReport:
+) -> tuple[float, float]:
     """Monte Carlo average of A_n against its analytic expectation.
 
-    The design has N = len(gamma) - 1 >= 1 score columns.  The z-scores
-    need a sample standard error, so `reps` must be at least 2.
+    The design has N = len(gamma) - 1 >= 1 score columns.  Returns
+    `(max_abs_z, mean_sq_dev)`: the largest entrywise |z| of the average
+    against the expectation, and the mean squared operator norm of
+    A_n - E A_n.  The z-scores need a sample standard error, so `reps`
+    must be at least 2.
     """
     require_fisher_reps(reps)
     gamma = _intercept_and_slopes(gamma)
@@ -603,12 +576,7 @@ def check_fisher_expectation(
     var = np.maximum(total_sq / reps - mean * mean, 0.0) * reps / (reps - 1)
     se = np.sqrt(var / reps)
     z_scores = np.abs(mean - expect) / np.where(se > 0, se, np.inf)
-    return FisherReport(
-        n=n,
-        n_components=n_components,
-        max_abs_z=float(np.max(z_scores)),
-        mean_sq_dev=dev_sq / reps,
-    )
+    return float(np.max(z_scores)), dev_sq / reps
 
 
 _FISHER_INTERCEPT = 0.3  # gamma_0 of every fisher_study instance
@@ -621,12 +589,13 @@ def fisher_study(
     n_grid=(500, 2000, 8000),
     reps: int = 200,
     seed: int = 0,
-) -> list[FisherReport]:
+) -> list[tuple[int, int, float, float]]:
     """Concentration of A_n across sample sizes, N = floor(n^0.2).
 
     gamma follows the alternating slope decay and the diagonal scaling
     the eigenvalue square roots, matching how the matrices arise in the
-    estimator analysis.
+    estimator analysis.  Returns one `(n, N, max_abs_z, mean_sq_dev)` per
+    n of `n_grid`, the last two from `check_fisher_expectation`.
     """
     reports = []
     for offset, n in enumerate(n_grid):
@@ -636,9 +605,8 @@ def fisher_study(
             [[_FISHER_INTERCEPT], np.where(np.arange(n_comp) % 2 == 0, 1.0, -1.0) * k**-beta_s]
         )
         diag_scale = np.concatenate([[1.0], k ** (-alpha / 2.0)])
-        reports.append(
-            check_fisher_expectation(n, family, gamma, diag_scale, reps=reps, seed=seed + offset)
-        )
+        z_dev = check_fisher_expectation(n, family, gamma, diag_scale, reps, seed + offset)
+        reports.append((n, n_comp, *z_dev))
     return reports
 
 
@@ -652,31 +620,20 @@ _CHISQ_CHUNK_REPS = 20_000
 _CHISQ_SLAB_BYTES = 128 * 1024
 
 
-@dataclass(frozen=True)
-class ChisqTailPoint:
-    """Estimated tail probability of the weighted chi-square maximum at one x."""
-
-    x: float
-    threshold: float
-    bound: float
-    estimate: float
-    se: float
-    passed: bool
-
-
 def check_chisq_maximal(
     n: int,
     tau,
     x_grid,
     reps: int = 100_000,
     seed: int = 0,
-) -> list[ChisqTailPoint]:
+) -> list[tuple[float, float, float]]:
     """Tail of max_i sum_k tau_ik chi^2 against 2 exp(-x).
 
     `tau` is either one weight vector shared by all i or an n x K
     matrix; T is the largest row sum.  The exceedance probability at
-    threshold 4 T (log n + x) is estimated over `reps` replications and
-    compared with the bound plus four binomial standard errors.
+    threshold 4 T (log n + x) is estimated over `reps` replications.
+    Returns one `(estimate, se, bound)` per x of `x_grid`: the estimate,
+    its binomial standard error and the bound 2 exp(-x).
 
     Replications run in chunks of `_CHISQ_CHUNK_REPS`; within a chunk,
     each weight column's normals are drawn and accumulated one slab of
@@ -722,18 +679,7 @@ def check_chisq_maximal(
         exceed += (max_w[:, None] > thresholds[None, :]).sum(axis=0)
         done += size
     points = []
-    for xi, thresh, count in zip(x_arr, thresholds, exceed):
+    for xi, count in zip(x_arr, exceed):
         est = int(count) / reps
-        se = math.sqrt(est * (1.0 - est) / reps)
-        bound = 2.0 * math.exp(-xi)
-        points.append(
-            ChisqTailPoint(
-                x=float(xi),
-                threshold=float(thresh),
-                bound=bound,
-                estimate=est,
-                se=se,
-                passed=est <= bound + 4.0 * se,
-            )
-        )
+        points.append((est, math.sqrt(est * (1.0 - est) / reps), 2.0 * math.exp(-xi)))
     return points

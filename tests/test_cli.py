@@ -322,6 +322,23 @@ def test_estimate_refuses_header_only_file(tmp_path, capsys):
     assert f"{data}: no data rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("warnings_flag", [[], ["-W", "error"]], ids=["default", "W-error"])
+def test_estimate_refuses_predictors_whose_covariance_overflows(tmp_path, warnings_flag):
+    # finite but huge: x.T @ x overflows to inf, which the eigensolver cannot take
+    rows = [f"{0.1 * i:.1f},{0.2 * (i % 5):.1f},1e200,-1e200,{0.3 * (i % 3):.1f}" for i in range(30)]
+    data = tmp_path / "huge.csv"
+    data.write_text("y,x1,x2,x3,x4\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, *warnings_flag, "-m", "fglm", "estimate", "--data", str(data),
+         "--family", "gaussian", "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=_script_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: covariance is not finite\n"  # one line, no warning
+    assert not out.exists()
+
+
 def test_estimate_checks_grid_points_before_writing(tmp_path, capsys):
     data = tmp_path / "data.csv"
     assert main(["generate", "--family", "gaussian", "--n", "40", "--seed", "2",

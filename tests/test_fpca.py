@@ -41,8 +41,16 @@ def test_cov_requires_two_observations():
     sample_cov(ds)  # two rows is fine
     with pytest.raises(ValueError):
         eigendecompose(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        eigendecompose([[0.0, 1.0], [0.0, 0.0]])  # not symmetric
+    with pytest.raises(ValueError, match="covariance is not symmetric within 1e-10"):
+        eigendecompose([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("cov", [np.full((3, 3), np.nan), [[1.0, np.inf], [np.inf, 1.0]]],
+                         ids=["nan", "inf"])
+def test_eigendecompose_refuses_a_non_finite_matrix(cov):
+    # NaN - NaN and inf - inf are NaN, which no symmetry tolerance rejects
+    with pytest.raises(ValueError, match="covariance is not finite"):
+        eigendecompose(cov)
 
 
 def test_eigendecompose_known_matrix():

@@ -9,7 +9,6 @@ from scipy import stats
 from fglm import spectral_diag
 from fglm.expfam import get_family
 from fglm.spectral_diag import (
-    ChisqTailPoint,
     PerturbationPair,
     aligned_eigen_data,
     check_chisq_maximal,
@@ -43,10 +42,20 @@ def _pair(eps=0.01, dim=6, seed=0, alpha=2.0):
 def test_from_matrices_validation():
     with pytest.raises(ValueError):
         PerturbationPair.from_matrices(np.ones((2, 3)), np.ones((2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="base matrix is not symmetric within 1e-10"):
         PerturbationPair.from_matrices([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
     with pytest.raises(ValueError):
         PerturbationPair.from_matrices(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), [[1.0, np.inf], [np.inf, 1.0]]],
+                         ids=["nan", "inf"])
+def test_from_matrices_refuses_a_non_finite_matrix(bad):
+    # NaN - NaN and inf - inf are NaN, which no symmetry tolerance rejects
+    with pytest.raises(ValueError, match="base matrix is not finite"):
+        PerturbationPair.from_matrices(bad, np.eye(2))
+    with pytest.raises(ValueError, match="perturbed matrix is not finite"):
+        PerturbationPair.from_matrices(np.eye(2), bad)
 
 
 def test_two_by_two_worked_example():
@@ -350,12 +359,11 @@ def test_expected_fisher_zero_slope_is_scaled_identity():
 
 
 def test_fisher_montecarlo_matches_expectation():
-    rep = check_fisher_expectation(
+    max_abs_z, mean_sq_dev = check_fisher_expectation(
         400, POIS, [0.3, 0.5, -0.2, 0.1], [1.0, 1.0, 0.35, 0.19], reps=150, seed=0
     )
-    assert rep.max_abs_z <= 4.0
-    assert rep.n_components == 3
-    assert rep.mean_sq_dev > 0
+    assert max_abs_z <= 4.0
+    assert mean_sq_dev > 0
 
 
 @pytest.mark.parametrize("reps", [1, 0, -4])
@@ -392,50 +400,47 @@ def test_fisher_refuses_unequal_lengths_before_any_draw(monkeypatch, gamma, diag
 
 def test_fisher_study_concentrates():
     reports = fisher_study(GAUSS, n_grid=(200, 1600), reps=60, seed=0)
-    assert [r.n_components for r in reports] == [
-        int(math.floor(200**0.2)),
-        int(math.floor(1600**0.2)),
+    assert [(n, n_comp) for n, n_comp, _, _ in reports] == [
+        (200, int(math.floor(200**0.2))),
+        (1600, int(math.floor(1600**0.2))),
     ]
-    assert reports[-1].mean_sq_dev < reports[0].mean_sq_dev
-    assert all(r.max_abs_z <= 5.0 for r in reports)
+    assert reports[-1][3] < reports[0][3]  # mean squared deviation
+    assert all(max_abs_z <= 5.0 for _, _, max_abs_z, _ in reports)
 
 
 # --- weighted chi-square maximal inequality ---
 
 
 def test_chisq_single_cell_matches_exact_tail():
-    pts = check_chisq_maximal(1, (1.0,), (3.0,), reps=200_000, seed=0)
+    [(estimate, se, bound)] = check_chisq_maximal(1, (1.0,), (3.0,), reps=200_000, seed=0)
     exact = stats.chi2.sf(12.0, 1)  # threshold is 4 * 1 * (log 1 + 3)
-    assert pts[0].threshold == pytest.approx(12.0)
-    assert abs(pts[0].estimate - exact) <= 5.0 * pts[0].se + 1e-6
-    assert pts[0].passed
+    assert abs(estimate - exact) <= 5.0 * se + 1e-6
+    assert estimate <= bound + 4 * se
 
 
 def test_chisq_two_weights_matches_exact_tail():
     # equal weights 1/2 over two cells make the sum 0.5 * chisq(2), whose
     # tail is exp(-threshold); with n = 2 rows the max has tail 1-(1-p)^2
-    pts = check_chisq_maximal(2, (0.5, 0.5), (0.5,), reps=200_000, seed=1)
+    [(estimate, se, bound)] = check_chisq_maximal(2, (0.5, 0.5), (0.5,), reps=200_000, seed=1)
     t = 4.0 * (math.log(2.0) + 0.5)
     p_single = math.exp(-t)
     exact = 1.0 - (1.0 - p_single) ** 2
-    assert pts[0].threshold == pytest.approx(t)
-    assert abs(pts[0].estimate - exact) <= 5.0 * pts[0].se + 1e-6
-    assert pts[0].passed
+    assert abs(estimate - exact) <= 5.0 * se + 1e-6
+    assert estimate <= bound + 4 * se
 
 
 def test_chisq_polynomial_weights_within_bound():
     tau = np.arange(1, 31, dtype=float) ** -2.0
     pts = check_chisq_maximal(20, tau, (1.0, 2.0, 4.0), reps=30_000, seed=2)
-    assert all(p.passed for p in pts)
-    # the bound at x = 4 is loose but the estimate must still be finite
-    assert pts[-1].estimate <= pts[-1].bound + 4.0 * pts[-1].se
+    assert [bound for _, _, bound in pts] == [2.0 * math.exp(-x) for x in (1.0, 2.0, 4.0)]
+    assert all(estimate <= bound + 4 * se for estimate, se, bound in pts)
 
 
 def test_chisq_bound_is_vacuous_at_zero():
     # at x = 0 the bound is 2, which no probability can exceed
-    pts = check_chisq_maximal(4, (0.7, 0.2, 0.1), (0.0,), reps=2_000, seed=3)
-    assert pts[0].bound == 2.0
-    assert pts[0].passed
+    [(estimate, se, bound)] = check_chisq_maximal(4, (0.7, 0.2, 0.1), (0.0,), reps=2_000, seed=3)
+    assert bound == 2.0
+    assert estimate <= bound + 4 * se
 
 
 def test_chisq_input_validation():
@@ -470,12 +475,9 @@ def _chisq_all_at_once(n, tau, x_grid, reps, seed):
         exceed += (w_sum.max(axis=1)[:, None] > thresholds[None, :]).sum(axis=0)
         done += size
     points = []
-    for xi, thresh, count in zip(x_arr, thresholds, exceed):
+    for xi, count in zip(x_arr, exceed):
         est = count / reps
-        se = math.sqrt(est * (1.0 - est) / reps)
-        bound = 2.0 * math.exp(-xi)
-        points.append(ChisqTailPoint(float(xi), float(thresh), bound, est, se,
-                                     est <= bound + 4.0 * se))
+        points.append((est, math.sqrt(est * (1.0 - est) / reps), 2.0 * math.exp(-xi)))
     return points
 
 
@@ -500,7 +502,7 @@ def test_chisq_slabs_match_the_all_at_once_loop(monkeypatch, n, tau, x_grid, sla
     for seed in (0, 5):
         got = check_chisq_maximal(n, tau, x_grid, reps=937, seed=seed)
         assert got == _chisq_all_at_once(n, tau, x_grid, reps=937, seed=seed)
-        assert got[0].estimate > 0  # exceedances occur, so the counts are compared
+        assert got[0][0] > 0  # exceedances occur, so the counts are compared
 
 
 @pytest.mark.parametrize("slab_rows", [1, 7, 300])
@@ -529,15 +531,17 @@ def test_chisq_memory_is_about_one_chunk_of_sums():
 
 
 def test_linearization_gaussian_is_exact():
-    rep = check_mle_linearization(100, GAUSS, [0.5, 0.3, -0.2, 0.1], reps=20)
-    assert rep.max_residual_all <= 1e-8
-    assert rep.violations == 0
+    _, _, violations, _, max_residual = check_mle_linearization(
+        100, GAUSS, [0.5, 0.3, -0.2, 0.1], reps=20
+    )
+    assert max_residual <= 1e-8
+    assert violations == 0
 
 
 def test_linearization_hypotheses_feasible_regime():
     # large intercept + tiny Rademacher scores keep every standardized
     # design row under the smallness budget, so the event actually occurs
-    rep = check_mle_linearization(
+    design_ok, satisfied, violations, allowance, _ = check_mle_linearization(
         4000,
         POIS,
         [6.0, 0.02, -0.02],
@@ -545,16 +549,18 @@ def test_linearization_hypotheses_feasible_regime():
         score_scale=0.01,
         score_dist="rademacher",
     )
-    assert rep.design_ok == rep.reps
-    assert rep.satisfied > 0
-    assert rep.violation_rate <= rep.allowance
+    assert design_ok == 30
+    assert satisfied > 0
+    assert violations / satisfied <= allowance
 
 
 def test_linearization_small_sample_is_vacuous():
-    rep = check_mle_linearization(200, POIS, [0.3, 0.2, -0.1, 0.05], reps=10)
-    assert rep.satisfied == 0
-    assert rep.violations == 0
-    assert rep.allowance == pytest.approx(0.2)
+    _, satisfied, violations, allowance, _ = check_mle_linearization(
+        200, POIS, [0.3, 0.2, -0.1, 0.05], reps=10
+    )
+    assert satisfied == 0
+    assert violations == 0
+    assert allowance == pytest.approx(0.2)
 
 
 def test_linearization_input_validation():

@@ -28,11 +28,10 @@ from .expfam import (
     sample_response,
     verify_envelope,
 )
-from .fpca import SpectralEstimate, spectral_estimate
+from .fpca import spectral_estimate
 from .funcspace import evaluate_on_grid, norm_sq, uniform_grid
 from .harness import (
     ExperimentConfig,
-    RateStudyResult,
     fit_loglog_slope,
     load_config,
     parse_config,

@@ -60,8 +60,8 @@ from .datagen import MU_MODES, Dataset, make_ground_truth, sample_dataset
 from .estimator import estimate_slope, zeta_interval
 from .expfam import family_names, get_family, verify_envelope
 from .funcspace import evaluate_on_grid, uniform_grid
-from .harness import ExperimentConfig, load_config, map_in_order
-from .harness import parse_sample_sizes, require_seed, run_rate_study, write_csv
+from .harness import ExperimentConfig, load_config, map_in_order, parse_sample_sizes
+from .harness import require_seed, run_rate_study, theoretical_exponent, write_csv
 from .lowerbound import AssouadConfig, affinity_study, require_affinity_draws
 from .spectral_diag import (
     Verdict,
@@ -330,32 +330,25 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_rate_study(args) -> int:
     cfg = _load_config(args)
-    result = run_rate_study(cfg, jobs=args.jobs)
+    points, replications, slope, se = run_rate_study(cfg, jobs=args.jobs)
+    theoretical = theoretical_exponent(cfg.alpha, cfg.beta_s)
     written = [os.path.join(cfg.out_dir, name) for name in ("rate_study.csv", "slope.csv")]
     write_csv(
         written[0],
         ["family", "alpha", "beta", "n", "reps", "m", "N", "mise_mean", "mise_se", "nonconverged"],
-        ((cfg.family, cfg.alpha, cfg.beta_s, p.n, p.reps, p.m, p.n_components, p.mise_mean,
-          p.mise_se, p.nonconverged) for p in result.points),
+        ((cfg.family, cfg.alpha, cfg.beta_s, *p) for p in points),
     )
-    write_csv(written[1], ["slope", "se", "theoretical"],
-              [(result.fitted_slope, result.slope_se, result.theoretical)])
+    write_csv(written[1], ["slope", "se", "theoretical"], [(slope, se, theoretical)])
     if args.per_replication:
         written.append(os.path.join(cfg.out_dir, "perreplication.csv"))
-        write_csv(
-            written[2],
-            ["n", "rep", "seed", "loss", "iterations", "converged"],
-            ((r.n, r.rep, r.seed, r.loss, r.iterations, r.converged) for r in result.replications),
-        )
-    for p in result.points:
+        write_csv(written[2], ["n", "rep", "seed", "loss", "iterations", "converged"],
+                  replications)
+    for n, _, m, n_comp, mise_mean, mise_se, nonconverged in points:
         print(
-            f"n={p.n:6d} m={p.m} N={p.n_components} mise={p.mise_mean:.6g} "
-            f"se={p.mise_se:.2g} nonconverged={p.nonconverged}"
+            f"n={n:6d} m={m} N={n_comp} mise={mise_mean:.6g} "
+            f"se={mise_se:.2g} nonconverged={nonconverged}"
         )
-    print(
-        f"slope {result.fitted_slope:+.4f} (se {result.slope_se:.4f}), "
-        f"theoretical {result.theoretical:+.4f}"
-    )
+    print(f"slope {slope:+.4f} (se {se:.4f}), theoretical {theoretical:+.4f}")
     print("wrote " + ", ".join(written))
     return 0
 

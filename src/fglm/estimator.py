@@ -162,9 +162,12 @@ def fit_mle(
     objective, so exact monotone acceptance would stall the quadratic
     phase).  A coefficient escaping beyond `_SEPARATION_THRESHOLD` (1e3)
     stops the solver with converged=False (relevant for separable
-    Bernoulli samples); a non-finite objective is a hard error.  Newton
-    starts from the intercept `family.init_natural(mean(y), n)` and
-    zero slopes.
+    Bernoulli samples).  Newton starts from the intercept
+    `family.init_natural(mean(y), n)` and zero slopes, where the objective
+    depends on the responses alone: one that is not finite there (say, a
+    response of 1e200 in the gaussian family overflows it) is bad input,
+    refused with ValueError and no floating-point warning.  A non-finite
+    objective after that is a hard error.
     """
     y = np.asarray(y, dtype=float)
     scores = np.asarray(scores, dtype=float)
@@ -176,16 +179,16 @@ def fit_mle(
     design = np.column_stack([np.ones(n), scores])
     p = n_comp + 1
 
-    g = np.zeros(p)
-    g[0] = family.init_natural(float(y.mean()), n)
-
     def objective(eta):
         return float(y @ eta - np.sum(family.psi(eta)))
 
-    eta = design @ g
-    obj = objective(eta)
+    g = np.zeros(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g[0] = family.init_natural(float(y.mean()), n)
+        eta = design @ g
+        obj = objective(eta)
     if not np.isfinite(obj):
-        raise RuntimeError("log likelihood not finite at the initial point")
+        raise ValueError("log likelihood of the responses is not finite at the initial point")
 
     tol = config.tol * n
     iterations = 0
@@ -257,9 +260,9 @@ def estimate_slope(
     # the truncated basis cannot supply more components than it has
     m = min(m, ds.k_trunc)
     n_comp = min(n_comp, ds.k_trunc)
-    est = spectral_estimate(ds, n_comp, overwrite_x=overwrite_x)
-    fit = fit_mle(ds.y, est.scores, family, config)
-    slope = est.phi_tilde[:, :m] @ fit.coefs[1 : m + 1]
+    _, phi_tilde, scores = spectral_estimate(ds, n_comp, overwrite_x=overwrite_x)
+    fit = fit_mle(ds.y, scores, family, config)
+    slope = phi_tilde[:, :m] @ fit.coefs[1 : m + 1]
     slope.flags.writeable = False
     return FitResult(**vars(fit), slope=slope, m=m, n_components=n_comp)
 

@@ -3,9 +3,9 @@
 Everything happens in coefficient space.  `spectral_estimate` centres
 the sample once, at the coefficient average, and takes both the
 covariance ((n - 1) divisor) and the scores from that centred sample.
-Its SpectralEstimate holds the eigenpairs and scores only; `sample_mean`
-(a 1-D coefficient array) and `sample_cov` give the mean and covariance
-on their own.
+It returns the eigenpairs and scores only; `sample_mean` (a 1-D
+coefficient array) and `sample_cov` give the mean and covariance on
+their own.
 
 Shared truth is read-only, a sample is its maker's.  By default the
 centred sample is a fresh copy and `ds` is left as it was.  With
@@ -24,40 +24,21 @@ Eigenvectors are LAPACK's ascending columns reversed and copied to C
 order.  BLAS sums a matrix-vector product such as the slope rebuild
 phi_tilde[:, :m] @ coefs in an order that depends on the layout, so the
 last bits of the study losses do too; the stock-study CSVs are pinned
-to C order.  SpectralEstimate holds read-only views of its arrays.
+to C order.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import Dataset
 
 __all__ = [
-    "SpectralEstimate",
     "sample_mean",
     "sample_cov",
     "eigendecompose",
     "compute_scores",
     "spectral_estimate",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralEstimate:
-    """All eigenpairs, and the centred scores of the requested leading
-    components of one sample."""
-
-    theta_tilde: np.ndarray
-    phi_tilde: np.ndarray  # columns are eigenvectors in the fixed basis
-    scores: np.ndarray  # n x (requested components)
-
-    def __post_init__(self):
-        for name in ("theta_tilde", "phi_tilde", "scores"):
-            arr = np.asarray(getattr(self, name), dtype=float).view()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 def sample_mean(ds: Dataset) -> np.ndarray:
@@ -98,9 +79,10 @@ def compute_scores(ds: Dataset, phi_tilde: np.ndarray, n_components: int) -> np.
 
 def spectral_estimate(
     ds: Dataset, n_components: int, *, overwrite_x: bool = False
-) -> SpectralEstimate:
-    """Spectral summary of a dataset; its scores cover the first
-    n_components components.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta_tilde, phi_tilde, scores) of a dataset: all eigenvalues, all
+    eigenvectors as columns in the fixed basis, and the n x n_components
+    centred scores of the leading components.
 
     With `overwrite_x=True` a writable, contiguous `ds.x` is centred in
     its own memory, and then holds the centred sample.
@@ -113,5 +95,4 @@ def spectral_estimate(
         centred = Dataset(x=centred_x, y=ds.y, lambda_true=ds.lambda_true)
         cov = sample_cov(centred)
     theta_tilde, phi_tilde = eigendecompose(cov)
-    scores = compute_scores(centred, phi_tilde, n_components)
-    return SpectralEstimate(theta_tilde=theta_tilde, phi_tilde=phi_tilde, scores=scores)
+    return theta_tilde, phi_tilde, compute_scores(centred, phi_tilde, n_components)

@@ -9,10 +9,10 @@ rep) through a splitmix64 mix, so results are independent of execution
 order and identical across --jobs settings.  Replications share the
 config's ground truth and solver settings, run through `map_in_order`, the
 package's one thread pool, on at most --jobs threads (default 1), and
-each returns its own ReplicationRecord.  The pool leaves BLAS's thread
-count to the caller: the `fglm` command holds it to one thread (see
-`cli`), and a library caller sets its own, for instance with
-OPENBLAS_NUM_THREADS=1.  CSV floats are written as `%.17g`, 17
+each returns its own `perreplication.csv` row as a plain tuple.  The pool
+leaves BLAS's thread count to the caller: the `fglm` command holds it to
+one thread (see `cli`), and a library caller sets its own, for instance
+with OPENBLAS_NUM_THREADS=1.  CSV floats are written as `%.17g`, 17
 significant digits, to survive a parse round trip.  A table of float
 columns, such as a `generate` sample, is written from its own column
 arrays a block of rows at a time, never stacked into a second copy, and
@@ -42,9 +42,6 @@ __all__ = [
     "require_seed",
     "replication_seed",
     "theoretical_exponent",
-    "RatePoint",
-    "ReplicationRecord",
-    "RateStudyResult",
     "run_rate_study",
     "fit_loglog_slope",
     "write_csv",
@@ -154,7 +151,8 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
 
 
 def load_config(path: str, **overrides) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    """`parse_config` of the file at `path`; a leading UTF-8 byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_config(fh.read(), **overrides)
 
 
@@ -197,63 +195,28 @@ def theoretical_exponent(alpha: float, beta_s: float) -> float:
     return (1.0 - 2.0 * beta_s) / (alpha + 2.0 * beta_s)
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    """One sample size of a rate study: its truncation levels and mean loss over reps."""
-
-    n: int
-    reps: int
-    m: int
-    n_components: int
-    mise_mean: float
-    mise_se: float
-    nonconverged: int
-
-
-@dataclass(frozen=True)
-class ReplicationRecord:
-    """One replication: its (n, rep) cell, seed, slope loss and Newton outcome."""
-
-    n: int
-    rep: int
-    seed: int
-    loss: float
-    iterations: int
-    converged: bool
-
-
-@dataclass(frozen=True)
-class RateStudyResult:
-    """A rate study: its points, every replication and the fitted log-log slope."""
-
-    points: tuple[RatePoint, ...]
-    replications: tuple[ReplicationRecord, ...]
-    fitted_slope: float
-    slope_se: float
-    theoretical: float
-
-
-def _replication_task(cfg: ExperimentConfig, n: int, rep: int, seed: int) -> ReplicationRecord:
+def _replication_task(cfg: ExperimentConfig, n: int, rep: int, seed: int) -> tuple:
+    """The `perreplication.csv` row (n, rep, seed, loss, iterations, converged)."""
     gt = cfg.truth
     ds = sample_dataset(gt, n, seed)
     # the sample is dropped after the fit, so it is centred in its own memory
     fit = estimate_slope(
         ds, gt.family, cfg.alpha, cfg.beta_s, rule=cfg.rule, config=cfg.newton, overwrite_x=True
     )
-    return ReplicationRecord(
-        n=n, rep=rep, seed=seed, loss=loss(fit.slope, gt), iterations=fit.iterations,
-        converged=fit.converged,
-    )
+    return n, rep, seed, loss(fit.slope, gt), fit.iterations, fit.converged
 
 
-def run_rate_study(cfg: ExperimentConfig, jobs: int = 1) -> RateStudyResult:
+def run_rate_study(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list, list, float, float]:
     """All replications of the study, aggregated per sample size, and the log-log slope fit.
 
-    Needs at least 3 sample sizes.  Every replication shares the config's
-    ground truth, solver settings and truncation levels.  Tasks run on up
-    to `jobs` threads but are collected in (n, rep) order, so the result
-    is identical for every jobs setting.  A failed replication aborts the
-    study with its coordinates.
+    Returns (points, replications, fitted_slope, slope_se).  A point is
+    (n, reps, m, N, mise_mean, mise_se, nonconverged), the `rate_study.csv`
+    columns after family, alpha and beta; a replication is
+    `_replication_task`'s row.  Needs at least 3 sample sizes.  Every
+    replication shares the config's ground truth, solver settings and
+    truncation levels.  Tasks run on up to `jobs` threads but are collected
+    in (n, rep) order, so the result is identical for every jobs setting.
+    A failed replication aborts the study with its coordinates.
     """
     if len(cfg.n_grid) < 3:
         raise ValueError("slope regression needs at least 3 sample sizes in n_grid")
@@ -264,38 +227,23 @@ def run_rate_study(cfg: ExperimentConfig, jobs: int = 1) -> RateStudyResult:
         for n_idx, n in enumerate(cfg.n_grid)
         for rep in range(cfg.reps)
     ]
-    records = []
+    rows = []
     try:
-        for record in map_in_order(lambda m: _replication_task(cfg, *m), meta, jobs):
-            records.append(record)
+        for row in map_in_order(lambda m: _replication_task(cfg, *m), meta, jobs):
+            rows.append(row)
     except Exception as exc:
-        n, rep, seed = meta[len(records)]  # records arrive in meta order
+        n, rep, seed = meta[len(rows)]  # rows arrive in meta order
         raise RuntimeError(f"replication failed at n={n}, rep={rep}, seed={seed}: {exc}") from exc
 
     points = []
     for n_idx, (n, (m, n_comp)) in enumerate(zip(cfg.n_grid, cfg.levels)):
-        chunk = records[n_idx * cfg.reps : (n_idx + 1) * cfg.reps]
-        losses = np.array([r.loss for r in chunk])
+        chunk = rows[n_idx * cfg.reps : (n_idx + 1) * cfg.reps]
+        losses = np.array([row[3] for row in chunk])
         mise_se = float(np.std(losses, ddof=1) / math.sqrt(cfg.reps)) if cfg.reps > 1 else 0.0
-        points.append(
-            RatePoint(
-                n=n,
-                reps=cfg.reps,
-                m=m,
-                n_components=n_comp,
-                mise_mean=float(np.mean(losses)),
-                mise_se=mise_se,
-                nonconverged=sum(1 for r in chunk if not r.converged),
-            )
-        )
-    slope, se = fit_loglog_slope([(p.n, p.mise_mean) for p in points])
-    return RateStudyResult(
-        points=tuple(points),
-        replications=tuple(records),
-        fitted_slope=slope,
-        slope_se=se,
-        theoretical=theoretical_exponent(cfg.alpha, cfg.beta_s),
-    )
+        nonconverged = sum(1 for row in chunk if not row[5])
+        points.append((n, cfg.reps, m, n_comp, float(np.mean(losses)), mise_se, nonconverged))
+    slope, se = fit_loglog_slope([(p[0], p[4]) for p in points])
+    return points, rows, slope, se
 
 
 def fit_loglog_slope(points) -> tuple[float, float]:

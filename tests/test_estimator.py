@@ -209,7 +209,8 @@ def test_estimate_slope_returns_its_whole_newton_fit(family):
     gt = make_ground_truth(2.0, 3.0, fam, k_trunc=50, intercept=0.5)
     ds = sample_dataset(gt, 300, seed=0)
     res = estimate_slope(ds, fam, 2.0, 3.0)
-    want = fit_mle(ds.y, spectral_estimate(ds, res.n_components).scores, fam)
+    _, _, scores = spectral_estimate(ds, res.n_components)
+    want = fit_mle(ds.y, scores, fam)
     assert isinstance(res, MLEFit)
     assert np.array_equal(res.coefs, want.coefs)
     for name in ("iterations", "grad_norm", "converged", "separated", "objective"):
@@ -233,10 +234,10 @@ def test_lean_scores_match_the_full_k_path(family, n):
         ds = sample_dataset(gt, n, seed=seed)
         lean = estimate_slope(ds, fam, 2.0, 3.0)
         m, n_comp = lean.m, lean.n_components
-        est = spectral_estimate(ds, ds.k_trunc)
-        assert est.scores.shape == (n, 200)
-        full = fit_mle(ds.y, est.scores[:, :n_comp], fam)
-        full_loss = loss(est.phi_tilde[:, :m] @ full.coefs[1 : m + 1], gt)
+        _, phi_tilde, scores = spectral_estimate(ds, ds.k_trunc)
+        assert scores.shape == (n, 200)
+        full = fit_mle(ds.y, scores[:, :n_comp], fam)
+        full_loss = loss(phi_tilde[:, :m] @ full.coefs[1 : m + 1], gt)
         assert lean.iterations == full.iterations and lean.converged == full.converged
         assert abs(loss(lean.slope, gt) - full_loss) <= LEAN_LOSS_RTOL * full_loss
         scale = np.max(np.abs(full.coefs))
@@ -262,8 +263,8 @@ def test_overwrite_x_keeps_every_bit(family, mu_mode):
     assert np.array_equal(_bits(ds.x), _bits(drawn))
     ds = sample_dataset(gt, n, seed)
     got = spectral_estimate(ds, 7, overwrite_x=True)
-    for name in ("theta_tilde", "phi_tilde", "scores"):
-        assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
+    for name, got_arr, want_arr in zip(("theta_tilde", "phi_tilde", "scores"), got, want):
+        assert np.array_equal(_bits(got_arr), _bits(want_arr)), name
     assert np.array_equal(_bits(ds.x), _bits(drawn - drawn.mean(axis=0)))  # centred in place
 
     ds = sample_dataset(gt, n, seed)

@@ -66,7 +66,8 @@ def test_eigendecompose_returns_c_order_eigenvectors():
     _, vecs = eigendecompose(sample_cov(_dataset()))
     assert vecs.flags.c_contiguous
     ds = _dataset()
-    assert spectral_estimate(ds, ds.k_trunc).phi_tilde.flags.c_contiguous
+    _, phi_tilde, _ = spectral_estimate(ds, ds.k_trunc)
+    assert phi_tilde.flags.c_contiguous
 
 
 def test_eigendecompose_small_offdiagonal():
@@ -101,35 +102,35 @@ def test_eigendecompose_clamps_roundoff_negatives():
 
 def test_scores_have_exact_zero_mean_and_diagonal_gram():
     ds = _dataset(n=60, k=10)
-    est = spectral_estimate(ds, ds.k_trunc)
-    assert np.allclose(est.scores.mean(axis=0), 0.0, atol=1e-13)
-    gram = est.scores.T @ est.scores / (ds.n - 1.0)
-    assert np.allclose(gram, np.diag(est.theta_tilde), atol=1e-12)
+    theta_tilde, _, scores = spectral_estimate(ds, ds.k_trunc)
+    assert np.allclose(scores.mean(axis=0), 0.0, atol=1e-13)
+    gram = scores.T @ scores / (ds.n - 1.0)
+    assert np.allclose(gram, np.diag(theta_tilde), atol=1e-12)
 
 
 def test_eigenvalues_sorted_descending():
     ds = _dataset()
-    est = spectral_estimate(ds, ds.k_trunc)
-    assert np.all(np.diff(est.theta_tilde) <= 1e-15)
+    theta_tilde, _, _ = spectral_estimate(ds, ds.k_trunc)
+    assert np.all(np.diff(theta_tilde) <= 1e-15)
 
 
 def test_cov_reconstruction_from_eigenpairs():
     ds = _dataset(n=80, k=8)
-    est = spectral_estimate(ds, ds.k_trunc)
-    rebuilt = est.phi_tilde @ np.diag(est.theta_tilde) @ est.phi_tilde.T
+    theta_tilde, phi_tilde, _ = spectral_estimate(ds, ds.k_trunc)
+    rebuilt = phi_tilde @ np.diag(theta_tilde) @ phi_tilde.T
     assert np.allclose(rebuilt, np.cov(ds.x, rowvar=False), atol=1e-12)
 
 
 def test_partial_scores_prefix_of_full():
     ds = _dataset(n=30, k=9)
-    est = spectral_estimate(ds, ds.k_trunc)
-    part = compute_scores(_centred(ds), est.phi_tilde, 4)
-    assert np.allclose(part, est.scores[:, :4])
-    lean = spectral_estimate(ds, 4).scores
+    _, phi_tilde, scores = spectral_estimate(ds, ds.k_trunc)
+    part = compute_scores(_centred(ds), phi_tilde, 4)
+    assert np.allclose(part, scores[:, :4])
+    _, _, lean = spectral_estimate(ds, 4)
     assert lean.shape == (30, 4)
-    assert np.allclose(lean, est.scores[:, :4], rtol=0, atol=1e-13)
+    assert np.allclose(lean, scores[:, :4], rtol=0, atol=1e-13)
     with pytest.raises(ValueError):
-        compute_scores(_centred(ds), est.phi_tilde, 10)
+        compute_scores(_centred(ds), phi_tilde, 10)
 
 
 def test_centring_once_keeps_every_bit_of_a_shifted_sample():
@@ -138,7 +139,7 @@ def test_centring_once_keeps_every_bit_of_a_shifted_sample():
     gt = make_ground_truth(2.0, 3.0, get_family("poisson"), k_trunc=15, mu_mode="bumps")
     ds = sample_dataset(gt, 200, seed=4)
     n_comp = 5
-    est = spectral_estimate(ds, n_comp)
+    got_theta, got_phi, got_scores = spectral_estimate(ds, n_comp)
     x = ds.x
     xbar = x.mean(axis=0)
     assert abs(xbar[0]) > 0.5  # the sample sits off the origin
@@ -149,10 +150,10 @@ def test_centring_once_keeps_every_bit_of_a_shifted_sample():
     vals, vecs = np.linalg.eigh(cov)
     order = np.argsort(vals)[::-1]
     phi_tilde = np.ascontiguousarray(vecs[:, order])
-    assert np.array_equal(est.phi_tilde, phi_tilde)
-    assert est.phi_tilde.flags.c_contiguous
-    assert np.array_equal(est.theta_tilde, np.maximum(vals[order], 0.0))
-    assert np.array_equal(est.scores, centred @ phi_tilde[:, :n_comp])
+    assert np.array_equal(got_phi, phi_tilde)
+    assert got_phi.flags.c_contiguous
+    assert np.array_equal(got_theta, np.maximum(vals[order], 0.0))
+    assert np.array_equal(got_scores, centred @ phi_tilde[:, :n_comp])
 
 
 def _read_only(x):
@@ -176,8 +177,8 @@ def test_overwrite_x_copies_memory_it_may_not_write(hold):
     want = spectral_estimate(Dataset(x=drawn, y=ds.y, lambda_true=ds.lambda_true), 3)
     got = spectral_estimate(ds, 3, overwrite_x=True)
     assert np.array_equal(ds.x, drawn)
-    for name in ("theta_tilde", "phi_tilde", "scores"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name, got_arr, want_arr in zip(("theta_tilde", "phi_tilde", "scores"), got, want):
+        assert np.array_equal(got_arr, want_arr), name
 
 
 def test_mean_norm_obeys_root_n_bound():
@@ -193,7 +194,7 @@ def test_mean_norm_obeys_root_n_bound():
 def test_estimated_spectrum_near_truth_for_large_n():
     gt = make_ground_truth(2.0, 3.0, get_family("gaussian"), k_trunc=5)
     ds = sample_dataset(gt, 20_000, seed=2)
-    est = spectral_estimate(ds, ds.k_trunc)
-    assert np.allclose(est.theta_tilde, gt.eigvals, rtol=0.06)
+    theta_tilde, phi_tilde, _ = spectral_estimate(ds, ds.k_trunc)
+    assert np.allclose(theta_tilde, gt.eigvals, rtol=0.06)
     # leading estimated component aligns with the first basis direction
-    assert abs(est.phi_tilde[0, 0]) > 0.99
+    assert abs(phi_tilde[0, 0]) > 0.99

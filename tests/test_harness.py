@@ -65,8 +65,8 @@ def test_solver_settings_are_built_once_at_load(monkeypatch):
     built = []
     for name in ("TuningRule", "NewtonConfig", "make_ground_truth", "tuning"):
         monkeypatch.setattr(harness, name, lambda *args, _name=name, **kwargs: built.append(_name))
-    result = run_rate_study(cfg, jobs=2)
-    assert len(result.replications) == 9 and built == []
+    _, replications, _, _ = run_rate_study(cfg, jobs=2)
+    assert len(replications) == 9 and built == []
 
 
 def test_parse_ignores_comments_and_blanks():
@@ -123,10 +123,12 @@ def test_config_validation(kwargs):
 
 
 def test_load_config_from_file(tmp_path):
+    # a file saved with a UTF-8 byte-order mark, as some editors write it, reads the same
     path = tmp_path / "study.cfg"
-    path.write_text("family = bernoulli\nreps = 5\n")
-    cfg = load_config(str(path))
-    assert cfg.family == "bernoulli" and cfg.reps == 5
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + b"family = bernoulli\nreps = 5\n")
+        cfg = load_config(str(path))
+        assert cfg.family == "bernoulli" and cfg.reps == 5
 
 
 # --- seeding ---
@@ -194,17 +196,16 @@ def test_slope_fit_validation():
 
 
 def test_rate_points_shape_and_seeds():
-    result = run_rate_study(TINY)
-    points, records = result.points, result.replications
-    assert [p.n for p in points] == [40, 80, 160]
-    assert all(p.reps == 3 for p in points)
+    points, records, _, _ = run_rate_study(TINY)
+    assert [p[:4] for p in points] == [(n, 3, m, n_comp) for n, (m, n_comp) in
+                                       zip(TINY.n_grid, TINY.levels)]
     assert len(records) == 9
     for n_idx, n in enumerate(TINY.n_grid):
         for rep in range(TINY.reps):
-            rec = records[n_idx * TINY.reps + rep]
-            assert (rec.n, rec.rep) == (n, rep)
-            assert rec.seed == replication_seed(TINY.seed, n_idx, rep)
-    assert all(p.nonconverged == 0 for p in points)
+            assert records[n_idx * TINY.reps + rep][:3] == (
+                n, rep, replication_seed(TINY.seed, n_idx, rep)
+            )
+    assert all(p[6] == 0 for p in points)  # nonconverged
 
 
 def test_rate_points_deterministic_and_jobs_invariant():
@@ -271,9 +272,9 @@ def test_replication_matches_the_long_way_bit_for_bit(family, mu_mode):
         seed = replication_seed(cfg.seed, 0, rep)
         got = harness._replication_task(cfg, 2000, rep, seed)
         want = _reference_replication(cfg, 2000, seed)
-        assert (got.n, got.rep, got.seed) == (2000, rep, seed)
-        assert float.hex(got.loss) == float.hex(want[0])
-        assert (got.iterations, got.converged) == want[1:]
+        assert got[:3] == (2000, rep, seed)
+        assert float.hex(got[3]) == float.hex(want[0])  # the loss
+        assert got[4:] == want[1:]  # iterations and converged
 
 
 def test_a_replication_holds_its_sample_once():
@@ -676,7 +677,8 @@ def test_a_c_library_without_mallopt_is_left_alone(monkeypatch, fresh_heap_polic
 
 def test_single_rep_has_zero_se():
     cfg = ExperimentConfig(K_trunc=20, n_grid=(40, 80, 160), reps=1, seed=0)
-    assert all(p.mise_se == 0.0 for p in run_rate_study(cfg).points)
+    points, _, _, _ = run_rate_study(cfg)
+    assert all(p[5] == 0.0 for p in points)  # mise_se
 
 
 def test_rate_study_needs_three_points():
@@ -687,10 +689,9 @@ def test_rate_study_needs_three_points():
 
 
 def test_rate_study_slope_is_negative():
-    result = run_rate_study(TINY)
-    assert result.fitted_slope < 0
-    assert result.theoretical == pytest.approx(-0.625)
-    assert len(result.points) == 3 and len(result.replications) == 9
+    points, replications, slope, _ = run_rate_study(TINY)
+    assert slope < 0
+    assert len(points) == 3 and len(replications) == 9
 
 
 # --- CSV output ---

@@ -30,7 +30,8 @@ below a file; an output that is or lies below a loop of symbolic links;
 an output below a dangling symbolic link; and an output that is a dangling
 link, when a directory or when the link target's directory is missing.
 ``rate-study --jobs`` (default 1) and ``diagnostics`` share the thread
-pool ``harness.map_in_order``; output never depends on either.
+pool ``harness.map_in_order``, built on ``threading``; output never
+depends on either.
 Every command runs with the OpenBLAS bundled with numpy held to one thread,
 and the count it had is restored when the command ends: the pool's threads,
 not BLAS's own, share the cores, and on kernels where a threaded BLAS call

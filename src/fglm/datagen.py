@@ -12,8 +12,6 @@ K coefficients each in the fixed cosine basis of `funcspace`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .expfam import ExpFamilySpec, sample_response
@@ -30,24 +28,32 @@ __all__ = [
 MU_MODES = ("zero", "bumps")  # the mean functions `make_ground_truth` can build
 
 
-@dataclass(frozen=True)
 class GroundTruth:
-    """Population quantities defining one simulation scenario."""
+    """Population quantities defining one simulation scenario.
 
-    alpha: float
-    beta_s: float
-    radius: float
-    intercept: float
-    mean: np.ndarray
-    eigvals: np.ndarray
-    slope_coeffs: np.ndarray
-    family: ExpFamilySpec
+    The mean, eigenvalue and slope arrays are read-only copies of those
+    given; the constructor checks that they define a model in the class.
+    """
 
-    def __post_init__(self):
-        for name in ("mean", "eigvals", "slope_coeffs"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+    __slots__ = ("alpha", "beta_s", "radius", "intercept", "mean", "eigvals", "slope_coeffs",
+                 "family")
+
+    def __init__(
+        self,
+        alpha: float,
+        beta_s: float,
+        radius: float,
+        intercept: float,
+        mean: np.ndarray,
+        eigvals: np.ndarray,
+        slope_coeffs: np.ndarray,
+        family: ExpFamilySpec,
+    ):
+        self.alpha, self.beta_s, self.radius, self.intercept = alpha, beta_s, radius, intercept
+        self.mean = _read_only_copy(mean)
+        self.eigvals = _read_only_copy(eigvals)
+        self.slope_coeffs = _read_only_copy(slope_coeffs)
+        self.family = family
         if not self.mean.shape == self.slope_coeffs.shape == self.eigvals.shape:
             raise ValueError("mean, slope_coeffs and eigvals must have the same length")
         _check_membership(self)
@@ -55,6 +61,12 @@ class GroundTruth:
     @property
     def k_trunc(self) -> int:
         return self.eigvals.shape[0]
+
+
+def _read_only_copy(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float).copy()
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_membership(gt: GroundTruth) -> None:
@@ -140,7 +152,6 @@ def make_ground_truth(
     return gt
 
 
-@dataclass(frozen=True)
 class Dataset:
     """One sample: predictor coefficients x (n x K), responses, true parameters.
 
@@ -148,13 +159,12 @@ class Dataset:
     converted to float64 only where they are not float64 already.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    lambda_true: np.ndarray
+    __slots__ = ("x", "y", "lambda_true")
 
-    def __post_init__(self):
-        for name in ("x", "y", "lambda_true"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+    def __init__(self, x: np.ndarray, y: np.ndarray, lambda_true: np.ndarray):
+        self.x = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        self.lambda_true = np.asarray(lambda_true, dtype=float)
         if self.x.ndim != 2:
             raise ValueError("x must be an n x K matrix")
         n = self.x.shape[0]

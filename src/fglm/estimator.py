@@ -15,7 +15,7 @@ interval ((alpha + 2 beta_s - 1)^-1, (2 + 2 alpha)^-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,36 +39,48 @@ __all__ = [
 MIN_OBSERVATIONS = 8
 
 
-@dataclass(frozen=True)
 class TuningRule:
     """Constants for the truncation levels; zeta=None takes the midpoint."""
 
-    c_m: float = 1.0
-    c_N: float = 2.0
-    zeta: float | None = None
+    __slots__ = ("c_m", "c_N", "zeta")
 
-    def __post_init__(self):
-        if not (0 < self.c_m < math.inf and 0 < self.c_N < math.inf):
+    def __init__(self, c_m: float = 1.0, c_N: float = 2.0, zeta: float | None = None):
+        if not (0 < c_m < math.inf and 0 < c_N < math.inf):
             raise ValueError("tuning constants must be finite and positive")
+        self.c_m, self.c_N, self.zeta = c_m, c_N, zeta
+
+    def __eq__(self, other):
+        if not isinstance(other, TuningRule):
+            return NotImplemented
+        return (self.c_m, self.c_N, self.zeta) == (other.c_m, other.c_N, other.zeta)
+
+    def __repr__(self):
+        return f"TuningRule(c_m={self.c_m!r}, c_N={self.c_N!r}, zeta={self.zeta!r})"
 
 
 _SEPARATION_THRESHOLD = 1e3  # see fit_mle
 
 
-@dataclass(frozen=True)
 class NewtonConfig:
     """Newton stopping rule: step-size tolerance `tol` and at most `max_iter` steps."""
 
-    tol: float = 1e-10
-    max_iter: int = 100
+    __slots__ = ("tol", "max_iter")
 
-    def __post_init__(self):
-        if not 0 < self.tol < math.inf or self.max_iter < 1:
+    def __init__(self, tol: float = 1e-10, max_iter: int = 100):
+        if not 0 < tol < math.inf or max_iter < 1:
             raise ValueError("Newton tol must be finite and > 0, and max_iter >= 1")
+        self.tol, self.max_iter = tol, max_iter
+
+    def __eq__(self, other):
+        if not isinstance(other, NewtonConfig):
+            return NotImplemented
+        return (self.tol, self.max_iter) == (other.tol, other.max_iter)
+
+    def __repr__(self):
+        return f"NewtonConfig(tol={self.tol!r}, max_iter={self.max_iter!r})"
 
 
-@dataclass(frozen=True)
-class MLEFit:
+class MLEFit(NamedTuple):
     """Raw GLM fit: coefficient vector (intercept first) plus solver state."""
 
     coefs: np.ndarray
@@ -79,15 +91,21 @@ class MLEFit:
     objective: float
 
 
-@dataclass(frozen=True)
-class FitResult(MLEFit):
-    """The Newton fit of the N + 1 coefficients plus the truncation levels
-    (m, N = n_components) and the slope they give.
+class FitResult(NamedTuple):
+    """The Newton fit of the N + 1 coefficients, MLEFit's fields in its
+    order, plus the truncation levels (m, N = n_components) and the slope
+    they give.
 
     `slope` holds the K coefficients phi_tilde[:, :m] @ coefs[1 : m + 1] of
     the estimated slope in the fixed basis, read-only.
     """
 
+    coefs: np.ndarray
+    iterations: int
+    grad_norm: float
+    converged: bool
+    separated: bool
+    objective: float
     slope: np.ndarray
     m: int
     n_components: int
@@ -160,9 +178,12 @@ def fit_mle(
     nondecreasing along accepted iterates up to float evaluation noise
     (near the maximum the predicted gain is far below one ulp of the
     objective, so exact monotone acceptance would stall the quadratic
-    phase).  A coefficient escaping beyond `_SEPARATION_THRESHOLD` (1e3)
-    stops the solver with converged=False (relevant for separable
-    Bernoulli samples).  Newton starts from the intercept
+    phase).  In a family whose maximizer may not exist
+    (`family.mle_may_not_exist`: Poisson, Bernoulli), a coefficient
+    escaping beyond `_SEPARATION_THRESHOLD` (1e3) stops the solver with
+    separated=True and converged=False; a gaussian maximizer always
+    exists, and its coefficients may be as large as the responses.
+    Newton starts from the intercept
     `family.init_natural(mean(y), n)` and zero slopes, where the objective
     depends on the responses alone: one that is not finite there (say, a
     response of 1e200 in the gaussian family overflows it) is bad input,
@@ -221,7 +242,7 @@ def fit_mle(
         iterations += 1
         grad = design.T @ (y - family.dpsi(eta))
         grad_norm = float(np.max(np.abs(grad)))
-        if np.max(np.abs(g)) > _SEPARATION_THRESHOLD:
+        if family.mle_may_not_exist and np.max(np.abs(g)) > _SEPARATION_THRESHOLD:
             separated = True
             break
 
@@ -264,7 +285,7 @@ def estimate_slope(
     fit = fit_mle(ds.y, scores, family, config)
     slope = phi_tilde[:, :m] @ fit.coefs[1 : m + 1]
     slope.flags.writeable = False
-    return FitResult(**vars(fit), slope=slope, m=m, n_components=n_comp)
+    return FitResult(*fit, slope, m, n_comp)
 
 
 def loss(slope_hat: np.ndarray, gt: GroundTruth) -> float:

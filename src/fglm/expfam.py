@@ -13,8 +13,7 @@ shift leaves all derivatives, and hence the family itself, unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,9 +38,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ExpFamilySpec:
-    """Cumulant function, its derivatives, envelope, and a sampler."""
+class ExpFamilySpec(NamedTuple):
+    """Cumulant function, its derivatives, envelope, and a sampler.
+
+    `mle_may_not_exist` marks a family whose responses can sit on the edge
+    of its mean range (a Poisson 0, a Bernoulli 0 or 1): on a sample that a
+    linear predictor separates that way, the likelihood keeps rising as a
+    coefficient runs off to infinity, and no maximizer exists.
+    """
 
     name: str
     psi: Callable[[np.ndarray], np.ndarray]
@@ -49,8 +53,9 @@ class ExpFamilySpec:
     d2psi: Callable[[np.ndarray], np.ndarray]
     d3psi: Callable[[np.ndarray], np.ndarray]
     envelope: Callable[[np.ndarray], np.ndarray]
-    sample: Callable[[np.ndarray, np.random.Generator], np.ndarray] = field(repr=False)
-    init_natural: Callable[[float, int], float] = field(repr=False)
+    sample: Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    init_natural: Callable[[float, int], float]
+    mle_may_not_exist: bool
 
 
 def _gaussian() -> ExpFamilySpec:
@@ -63,6 +68,7 @@ def _gaussian() -> ExpFamilySpec:
         envelope=lambda h: np.ones_like(np.asarray(h, dtype=float)),
         sample=lambda lam, rng: lam + rng.standard_normal(np.shape(lam)),
         init_natural=lambda ybar, n: float(ybar),
+        mle_may_not_exist=False,
     )
 
 
@@ -80,6 +86,7 @@ def _poisson() -> ExpFamilySpec:
         envelope=np.exp,
         sample=lambda lam, rng: rng.poisson(np.exp(lam)).astype(float),
         init_natural=_init,
+        mle_may_not_exist=True,
     )
 
 
@@ -107,6 +114,7 @@ def _bernoulli() -> ExpFamilySpec:
         envelope=np.exp,
         sample=lambda lam, rng: (rng.random(np.shape(lam)) < _sigmoid(lam)).astype(float),
         init_natural=_init,
+        mle_may_not_exist=True,
     )
 
 

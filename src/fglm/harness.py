@@ -1,15 +1,16 @@
 """Experiment orchestration: configs, replication loops, the CSV writer.
 
 A study is a flat text config (key = value, `#` comments, keys named
-exactly after ExperimentConfig fields) plus a master seed.  Building a
+exactly after ExperimentConfig's parameters) plus a master seed.  Building a
 config checks it by building, once, what a study needs, each part checked
 by its owner, so every command refuses a bad config before any work.
 Every replication derives its own 64-bit seed from (master, index of n,
 rep) through a splitmix64 mix, so results are independent of execution
 order and identical across --jobs settings.  Replications share the
 config's ground truth and solver settings, run through `map_in_order`, the
-package's one thread pool, on at most --jobs threads (default 1), and
-each returns its own `perreplication.csv` row as a plain tuple.  The pool
+package's one thread pool, plain `threading` threads that numpy loads
+anyway, on at most --jobs threads (default 1), and each returns its own
+`perreplication.csv` row as a plain tuple.  The pool
 leaves BLAS's thread count to the caller: the `fglm` command holds it to
 one thread (see `cli`), and a library caller sets its own, for instance
 with OPENBLAS_NUM_THREADS=1.  CSV floats are written as `%.17g`, 17
@@ -24,8 +25,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+import threading
 
 import numpy as np
 
@@ -52,59 +52,64 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a study needs; field names double as config-file keys.
+    """Everything a study needs; the parameter names double as config-file keys.
 
     Construction checks the config by building what a study reads: the
     GroundTruth `truth`, the (m, N) `levels` at each n of n_grid, the
-    TuningRule `rule` and the NewtonConfig `newton`, plain attributes
-    that are not fields or config keys.
+    TuningRule `rule` and the NewtonConfig `newton`, attributes that are
+    not config keys.  Two configs are equal when their keys' values are.
     """
 
-    family: str = "gaussian"
-    alpha: float = 2.0
-    beta_s: float = 3.0
-    a: float = 0.5
-    mu_mode: str = "zero"
-    K_trunc: int = 200
-    n_grid: tuple[int, ...] = (500, 1000, 2000, 4000)
-    reps: int = 100
-    seed: int = 6  # master seed; replication slopes sit near the 10-seed median here
-    c_m: float = 1.0
-    c_N: float = 2.0
-    zeta_override: float | None = None
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 100
-    out_dir: str = "."
-
-    def __post_init__(self):
-        grid = tuple(int(v) for v in self.n_grid)
+    def __init__(
+        self,
+        family: str = "gaussian",
+        alpha: float = 2.0,
+        beta_s: float = 3.0,
+        a: float = 0.5,
+        mu_mode: str = "zero",
+        K_trunc: int = 200,
+        n_grid: tuple[int, ...] = (500, 1000, 2000, 4000),
+        reps: int = 100,
+        seed: int = 6,  # master seed; replication slopes sit near the 10-seed median here
+        c_m: float = 1.0,
+        c_N: float = 2.0,
+        zeta_override: float | None = None,
+        newton_tol: float = 1e-10,
+        newton_max_iter: int = 100,
+        out_dir: str = ".",
+    ):
+        grid = tuple(int(v) for v in n_grid)
         if not grid:
             raise ValueError("n_grid must list at least one sample size")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        if any(hi <= lo for lo, hi in zip(grid, grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
-        object.__setattr__(self, "n_grid", grid)
-        if self.reps < 1:
+        if reps < 1:
             raise ValueError("reps must be at least 1")
-        require_seed(self.seed)
-        truth = make_ground_truth(
-            self.alpha,
-            self.beta_s,
-            get_family(self.family),
-            k_trunc=self.K_trunc,
-            intercept=self.a,
-            mu_mode=self.mu_mode,
+        require_seed(seed)
+        self.family, self.alpha, self.beta_s, self.a = family, alpha, beta_s, a
+        self.mu_mode, self.K_trunc, self.n_grid = mu_mode, K_trunc, grid
+        self.reps, self.seed = reps, seed
+        self.c_m, self.c_N, self.zeta_override = c_m, c_N, zeta_override
+        self.newton_tol, self.newton_max_iter, self.out_dir = newton_tol, newton_max_iter, out_dir
+        self.truth = make_ground_truth(
+            alpha, beta_s, get_family(family), k_trunc=K_trunc, intercept=a, mu_mode=mu_mode
         )
-        rule = TuningRule(self.c_m, self.c_N, self.zeta_override)
-        levels = tuple(tuning(n, self.alpha, self.beta_s, rule) for n in grid)
-        for n, (_, n_comp) in zip(grid, levels):
-            if n_comp > self.K_trunc:  # estimate_slope would clamp N to K_trunc, unreported
-                raise ValueError(f"N={n_comp} components at n={n} exceed K_trunc={self.K_trunc}")
-        object.__setattr__(self, "truth", truth)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "newton", NewtonConfig(self.newton_tol, self.newton_max_iter))
+        self.rule = TuningRule(c_m, c_N, zeta_override)
+        self.levels = tuple(tuning(n, alpha, beta_s, self.rule) for n in grid)
+        for n, (_, n_comp) in zip(grid, self.levels):
+            if n_comp > K_trunc:  # estimate_slope would clamp N to K_trunc, unreported
+                raise ValueError(f"N={n_comp} components at n={n} exceed K_trunc={K_trunc}")
+        self.newton = NewtonConfig(newton_tol, newton_max_iter)
+
+    def __eq__(self, other):
+        if not isinstance(other, ExperimentConfig):
+            return NotImplemented
+        return all(getattr(self, key) == getattr(other, key) for key in _KEY_PARSERS)
+
+    def __repr__(self):
+        pairs = ", ".join(f"{key}={getattr(self, key)!r}" for key in _KEY_PARSERS)
+        return f"ExperimentConfig({pairs})"
 
 
 def parse_sample_sizes(text: str, name: str = "n_grid") -> tuple[int, ...]:
@@ -117,7 +122,7 @@ def parse_sample_sizes(text: str, name: str = "n_grid") -> tuple[int, ...]:
         raise ValueError(f"{name} must list integers, got {text!r}") from None
 
 
-# value parser per field annotation (annotations are strings in this module)
+# value parser per parameter annotation (annotations are strings in this module)
 _PARSERS = {
     "int": int,
     "float": float,
@@ -125,7 +130,10 @@ _PARSERS = {
     "tuple[int, ...]": parse_sample_sizes,
     "float | None": lambda val: None if val.lower() in ("", "none") else float(val),
 }
-_KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
+# the config-file keys in parameter order, the order `format_config` writes
+_KEY_PARSERS = {
+    key: _PARSERS[kind] for key, kind in ExperimentConfig.__init__.__annotations__.items()
+}
 
 
 def parse_config(text: str, **overrides) -> ExperimentConfig:
@@ -159,13 +167,13 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
 def format_config(cfg: ExperimentConfig) -> str:
     """Inverse of parse_config, stable field order."""
     lines = []
-    for f in fields(ExperimentConfig):
-        val = getattr(cfg, f.name)
-        if f.name == "n_grid":
+    for key in _KEY_PARSERS:
+        val = getattr(cfg, key)
+        if key == "n_grid":
             val = ",".join(str(v) for v in val)
         elif val is None:
             val = "none"
-        lines.append(f"{f.name} = {val}")
+        lines.append(f"{key} = {val}")
     return "\n".join(lines) + "\n"
 
 
@@ -467,28 +475,64 @@ def write_csv(path: str, header, rows) -> None:
 def map_in_order(fn, items, jobs: int):
     """Yield `fn(item)` for every item of a sequence, in order, from a thread pool.
 
-    At most `jobs` threads, and no more than there are items or usable CPUs.
-    Calls start in item order; once one raises, the items after it not yet
-    started are skipped, and the first exception in item order is raised here.
-    BLAS runs at whatever thread count the process has.
+    The pool is plain `threading` threads, at most `jobs` of them, and no
+    more than there are items or usable CPUs.  Calls start in item order;
+    once one raises, the items after it not yet started are skipped, and the
+    first exception in item order is raised here.  Closing the generator
+    early skips the items not yet started too; it returns once the running
+    calls have finished.  BLAS runs at whatever thread count the process has.
     """
     if not items:
-        return  # a pool needs at least one worker
-    # pool.map cancels unstarted calls only when the caller sees a failure, after a
-    # free worker took the next item.  Only appended to: failed[0] is a failed index.
-    failed = []
+        return
+    count = len(items)
+    outcomes = [None] * count  # (True, result) or (False, exception), as each call ends
+    done = threading.Condition()
+    claimed = 0  # items handed to a thread so far, in order
+    stop = False  # set on the first failure, and when the caller is done
 
-    def call(index):
-        if failed and index > failed[0]:
-            return None  # never yielded: the failure before it is raised first
-        try:
-            return fn(items[index])
-        except BaseException:
-            failed.append(index)
-            raise
+    def work():
+        nonlocal claimed, stop
+        while True:
+            with done:
+                if stop or claimed == count:
+                    return
+                index = claimed
+                claimed += 1
+            try:
+                outcome = (True, fn(items[index]))
+            except BaseException as exc:  # handed to the caller, who raises it
+                outcome = (False, exc)
+            with done:
+                outcomes[index] = outcome
+                if not outcome[0]:
+                    stop = True  # no later item starts
+                done.notify_all()
 
-    with ThreadPoolExecutor(max_workers=min(jobs, len(items), usable_cpus())) as pool:
-        yield from pool.map(call, range(len(items)))
+    threads = []
+    try:
+        threads = _start_threads(work, min(jobs, count, usable_cpus()))
+        for index in range(count):
+            with done:
+                while outcomes[index] is None:
+                    done.wait()
+                ok, value = outcomes[index]
+                outcomes[index] = None  # the caller holds the result from here on
+            if not ok:
+                raise value
+            yield value
+    finally:
+        with done:
+            stop = True
+        for thread in threads:
+            thread.join()
+
+
+def _start_threads(target, count: int) -> list:
+    """Start `count` threads that each run `target`: all the threads `map_in_order` starts."""
+    threads = [threading.Thread(target=target) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    return threads
 
 
 def usable_cpus() -> int:

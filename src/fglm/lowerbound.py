@@ -20,9 +20,7 @@ as n grows — the mechanism behind the rate-optimality of the bound.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +37,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class AssouadConfig:
     """Hypercube of slope perturbations on coordinates m+1 .. 2m.
 
@@ -48,21 +45,26 @@ class AssouadConfig:
     which collapses all corners to the zero slope.
     """
 
-    m: int
-    family: ExpFamilySpec
-    alpha: float = 2.0
-    beta_s: float = 3.0
-    eps_scale: float = 1.0
+    __slots__ = ("m", "family", "alpha", "beta_s", "eps_scale")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(
+        self,
+        m: int,
+        family: ExpFamilySpec,
+        alpha: float = 2.0,
+        beta_s: float = 3.0,
+        eps_scale: float = 1.0,
+    ):
+        if m < 1:
             raise ValueError("m must be a positive integer")
-        if not (self.eps_scale >= 0.0 and math.isfinite(self.eps_scale)):
+        if not (eps_scale >= 0.0 and math.isfinite(eps_scale)):
             raise ValueError("eps_scale must be finite and nonnegative")
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if not 0.0 < self.beta_s < math.inf:
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"alpha must be finite and positive, got {alpha}")
+        if not 0.0 < beta_s < math.inf:
             raise ValueError("beta_s must be finite and positive")
+        self.m, self.family = m, family
+        self.alpha, self.beta_s, self.eps_scale = alpha, beta_s, eps_scale
 
     @property
     def j_set(self) -> tuple[int, ...]:
@@ -204,7 +206,8 @@ def affinity_study(
     if len(set(n_grid)) < len(n_grid):
         raise ValueError(f"sample sizes must not repeat, got {n_grid}")
     gamma = (1,) * cfg.m
-    cubes = [dataclasses.replace(cfg, eps_scale=calibrated_eps(cfg, n)) for n in n_grid]
+    cubes = [AssouadConfig(cfg.m, cfg.family, cfg.alpha, cfg.beta_s, calibrated_eps(cfg, n))
+             for n in n_grid]
     rows = []
     for n_idx, (n, scaled) in enumerate(zip(n_grid, cubes)):
         for j_idx, j in enumerate(scaled.j_set):

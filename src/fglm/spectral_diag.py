@@ -33,7 +33,6 @@ is judged by its caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -72,8 +71,7 @@ def _eigh_descending(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-@dataclass(frozen=True)
-class PerturbationPair:
+class PerturbationPair(NamedTuple):
     """One perturbation instance: two eigensystems and the eigenvector errors.
 
     `theta`, `vecs` and `theta_tilde`, `vecs_tilde` are the base and the

@@ -388,6 +388,38 @@ def test_estimate_refuses_smoothness_outside_the_class_before_reading(
         tuning(1000, alpha, beta)
 
 
+def test_estimate_converges_on_a_gaussian_sample_whose_coefficients_pass_a_thousand(
+    tmp_path, capsys
+):
+    # the responses at the scale of thousands put the intercept near 4444; a
+    # gaussian maximizer always exists, so that is no separation
+    data, scaled = tmp_path / "data.csv", tmp_path / "scaled.csv"
+    assert main(["generate", "--family", "gaussian", "--n", "2000", "--seed", "1",
+                 "--k-trunc", "20", "--out", str(data)]) == 0
+    header, *rows = data.read_text().splitlines()
+    body = [f"{float(y) * 1e4!r},{rest}\n" for y, rest in (row.split(",", 1) for row in rows)]
+    scaled.write_text(header + "\n" + "".join(body))
+    capsys.readouterr()
+    assert main(["estimate", "--data", str(scaled), "--family", "gaussian",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "n=2000 m=3 N=6 intercept=4444.18 converged in 1 iterations"
+    )
+
+
+def test_estimate_reports_a_separable_bernoulli_sample_as_not_converged(tmp_path, capsys):
+    # y = 1 exactly where x1 > 0, and x1 carries nearly all the variance, so
+    # the leading component separates the sample and the slope runs off
+    x1 = np.tile([-1.0, -0.5, -0.01, 0.01, 0.5, 1.0], 8)
+    x2 = 1e-3 * np.cos(np.arange(x1.size))
+    data = tmp_path / "separable.csv"
+    rows = (f"{float(a > 0)!r},{a!r},{b!r}\n" for a, b in zip(x1.tolist(), x2.tolist()))
+    data.write_text("y,x1,x2\n" + "".join(rows))
+    assert main(["estimate", "--data", str(data), "--family", "bernoulli",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert " NOT converged in " in capsys.readouterr().out
+
+
 # --- data-file reader ---
 
 
@@ -964,13 +996,13 @@ def _diagnostics_argv(tmp_path, out_dir, *extra):
 @pytest.mark.parametrize("seed", ["0", "1", "2"])
 def test_diagnostics_output_does_not_depend_on_the_thread_count(tmp_path, capsys, monkeypatch, seed):
     workers = []
+    start_threads = harness._start_threads
 
-    class RecordingPool(harness.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers)
+    def recording(target, count):
+        workers.append(count)
+        return start_threads(target, count)
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_start_threads", recording)
     usable = harness.usable_cpus()
     runs = []
     for label in ("default", "one cpu"):

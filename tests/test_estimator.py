@@ -169,6 +169,19 @@ def test_separated_bernoulli_sample_is_flagged():
     assert fit.separated and not fit.converged
 
 
+
+def test_large_gaussian_coefficients_are_no_separation():
+    # a gaussian maximizer always exists; the separation guard is for the
+    # Poisson and Bernoulli families, whose maximizer may not
+    rng = np.random.default_rng(0)
+    scores = rng.standard_normal((40, 3))
+    y = 4e3 + scores @ [2e3, -5e3, 1e3] + rng.standard_normal(40)
+    fit = fit_mle(y, scores, GAUSS)
+    assert np.max(np.abs(fit.coefs)) > 1e3
+    assert fit.converged and not fit.separated and fit.iterations == 1
+    guarded = {name: get_family(name).mle_may_not_exist for name in family_names()}
+    assert guarded == {"bernoulli": True, "gaussian": False, "poisson": True}
+
 def test_objective_not_below_start():
     rng = np.random.default_rng(9)
     scores = rng.standard_normal((30, 2))
@@ -211,7 +224,7 @@ def test_estimate_slope_returns_its_whole_newton_fit(family):
     res = estimate_slope(ds, fam, 2.0, 3.0)
     _, _, scores = spectral_estimate(ds, res.n_components)
     want = fit_mle(ds.y, scores, fam)
-    assert isinstance(res, MLEFit)
+    assert FitResult._fields[: len(MLEFit._fields)] == MLEFit._fields  # the fit's own fields
     assert np.array_equal(res.coefs, want.coefs)
     for name in ("iterations", "grad_norm", "converged", "separated", "objective"):
         assert getattr(res, name) == getattr(want, name), name

@@ -1,5 +1,4 @@
 import ctypes
-import dataclasses
 import math
 import sys
 import threading
@@ -55,7 +54,7 @@ def test_parse_format_round_trip():
 
 
 def test_solver_settings_are_built_once_at_load(monkeypatch):
-    cfg = dataclasses.replace(TINY, c_m=1.5, zeta_override=0.15)
+    cfg = parse_config(format_config(TINY), c_m=1.5, zeta_override=0.15)
     assert cfg.rule == TuningRule(c_m=1.5, c_N=2.0, zeta=0.15)
     assert cfg.newton == NewtonConfig(tol=1e-10, max_iter=50)
     assert cfg.levels == tuple(tuning(n, 2.0, 3.0, cfg.rule) for n in cfg.n_grid)
@@ -223,7 +222,7 @@ def test_ground_truth_is_built_once_per_study(monkeypatch):
         return make_ground_truth(*args, **kwargs)
 
     monkeypatch.setattr(harness, "make_ground_truth", counting)
-    cfg = dataclasses.replace(TINY)
+    cfg = parse_config(format_config(TINY))
     assert len(calls) == 1
     run_rate_study(cfg, jobs=1)
     assert len(calls) == 1
@@ -317,23 +316,30 @@ def test_components_beyond_k_trunc_are_refused_before_the_first_draw(monkeypatch
         ExperimentConfig(K_trunc=4, n_grid=(500, 1000, 4000), reps=2, seed=0)
 
 
+@pytest.fixture
+def requested_threads(monkeypatch):
+    """The thread count of every pool `map_in_order` starts, in order; each
+    pool then runs on one thread, so a huge count starts no more than that."""
+    requested = []
+    start_threads = harness._start_threads
+
+    def start_one(target, count):
+        requested.append(count)
+        return start_threads(target, 1)
+
+    monkeypatch.setattr(harness, "_start_threads", start_one)
+    return requested
+
+
 @pytest.mark.parametrize(
     "jobs, cpus, threads",
     [(1, 8, 1), (2, 8, 2), (2, 1, 1), (10**6, 8, 8), (10**6, 64, 9)],
     ids=["one_job", "jobs", "cpus", "huge_jobs_cpus", "huge_jobs_replications"],
 )
-def test_replication_threads_are_capped(monkeypatch, jobs, cpus, threads):
-    workers = []
-
-    class RecordingPool(harness.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers=1)  # records the cap without starting that many
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+def test_replication_threads_are_capped(monkeypatch, requested_threads, jobs, cpus, threads):
     monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
     assert run_rate_study(TINY, jobs=jobs) == run_rate_study(TINY, jobs=1)
-    assert workers == [threads, 1]  # TINY has 9 replications
+    assert requested_threads == [threads, 1]  # TINY has 9 replications
 
 
 # --- the thread pool ---
@@ -397,6 +403,27 @@ def test_map_in_order_of_no_items_yields_nothing(jobs):
     assert list(map_in_order(lambda item: item, [], jobs)) == []
 
 
+def test_map_in_order_closed_early_starts_no_more_items_and_joins_its_threads():
+    called = []
+    release = threading.Event()
+
+    def fn(item):
+        called.append(item)
+        if item == 1:
+            assert release.wait(timeout=60)  # still running when the caller closes
+        return item
+
+    threads_before = threading.active_count()
+    results = map_in_order(fn, range(5), jobs=1)
+    assert next(results) == 0
+    timer = threading.Timer(0.5, release.set)  # far longer than the step to close()
+    timer.start()
+    results.close()  # returns once a started item 1 has finished
+    timer.join(timeout=60)
+    assert called in ([0], [0, 1])
+    assert threading.active_count() == threads_before
+
+
 def test_map_in_order_under_thread_switches_yields_nothing_past_the_first_failure(monkeypatch):
     monkeypatch.setattr(harness, "usable_cpus", lambda: 4)  # more threads than cores
     rng = np.random.default_rng(0)
@@ -427,18 +454,10 @@ def test_map_in_order_under_thread_switches_yields_nothing_past_the_first_failur
     [(1, 5, 8, 1), (3, 5, 8, 3), (3, 2, 8, 2), (3, 5, 2, 2), (10**6, 4, 10**6, 4)],
     ids=["one_job", "jobs", "items", "cpus", "huge_jobs"],
 )
-def test_map_in_order_caps_the_threads(monkeypatch, jobs, items, cpus, threads):
-    workers = []
-
-    class RecordingPool(harness.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers=1)  # records the cap without starting that many
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+def test_map_in_order_caps_the_threads(monkeypatch, requested_threads, jobs, items, cpus, threads):
     monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
     assert list(map_in_order(str, range(items), jobs)) == [str(i) for i in range(items)]
-    assert workers == [threads]
+    assert requested_threads == [threads]
 
 
 # --- one BLAS thread while a command runs ---
@@ -570,9 +589,9 @@ def test_the_blas_cap_keeps_every_byte_of_a_poisson_study(monkeypatch, tmp_path)
     if calls is None:
         pytest.skip("numpy's OpenBLAS or its thread calls were not found")
     get, put = calls
-    stock = load_config(Path(__file__).resolve().parents[1] / "scripts" / "configs" / "poisson_beta3.cfg")
+    stock = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "poisson_beta3.cfg"
     cfg = tmp_path / "poisson.cfg"
-    cfg.write_text(format_config(dataclasses.replace(stock, reps=5)))
+    cfg.write_text(format_config(load_config(stock, reps=5)))
     outputs = {}
     before = get()
     try:

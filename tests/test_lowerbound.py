@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -185,7 +184,7 @@ def test_a_cube_out_of_float_range_is_refused(monkeypatch, alpha, beta_s, n_ok, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused, not warned about
         if n_ok is not None:
-            scaled = dataclasses.replace(cfg, eps_scale=calibrated_eps(cfg, n_ok))
+            scaled = AssouadConfig(2, GAUSS, alpha, beta_s, calibrated_eps(cfg, n_ok))
             assert math.isfinite(assouad_bound_value(scaled, 1.0))
         with pytest.raises(ValueError) as refused:
             calibrated_eps(cfg, n_refused)

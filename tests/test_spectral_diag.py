@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -150,7 +149,7 @@ def _misrotated_pair():
     turn[:2, :2] = [[math.cos(0.1), -math.sin(0.1)], [math.sin(0.1), math.cos(0.1)]]
     turned = turn @ honest.vecs_tilde
     errors = aligned_eigen_data(base + bump, honest.theta, honest.vecs, turned, honest.delta_op)
-    return dataclasses.replace(honest, vecs_tilde=turned, **errors)
+    return honest._replace(vecs_tilde=turned, **errors)
 
 
 def _equivalence_pairs():

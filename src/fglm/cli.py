@@ -30,10 +30,11 @@ below a file; an output that is or lies below a loop of symbolic links;
 an output below a dangling symbolic link; and an output that is a dangling
 link, when a directory or when the link target's directory is missing.
 ``rate-study --jobs`` (default 1) and ``diagnostics`` share the thread
-pool ``harness.map_in_order``, built on ``threading``; output never
-depends on either.
+pool ``harness.map_in_order``, built on ``threading``: ``--jobs N`` means
+N workers, the command's own thread being one of them, so ``--jobs 1``
+starts no thread; output never depends on either.
 Every command runs with the OpenBLAS bundled with numpy held to one thread,
-and the count it had is restored when the command ends: the pool's threads,
+and the count it had is restored when the command ends: the pool's workers,
 not BLAS's own, share the cores, and on kernels where a threaded BLAS call
 rounds differently (Nehalem) no output depends on the core count.
 Every command also keeps the memory it frees inside the process: glibc's
@@ -417,7 +418,7 @@ def _cmd_diagnostics(args) -> int:
     # n = 500 instance start from cfg.seed, so their normals overlap.
     # A thread does not inherit the caller's np.errstate: set any inside the task.
     tasks = [
-        # the longest check first, so the others fill the remaining threads
+        # the longest check first, so the others fill the remaining workers
         partial(check_chisq_maximal, 100, tau, x_grid, reps=args.chisq_reps, seed=cfg.seed),
         partial(fisher_study, get_family(cfg.family), alpha=cfg.alpha, beta_s=cfg.beta_s,
                 reps=args.fisher_reps, seed=cfg.seed),

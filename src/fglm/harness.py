@@ -8,9 +8,10 @@ Every replication derives its own 64-bit seed from (master, index of n,
 rep) through a splitmix64 mix, so results are independent of execution
 order and identical across --jobs settings.  Replications share the
 config's ground truth and solver settings, run through `map_in_order`, the
-package's one thread pool, plain `threading` threads that numpy loads
-anyway, on at most --jobs threads (default 1), and each returns its own
-`perreplication.csv` row as a plain tuple.  The pool
+package's one thread pool, on at most --jobs workers (default 1): the
+calling thread is the first, and the rest are plain `threading` threads,
+which numpy loads anyway, so --jobs 1 starts no thread.  Each replication
+returns its own `perreplication.csv` row as a plain tuple.  The pool
 leaves BLAS's thread count to the caller: the `fglm` command holds it to
 one thread (see `cli`), and a library caller sets its own, for instance
 with OPENBLAS_NUM_THREADS=1.  CSV floats are written as `%.17g`, 17
@@ -222,9 +223,10 @@ def run_rate_study(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list, list, fl
     columns after family, alpha and beta; a replication is
     `_replication_task`'s row.  Needs at least 3 sample sizes.  Every
     replication shares the config's ground truth, solver settings and
-    truncation levels.  Tasks run on up to `jobs` threads but are collected
-    in (n, rep) order, so the result is identical for every jobs setting.
-    A failed replication aborts the study with its coordinates.
+    truncation levels.  Tasks run on up to `jobs` workers, the calling
+    thread being one, but are collected in (n, rep) order, so the result
+    is identical for every jobs setting.  A failed replication aborts the
+    study with its coordinates.
     """
     if len(cfg.n_grid) < 3:
         raise ValueError("slope regression needs at least 3 sample sizes in n_grid")
@@ -473,50 +475,75 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def map_in_order(fn, items, jobs: int):
-    """Yield `fn(item)` for every item of a sequence, in order, from a thread pool.
+    """Yield `fn(item)` for every item of a sequence, in order, from `jobs` workers.
 
-    The pool is plain `threading` threads, at most `jobs` of them, and no
-    more than there are items or usable CPUs.  Calls start in item order;
-    once one raises, the items after it not yet started are skipped, and the
-    first exception in item order is raised here.  Closing the generator
-    early skips the items not yet started too; it returns once the running
-    calls have finished.  BLAS runs at whatever thread count the process has.
+    The calling thread is the first worker: while the result it must yield
+    next is not ready, it runs the next item not yet started itself.  The
+    other workers are plain `threading` threads, so the pool starts
+    `workers - 1` threads, `workers` being `min(jobs, len(items),
+    usable_cpus())`; at `jobs=1` every call runs on the calling thread.
+    A `jobs` below 1 is refused with ValueError before any call.  Calls
+    start in item order; once one raises, the items after it not yet
+    started are skipped, and the first exception in item order is raised
+    here, after the results before it.  An exception that is not an
+    `Exception` (KeyboardInterrupt, SystemExit) raised in the caller's own
+    call is raised at once.  Closing the generator early skips the items
+    not yet started too; it returns once the running calls have finished.
+    BLAS runs at whatever thread count the process has.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     if not items:
         return
     count = len(items)
     outcomes = [None] * count  # (True, result) or (False, exception), as each call ends
     done = threading.Condition()
-    claimed = 0  # items handed to a thread so far, in order
+    claimed = 0  # items handed to a worker so far, in order
     stop = False  # set on the first failure, and when the caller is done
 
+    def claim():
+        """The next item to start, or None; called holding `done`."""
+        nonlocal claimed
+        if stop or claimed == count:
+            return None
+        claimed += 1
+        return claimed - 1
+
+    def run(index, catching):
+        nonlocal stop
+        try:
+            outcome = (True, fn(items[index]))
+        except catching as exc:  # handed to the caller, who raises it in item order
+            outcome = (False, exc)
+        with done:
+            outcomes[index] = outcome
+            if not outcome[0]:
+                stop = True  # no later item starts
+            done.notify_all()
+
     def work():
-        nonlocal claimed, stop
         while True:
             with done:
-                if stop or claimed == count:
-                    return
-                index = claimed
-                claimed += 1
-            try:
-                outcome = (True, fn(items[index]))
-            except BaseException as exc:  # handed to the caller, who raises it
-                outcome = (False, exc)
-            with done:
-                outcomes[index] = outcome
-                if not outcome[0]:
-                    stop = True  # no later item starts
-                done.notify_all()
+                index = claim()
+            if index is None:
+                return
+            run(index, BaseException)  # the caller raises every failure of a thread
 
     threads = []
     try:
-        threads = _start_threads(work, min(jobs, count, usable_cpus()))
+        threads = _start_threads(work, min(jobs, count, usable_cpus()) - 1)
         for index in range(count):
-            with done:
-                while outcomes[index] is None:
-                    done.wait()
-                ok, value = outcomes[index]
-                outcomes[index] = None  # the caller holds the result from here on
+            while True:
+                with done:
+                    while (outcome := outcomes[index]) is None and (own := claim()) is None:
+                        done.wait()
+                    outcomes[index] = None  # the caller holds the result, if any, from here on
+                if outcome is not None:
+                    break
+                # the result due next is not ready: run the next item here; an
+                # interrupt in it is no Exception, so it propagates at once
+                run(own, Exception)
+            ok, value = outcome
             if not ok:
                 raise value
             yield value

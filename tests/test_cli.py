@@ -1011,7 +1011,8 @@ def test_diagnostics_output_does_not_depend_on_the_thread_count(tmp_path, capsys
         out_dir = tmp_path / label
         code = main(_diagnostics_argv(tmp_path, out_dir, "--seed", seed))
         runs.append((code, capsys.readouterr().out, (out_dir / "diagnostics.csv").read_bytes()))
-    assert workers == [min(6, usable), 1]  # six checks, one thread per usable CPU
+    # six checks, one worker per usable CPU, the caller being the first
+    assert workers == [min(6, usable) - 1, 0]
     assert runs[0] == runs[1]
     assert runs[0][0] == 0
 
@@ -1406,12 +1407,21 @@ def test_rate_study_script_refuses_an_out_below_a_file_before_any_draw(
 
 # --- freed heap kept between replications ---
 
+PAGE_FAULTS_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ci" / "page_faults.py"
+
+
+def test_page_faults_script_prints_its_help():
+    proc = subprocess.run([sys.executable, str(PAGE_FAULTS_SCRIPT), "--help"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "--jobs" in proc.stdout
+
 
 @pytest.mark.skipif(
     not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
     reason="the malloc thresholds are glibc's",
 )
-@pytest.mark.parametrize("jobs", ["1", "2"])  # 2: glibc gives each pool thread its own arena
+@pytest.mark.parametrize("jobs", ["1", "2"])  # 2: glibc gives the pool's thread an arena of its own
 def test_a_replication_faults_in_no_fresh_pages(tmp_path, jobs):
     import resource
 

@@ -2,6 +2,7 @@ import ctypes
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import types
 from pathlib import Path
@@ -295,8 +296,11 @@ def test_replication_failure_names_its_coordinates(monkeypatch, jobs):
     failing = replication_seed(cfg.seed, 1, 5)  # n = 80, rep 5, after five that succeed
     cause = FloatingPointError("simulated")
 
+    failed_on = []
+
     def sample(gt, n, seed):
         if seed == failing:
+            failed_on.append(threading.get_ident())
             raise cause
         return sample_dataset(gt, n, seed)
 
@@ -305,6 +309,8 @@ def test_replication_failure_names_its_coordinates(monkeypatch, jobs):
         run_rate_study(cfg, jobs=jobs)
     assert str(info.value) == f"replication failed at n=80, rep=5, seed={failing}: simulated"
     assert info.value.__cause__ is cause
+    if jobs == 1:  # the caller ran the failing replication itself
+        assert failed_on == [threading.get_ident()]
 
 
 def test_components_beyond_k_trunc_are_refused_before_the_first_draw(monkeypatch):
@@ -318,31 +324,45 @@ def test_components_beyond_k_trunc_are_refused_before_the_first_draw(monkeypatch
 
 @pytest.fixture
 def requested_threads(monkeypatch):
-    """The thread count of every pool `map_in_order` starts, in order; each
-    pool then runs on one thread, so a huge count starts no more than that."""
+    """The thread count of every pool `map_in_order` starts, in order, its
+    workers but the caller; each pool then starts at most one thread, so a
+    huge count starts no more than that."""
     requested = []
     start_threads = harness._start_threads
 
     def start_one(target, count):
         requested.append(count)
-        return start_threads(target, 1)
+        return start_threads(target, min(count, 1))
 
     monkeypatch.setattr(harness, "_start_threads", start_one)
     return requested
 
 
 @pytest.mark.parametrize(
-    "jobs, cpus, threads",
+    "jobs, cpus, workers",
     [(1, 8, 1), (2, 8, 2), (2, 1, 1), (10**6, 8, 8), (10**6, 64, 9)],
     ids=["one_job", "jobs", "cpus", "huge_jobs_cpus", "huge_jobs_replications"],
 )
-def test_replication_threads_are_capped(monkeypatch, requested_threads, jobs, cpus, threads):
+def test_replication_threads_are_capped(monkeypatch, requested_threads, jobs, cpus, workers):
     monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
     assert run_rate_study(TINY, jobs=jobs) == run_rate_study(TINY, jobs=1)
-    assert requested_threads == [threads, 1]  # TINY has 9 replications
+    assert requested_threads == [workers - 1, 0]  # TINY has 9 replications; the caller works
 
 
 # --- the thread pool ---
+
+
+def hold_the_caller_until(monkeypatch, event):
+    """Make `map_in_order` wait for `event` after starting its threads, before
+    its caller runs or collects any item, so a thread claims the first ones."""
+    start_threads = harness._start_threads
+
+    def start_then_wait(target, count):
+        threads = start_threads(target, count)
+        assert event.wait(timeout=60)
+        return threads
+
+    monkeypatch.setattr(harness, "_start_threads", start_then_wait)
 
 
 def test_map_in_order_yields_in_item_order_when_later_items_finish_first(monkeypatch):
@@ -403,25 +423,99 @@ def test_map_in_order_of_no_items_yields_nothing(jobs):
     assert list(map_in_order(lambda item: item, [], jobs)) == []
 
 
-def test_map_in_order_closed_early_starts_no_more_items_and_joins_its_threads():
+def test_map_in_order_closed_early_starts_no_more_items_and_joins_its_threads(monkeypatch):
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
     called = []
-    release = threading.Event()
+    running, release = threading.Event(), threading.Event()
 
     def fn(item):
         called.append(item)
         if item == 1:
+            running.set()
             assert release.wait(timeout=60)  # still running when the caller closes
         return item
 
+    hold_the_caller_until(monkeypatch, running)  # the thread ran item 0 and holds item 1
     threads_before = threading.active_count()
-    results = map_in_order(fn, range(5), jobs=1)
+    results = map_in_order(fn, range(5), jobs=2)
     assert next(results) == 0
     timer = threading.Timer(0.5, release.set)  # far longer than the step to close()
     timer.start()
-    results.close()  # returns once a started item 1 has finished
+    results.close()  # returns once the started item 1 has finished
+    assert release.is_set()
     timer.join(timeout=60)
-    assert called in ([0], [0, 1])
+    assert called == [0, 1]
     assert threading.active_count() == threads_before
+
+
+def test_map_in_order_raises_the_callers_failure_after_the_earlier_results(monkeypatch):
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+    caller = threading.get_ident()
+    thread_running, caller_failing = threading.Event(), threading.Event()
+    called = []
+    error = ValueError("the caller's item")
+
+    def fn(item):
+        called.append(item)
+        if threading.get_ident() != caller:
+            thread_running.set()
+            assert caller_failing.wait(timeout=60)
+            time.sleep(0.2)  # the caller records its failure meanwhile
+            return item
+        caller_failing.set()
+        raise error
+
+    hold_the_caller_until(monkeypatch, thread_running)  # the thread holds item 0
+    results = []
+    with pytest.raises(ValueError) as info:
+        for value in map_in_order(fn, range(4), jobs=2):
+            results.append(value)
+    assert info.value is error
+    assert results == [0]  # item 0 ran on, and was yielded, before item 1's failure
+    assert called == [0, 1]
+
+
+@pytest.mark.parametrize("stop", [KeyboardInterrupt, SystemExit])
+def test_map_in_order_raises_an_interrupt_in_the_callers_item_at_once(monkeypatch, stop):
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+    caller = threading.get_ident()
+    thread_running, release = threading.Event(), threading.Event()
+    called = []
+
+    def fn(item):
+        called.append(item)
+        if threading.get_ident() != caller:
+            thread_running.set()
+            assert release.wait(timeout=60)
+            return item
+        raise stop
+
+    hold_the_caller_until(monkeypatch, thread_running)  # the thread holds item 0
+    threads_before = threading.active_count()
+    timer = threading.Timer(0.5, release.set)
+    timer.start()
+    results = []
+    with pytest.raises(stop):
+        for value in map_in_order(fn, range(4), jobs=2):
+            results.append(value)
+    timer.join(timeout=60)
+    assert results == []  # item 0's result was not waited for
+    assert called == [0, 1]
+    assert threading.active_count() == threads_before  # the thread's item 0 was joined
+
+
+def test_map_in_order_at_one_job_runs_every_call_on_the_calling_thread(requested_threads):
+    caller = threading.get_ident()
+    assert list(map_in_order(lambda item: threading.get_ident(), range(5), 1)) == [caller] * 5
+    assert requested_threads == [0]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_map_in_order_refuses_fewer_than_one_job_before_any_call(jobs):
+    called = []
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        list(map_in_order(called.append, [1, 2, 3], jobs))
+    assert called == []
 
 
 def test_map_in_order_under_thread_switches_yields_nothing_past_the_first_failure(monkeypatch):
@@ -450,14 +544,14 @@ def test_map_in_order_under_thread_switches_yields_nothing_past_the_first_failur
 
 
 @pytest.mark.parametrize(
-    "jobs, items, cpus, threads",
+    "jobs, items, cpus, workers",
     [(1, 5, 8, 1), (3, 5, 8, 3), (3, 2, 8, 2), (3, 5, 2, 2), (10**6, 4, 10**6, 4)],
     ids=["one_job", "jobs", "items", "cpus", "huge_jobs"],
 )
-def test_map_in_order_caps_the_threads(monkeypatch, requested_threads, jobs, items, cpus, threads):
+def test_map_in_order_caps_the_threads(monkeypatch, requested_threads, jobs, items, cpus, workers):
     monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
     assert list(map_in_order(str, range(items), jobs)) == [str(i) for i in range(items)]
-    assert requested_threads == [threads]
+    assert requested_threads == [workers - 1]  # the caller is the first worker
 
 
 # --- one BLAS thread while a command runs ---

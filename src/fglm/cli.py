@@ -42,6 +42,17 @@ trim threshold is set to 64 MiB and its mmap threshold to 32 MiB, once per
 process and never restored.  A replication then reuses the pages of the
 last one; without the thresholds it faults its sample in again, about
 280 minor faults a replication of the stock gaussian study.
+With numpy 2, every command runs without OpenSSL's libcrypto, about 3.4 MB
+resident: numpy.random imports `hashlib` and `hmac` through `secrets`, and
+while a command runs, their `_hashlib` is blocked, so they use the standard
+library's built-in hashes, and the block is lifted when the command ends.
+A process that loaded `hashlib` before the command keeps OpenSSL; one
+whose first `import hashlib` falls inside a command gets the built-in
+hashes.  Nothing is blocked where the interpreter was built without its
+own SHA-2 modules (`random` needs their sha512), nor with numpy 1, whose
+`import numpy` loads numpy.random, and so `_hashlib`, before any command.
+Library callers that bypass `main` keep their own process, as they do for
+the heap policy.
 """
 from __future__ import annotations
 
@@ -50,6 +61,7 @@ import csv
 import ctypes
 import errno
 import glob
+import importlib.util
 import os
 import sys
 import warnings
@@ -219,11 +231,17 @@ def _cmd_generate(args) -> int:
 
 
 def _count_line_ends(path: str) -> int:
-    """How many line-feed and carriage-return bytes the file at `path` holds."""
-    count = 0
+    """How many line ends the file at `path` holds: LF, CR and CRLF count once each."""
+    count, after_cr = 0, False
     with open(path, "rb") as fh:
         for block in iter(partial(fh.read, 1 << 20), b""):
-            count += block.count(b"\n") + block.count(b"\r")
+            returns = block.count(b"\r")
+            count += block.count(b"\n") + returns
+            if returns:  # the pair search is slower than a byte count: LF files skip it
+                count -= block.count(b"\r\n")
+            if after_cr and block.startswith(b"\n"):  # a CRLF split between two blocks
+                count -= 1
+            after_cr = block.endswith(b"\r")
     return count
 
 
@@ -548,6 +566,31 @@ def _keep_freed_heap() -> None:
         mallopt(param, value)
 
 
+_BUILTIN_SHA512 = "_sha2" if sys.version_info >= (3, 12) else "_sha512"  # what `random` imports
+
+
+@contextmanager
+def _builtin_hashes():
+    """Block `_hashlib` for the length of a command, so libcrypto is never mapped.
+
+    `hashlib` and `hmac`, which numpy.random imports through `secrets`,
+    then fall back to the standard library's built-in hashes (`_sha256`,
+    `_operator._compare_digest` and the rest), which give the same digests.
+    Nothing is blocked when `_hashlib` is already loaded, or when the
+    interpreter has no built-in sha512 for `random` to fall back on; on
+    exit the block is lifted and `_hashlib` imports again.
+    """
+    if "_hashlib" in sys.modules or importlib.util.find_spec(_BUILTIN_SHA512) is None:
+        yield
+        return
+    sys.modules["_hashlib"] = None
+    try:
+        yield
+    finally:
+        if "_hashlib" in sys.modules and sys.modules["_hashlib"] is None:
+            del sys.modules["_hashlib"]
+
+
 @contextmanager
 def _one_blas_thread():
     """Hold numpy's OpenBLAS to one thread; restore the count it had on exit.
@@ -584,7 +627,7 @@ def main(argv=None) -> int:
         return 1
     _keep_freed_heap()
     try:
-        with _one_blas_thread():
+        with _one_blas_thread(), _builtin_hashes():
             return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -485,12 +485,18 @@ def _byte_order_mark(text):
     return "\ufeff" + text  # as Excel's "CSV UTF-8" writes it
 
 
+def _mixed_line_ends(text):
+    lines = text.split("\n")
+    ends = ("\r\n", "\r", "\n", "\n\r")
+    return "".join(line + ends[i % 4] for i, line in enumerate(lines[:-1])) + lines[-1]
+
+
 @pytest.mark.parametrize(
     "variant",
     [_quote_fields, _crlf, _trailing_blank_lines, _reversed_columns, _cr_only,
-     _no_final_line_end, _blank_lines_between_rows, _byte_order_mark],
+     _no_final_line_end, _blank_lines_between_rows, _byte_order_mark, _mixed_line_ends],
     ids=["quoted-fields", "crlf", "trailing-blank-lines", "reversed-columns", "cr-only",
-         "no-final-line-end", "blank-lines-between-rows", "byte-order-mark"],
+         "no-final-line-end", "blank-lines-between-rows", "byte-order-mark", "mixed-line-ends"],
 )
 def test_reader_accepts_what_csv_reader_accepted(tmp_path, variant):
     data = tmp_path / "data.csv"
@@ -504,6 +510,22 @@ def test_reader_accepts_what_csv_reader_accepted(tmp_path, variant):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(got.view(np.uint64), _read_with_csv_reader(data).view(np.uint64))
     assert ds.x.flags.c_contiguous
+
+
+BLOCK = b"x" * ((1 << 20) - 1)  # one byte short of the counter's read block
+
+
+@pytest.mark.parametrize(
+    "content, ends",
+    [(b"a\nb\nc\n", 3), (b"a\r\nb\r\nc", 2), (b"a\rb\rc\r", 3), (b"a\r\nb\rc\nd\n\re", 5),
+     (BLOCK + b"\r\nb\r\n", 2), (BLOCK + b"\r\rb\n", 3)],
+    ids=["lf", "crlf", "cr", "mixed", "crlf-split-between-blocks", "cr-at-block-end"],
+)
+def test_line_ends_count_once_each(tmp_path, content, ends):
+    # an upper bound on loadtxt's rows; a CRLF counted twice doubles its buffer
+    data = tmp_path / "data.csv"
+    data.write_bytes(content)
+    assert cli._count_line_ends(str(data)) == ends
 
 
 def test_reader_without_a_lambda_column_keeps_every_bit(tmp_path):
@@ -1440,3 +1462,94 @@ def test_a_replication_faults_in_no_fresh_pages(tmp_path, jobs):
     # here at --jobs 1 and 230 at --jobs 2
     per_replication = (minor_faults(8) - minor_faults(2)) / (6 * len(grid))
     assert per_replication <= 100
+
+
+PEAK_MEMORY_SCRIPT = PAGE_FAULTS_SCRIPT.with_name("peak_memory.py")
+
+
+def test_peak_memory_script_prints_its_help():
+    proc = subprocess.run([sys.executable, str(PEAK_MEMORY_SCRIPT), "--help"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "generate" in proc.stdout and "estimate" in proc.stdout
+
+
+# --- OpenSSL kept out of the process ---
+
+SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+needs_builtin_sha512 = pytest.mark.skipif(
+    importlib.util.find_spec(cli._BUILTIN_SHA512) is None,
+    reason="an interpreter without built-in SHA-2 modules keeps _hashlib",
+)
+
+
+@needs_builtin_sha512
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0",
+    reason="numpy<2 imports numpy.random, and so _hashlib, at import numpy",
+)
+def test_a_command_loads_no_openssl(tmp_path):
+    # `python -m fglm generate ...`, then a look at what the process loaded
+    run_as_module = (
+        "import pathlib, runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('fglm', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "linux = sys.platform.startswith('linux')\n"
+        "maps = pathlib.Path('/proc/self/maps').read_text() if linux else ''\n"
+        "print('_hashlib' in sys.modules, 'libcrypto' in maps, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", run_as_module, "generate", "--family", "gaussian",
+         "--n", "50", "--out", str(tmp_path / "data.csv")],
+        capture_output=True, text=True, timeout=60, env=_script_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False False\n"
+
+
+@needs_builtin_sha512
+@pytest.mark.parametrize("fault, code", [(None, 0), (RuntimeError, 2)], ids=["ok", "failure"])
+def test_a_command_blocks_openssl_and_lifts_the_block(monkeypatch, tmp_path, fault, code):
+    # as in a host whose first `import hashlib` falls inside the command
+    for name in ("_hashlib", "hashlib"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    seen = []
+
+    def handler(args):
+        seen.append(sys.modules["_hashlib"])
+        seen.append(importlib.import_module("hashlib").sha256(b"abc").hexdigest())
+        if fault is not None:
+            raise fault("stop")
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_generate", handler)
+    assert main(["generate", "--family", "gaussian", "--n", "5", "--out", str(tmp_path / "d")]) == code
+    assert seen == [None, SHA256_ABC]
+    assert "_hashlib" not in sys.modules
+    import hashlib
+
+    assert type(hashlib.sha256()).__module__ != "_hashlib"  # the built-in sha256
+    assert hashlib.sha256(b"abc").hexdigest() == SHA256_ABC
+    assert importlib.import_module("_hashlib").openssl_sha256(b"abc").hexdigest() == SHA256_ABC
+
+
+def test_a_process_that_loaded_openssl_keeps_it(monkeypatch, tmp_path):
+    openssl = importlib.import_module("_hashlib")
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_generate", lambda args: seen.append(sys.modules["_hashlib"]) or 0)
+    assert main(["generate", "--family", "gaussian", "--n", "5", "--out", str(tmp_path / "d")]) == 0
+    assert seen == [openssl]
+    assert sys.modules["_hashlib"] is openssl
+
+
+def test_an_interpreter_without_builtin_sha512_keeps_openssl(monkeypatch, tmp_path):
+    # blocking _hashlib there would leave `random`, and so numpy.random, unimportable
+    monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+    monkeypatch.setattr(cli, "_BUILTIN_SHA512", "_no_builtin_sha512")
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_generate", lambda args: seen.append("_hashlib" in sys.modules) or 0)
+    assert main(["generate", "--family", "gaussian", "--n", "5", "--out", str(tmp_path / "d")]) == 0
+    assert seen == [False]

@@ -4,14 +4,14 @@
 Every `fglm` command keeps freed heap in the process (glibc's malloc
 thresholds), so a replication reuses the pages of the last one instead of
 faulting its n x K sample in again, about 280 minor faults a replication
-without them.  This runs the stock gaussian study at 5 and at 20 reps in
-fresh processes, with this checkout's sources, and exits 1 when an extra
-replication costs more than 100 minor faults on average, else 0:
+without them.  --jobs 1 runs every replication on the main thread, in
+glibc's main arena, and --jobs 2 runs some on the pool's one thread, which
+gets an arena of its own.  This runs the stock gaussian study at 5 and at
+20 reps in fresh processes, with this checkout's sources, and exits 1 when
+an extra replication costs more than 100 minor faults on average, else 0:
 
     python scripts/ci/page_faults.py --jobs 2
 """
-from __future__ import annotations
-
 import argparse
 import os
 import resource

@@ -20,8 +20,6 @@ in KiB):
     python scripts/ci/peak_memory.py generate
     python scripts/ci/peak_memory.py estimate
 """
-from __future__ import annotations
-
 import argparse
 import os
 import resource

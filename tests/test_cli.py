@@ -1429,16 +1429,6 @@ def test_rate_study_script_refuses_an_out_below_a_file_before_any_draw(
 
 # --- freed heap kept between replications ---
 
-PAGE_FAULTS_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ci" / "page_faults.py"
-
-
-def test_page_faults_script_prints_its_help():
-    proc = subprocess.run([sys.executable, str(PAGE_FAULTS_SCRIPT), "--help"],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "--jobs" in proc.stdout
-
-
 @pytest.mark.skipif(
     not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
     reason="the malloc thresholds are glibc's",
@@ -1462,16 +1452,6 @@ def test_a_replication_faults_in_no_fresh_pages(tmp_path, jobs):
     # here at --jobs 1 and 230 at --jobs 2
     per_replication = (minor_faults(8) - minor_faults(2)) / (6 * len(grid))
     assert per_replication <= 100
-
-
-PEAK_MEMORY_SCRIPT = PAGE_FAULTS_SCRIPT.with_name("peak_memory.py")
-
-
-def test_peak_memory_script_prints_its_help():
-    proc = subprocess.run([sys.executable, str(PEAK_MEMORY_SCRIPT), "--help"],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "generate" in proc.stdout and "estimate" in proc.stdout
 
 
 # --- OpenSSL kept out of the process ---

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -25,12 +26,38 @@ from fglm.estimator import estimate_slope, tuning
 from fglm.expfam import get_family
 
 SMALL_CFG = "K_trunc = 30\nn_grid = 40, 80, 160\nreps = 2\nseed = 0\n"
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def _write_cfg(tmp_path, text=SMALL_CFG):
     path = tmp_path / "study.cfg"
     path.write_text(text)
     return str(path)
+
+
+def _stock_cfg(tmp_path, name, **values):
+    """scripts/configs/<name>.cfg copied under tmp_path, each key of `values` (set once in
+    the file) given its new value; returns the copy's path."""
+    lines = (CONFIGS / f"{name}.cfg").read_text().splitlines()
+    for key, value in values.items():
+        (index,) = [i for i, line in enumerate(lines) if line.partition("=")[0].strip() == key]
+        lines[index] = f"{key} = {value}"
+    path = tmp_path / "-".join([name, *(f"{key}-{value}" for key, value in values.items())])
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _record_workers(monkeypatch):
+    """A list that gets the thread count of every `map_in_order` pool started from here on."""
+    workers = []
+    start_threads = harness._start_threads
+
+    def recording(target, count):
+        workers.append(count)
+        return start_threads(target, count)
+
+    monkeypatch.setattr(harness, "_start_threads", recording)
+    return workers
 
 
 # --- argument handling ---
@@ -683,14 +710,30 @@ def test_study_csv_headers_and_determinism(tmp_path):
     assert len((d1 / "perreplication.csv").read_text().splitlines()) == 10
 
 
-def test_rate_study_jobs_do_not_change_output(tmp_path):
-    cfg = _write_cfg(tmp_path)
-    outs = []
-    for jobs, sub in (("1", "a"), ("2", "b")):
-        out = tmp_path / sub
-        assert main(["rate-study", "--config", cfg, "--jobs", jobs, "--out", str(out)]) == 0
-        outs.append((out / "rate_study.csv").read_bytes())
-    assert outs[0] == outs[1]
+def test_rate_study_jobs_do_not_change_output(tmp_path, capsys, monkeypatch):
+    # replications run on up to --jobs workers, the caller being the first, capped
+    # by the usable CPUs; stdout and the CSVs depend on neither; no stock study
+    # runs the Bernoulli family, so one is made from gaussian_beta3
+    workers = _record_workers(monkeypatch)
+    usable = harness.usable_cpus()
+    configs = [_write_cfg(tmp_path), _stock_cfg(tmp_path, "poisson_beta3", reps=10),
+               _stock_cfg(tmp_path, "gaussian_beta3", family="bernoulli", reps=10)]
+    out = tmp_path / "out"  # one --out for every run, so the `wrote` line is the same
+    for cfg in configs:
+        runs = []
+        for jobs, cpus in (("1", None), ("2", None), ("2", {0})):
+            with monkeypatch.context() as pin:
+                if cpus is not None:
+                    pin.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+                assert main(["rate-study", "--config", cfg, "--per-replication", "--jobs", jobs,
+                             "--out", str(out)]) == 0
+            files = [(out / name).read_bytes()
+                     for name in ("rate_study.csv", "slope.csv", "perreplication.csv")]
+            shutil.rmtree(out)
+            runs.append((capsys.readouterr(), files))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+    assert workers == [0, min(2, usable) - 1, 0] * len(configs)
 
 
 def test_rate_study_seed_override_changes_results(tmp_path):
@@ -814,28 +857,38 @@ def test_perturb_check_perturbs_every_instance_at_the_largest_alpha_it_accepts(t
 
 
 def test_lower_bound_writes_affinity_csv(tmp_path, capsys):
-    out = tmp_path / "lb"
-    code = main(
-        [
-            "lower-bound",
-            "--config",
-            _write_cfg(tmp_path),
-            "--out",
-            str(out),
-            "--m",
-            "2",
-            "--n-grid",
-            "50,500",
-            "--n-mc",
-            "40",
+    # the certification script runs the gaussian family at --m 2 alone; the other
+    # families run at m = 3, at its --n-mc; a config saved with a UTF-8 byte-order
+    # mark reads as without it
+    gaussian = CONFIGS / "gaussian_beta3.cfg"
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + gaussian.read_bytes())
+    stock = ("100,1000,10000", "20")  # --n-grid's default
+    cases = {  # config, m, --n-grid, --n-mc
+        "small": (_write_cfg(tmp_path), 2, "50,500", "40"),
+        "gaussian": (str(gaussian), 2, *stock),
+        "byte-order-mark": (str(bom), 2, *stock),
+        "poisson": (str(CONFIGS / "poisson_beta3.cfg"), 3, *stock),
+        "bernoulli": (_stock_cfg(tmp_path, "gaussian_beta3", family="bernoulli"), 3, *stock),
+    }
+    written = {}
+    for label, (cfg, m, n_grid, n_mc) in cases.items():
+        out = tmp_path / label
+        assert main(["lower-bound", "--config", cfg, "--m", str(m), "--n-grid", n_grid,
+                     "--n-mc", n_mc, "--out", str(out)]) == 0, label
+        captured = capsys.readouterr()
+        assert "min affinity" in captured.out
+        assert captured.err == ""
+        written[label] = (out / "affinity.csv").read_bytes()
+        with open(out / "affinity.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["n", "j", "eps", "affinity", "se", "bound_value"]
+        # one row per sample size and flip coordinate j = m + 1 .. 2m
+        assert [(int(n), int(j)) for n, j, *_ in rows] == [
+            (int(n), j) for n in n_grid.split(",") for j in range(m + 1, 2 * m + 1)
         ]
-    )
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "min affinity" in text
-    rows = (out / "affinity.csv").read_text().splitlines()
-    assert rows[0] == "n,j,eps,affinity,se,bound_value"
-    assert len(rows) == 5  # 2 sample sizes x 2 flip coordinates
+        assert all(math.isfinite(float(row[3])) for row in rows)
+    assert written["byte-order-mark"] == written["gaussian"]
 
 
 def _affinity_below_floor(cfg, n_grid, **kwargs):
@@ -1015,23 +1068,24 @@ def _diagnostics_argv(tmp_path, out_dir, *extra):
             "--out", str(out_dir), *extra]
 
 
-@pytest.mark.parametrize("seed", ["0", "1", "2"])
-def test_diagnostics_output_does_not_depend_on_the_thread_count(tmp_path, capsys, monkeypatch, seed):
-    workers = []
-    start_threads = harness._start_threads
-
-    def recording(target, count):
-        workers.append(count)
-        return start_threads(target, count)
-
-    monkeypatch.setattr(harness, "_start_threads", recording)
+@pytest.mark.parametrize(
+    "extra",
+    [["--seed", "0"], ["--seed", "1"], ["--seed", "2"],
+     # later options win: the stock config at the certification script's sizes
+     ["--config", str(CONFIGS / "gaussian_beta3.cfg"), "--fisher-reps", "200",
+      "--chisq-reps", "2000"]],
+    ids=["0", "1", "2", "stock"],
+)
+def test_diagnostics_output_does_not_depend_on_the_thread_count(tmp_path, capsys, monkeypatch,
+                                                                extra):
+    workers = _record_workers(monkeypatch)
     usable = harness.usable_cpus()
     runs = []
     for label in ("default", "one cpu"):
         if label == "one cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         out_dir = tmp_path / label
-        code = main(_diagnostics_argv(tmp_path, out_dir, "--seed", seed))
+        code = main(_diagnostics_argv(tmp_path, out_dir, *extra))
         runs.append((code, capsys.readouterr().out, (out_dir / "diagnostics.csv").read_bytes()))
     # six checks, one worker per usable CPU, the caller being the first
     assert workers == [min(6, usable) - 1, 0]
